@@ -32,12 +32,18 @@ from dataclasses import dataclass
 
 from .core import FeatureFamily, GeometricDataSet, MmSpace
 from .coupling import Coupling, max_mass_on_set
-from .errors import EmptyCellSet, GdsError, SizeLimit, WitnessNotLipschitz
+from .errors import EmptyCellSet, SizeLimit, WitnessNotLipschitz
 from .flows import max_flow_on_cells
-from .metrics import CellSet, hausdorff, sup_pseudometric
-from .numerics import EXACT, FLOAT_TOL, Scalar, close, same_mode
+from .metrics import (
+    ASSIGNMENT_BUDGET,
+    CellSet,
+    GapTable,
+    first_feasible,
+    hausdorff,
+    sup_pseudometric,
+)
+from .numerics import FLOAT_TOL, Scalar, close, same_mode
 
-ASSIGNMENT_BUDGET = 70000
 CELL_BUDGET = 16
 
 
@@ -108,13 +114,7 @@ def _v_crossing(levels, rise, fall):
     a bisection for the first index with rise >= fall settles it with
     O(log) evaluations of the expensive falling term.
     """
-    lo, hi = 0, len(levels) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rise(mid) >= fall(mid):
-            hi = mid
-        else:
-            lo = mid + 1
+    lo = first_feasible(lambda i: rise(i) >= fall(i), len(levels) - 1)
     best = None
     for i in ([lo - 1] if lo else []) + [lo]:
         a, b = rise(i), fall(i)
@@ -253,97 +253,55 @@ def dis_coupling(pi: Coupling, dX, dY, cell_budget: int = CELL_BUDGET) -> tuple:
     return value, cells
 
 
-class _FamilyGrids:
-    """Per-instance tables for the feature-side sweeps.
+def _table(X: GeometricDataSet, Y: GeometricDataSet) -> tuple:
+    """Gap table of the two families and its levels: 0 and every gap."""
+    table = GapTable(
+        X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
+    )
+    return table, sorted({0} | table.gaps())
 
-    diff[f][g][cell] is the lifted gap |f(x) - g(y)| on the flat cell grid;
-    levels is the sorted set of candidate Hausdorff radii; masks and flow
-    values are memoised since the sweep revisits them across levels.
+
+def _side_masks(table: GapTable, h) -> tuple:
+    """Deduplicated cell masks cut out by each total assignment at level h."""
+    allowed = [
+        [table.allowed(f, g, h) for g in range(table.ky)] for f in range(table.kx)
+    ]
+    u_masks = set()
+    for u in itertools.product(range(table.ky), repeat=table.kx):
+        mask = table.full
+        for f, g in enumerate(u):
+            mask &= allowed[f][g]
+        u_masks.add(mask)
+    v_masks = set()
+    for v in itertools.product(range(table.kx), repeat=table.ky):
+        mask = table.full
+        for g, f in enumerate(v):
+            mask &= allowed[f][g]
+        v_masks.add(mask)
+    return sorted(u_masks), sorted(v_masks)
+
+
+def _best_pair_mass(table: GapTable, h, value_of) -> tuple:
+    """Largest value_of(u_mask & v_mask) over assignment pairs at level h.
+
+    value_of must be monotone under set inclusion, which makes
+    min(value_of(u), value_of(v)) a sound bound for pruning.
     """
-
-    def __init__(self, X: GeometricDataSet, Y: GeometricDataSet):
-        self.mode = same_mode(X.mode, Y.mode)
-        self.n, self.m = X.n, Y.n
-        self.mu = X.measure.weights
-        self.nu = Y.measure.weights
-        self.kx, self.ky = X.k, Y.k
-        self.diff = [
-            [
-                [abs(fr[i] - gr[j]) for i in range(self.n) for j in range(self.m)]
-                for gr in Y.features.rows
-            ]
-            for fr in X.features.rows
-        ]
-        levels = {0}
-        for per_f in self.diff:
-            for cells in per_f:
-                levels.update(cells)
-        self.levels = sorted(levels)
-        self._allowed = {}
-        self._sides = {}
-        self._flow = {}
-
-    def allowed(self, f: int, g: int, idx: int) -> int:
-        key = (f, g, idx)
-        hit = self._allowed.get(key)
-        if hit is None:
-            h = self.levels[idx]
-            hit = 0
-            for c, d in enumerate(self.diff[f][g]):
-                if d <= h:
-                    hit |= 1 << c
-            self._allowed[key] = hit
-        return hit
-
-    def side_masks(self, idx: int) -> tuple:
-        """Deduplicated cell masks cut out by each total assignment."""
-        hit = self._sides.get(idx)
-        if hit is None:
-            full = (1 << (self.n * self.m)) - 1
-            u_masks = set()
-            for u in itertools.product(range(self.ky), repeat=self.kx):
-                mask = full
-                for f, g in enumerate(u):
-                    mask &= self.allowed(f, g, idx)
-                u_masks.add(mask)
-            v_masks = set()
-            for v in itertools.product(range(self.kx), repeat=self.ky):
-                mask = full
-                for g, f in enumerate(v):
-                    mask &= self.allowed(f, g, idx)
-                v_masks.add(mask)
-            hit = (sorted(u_masks), sorted(v_masks))
-            self._sides[idx] = hit
-        return hit
-
-    def flow(self, mask: int) -> Scalar:
-        hit = self._flow.get(mask)
-        if hit is None:
-            hit, _ = max_flow_on_cells(self.mu, self.nu, mask)
-            self._flow[mask] = hit
-        return hit
-
-    def best_pair_mass(self, idx: int, value_of) -> tuple:
-        """Largest value_of(u_mask & v_mask) over assignment pairs.
-
-        value_of must be monotone under set inclusion, which makes
-        min(value_of(u), value_of(v)) a sound bound for pruning.
-        """
-        u_masks, v_masks = self.side_masks(idx)
-        us = sorted(((value_of(mk), mk) for mk in u_masks), reverse=True)
-        vs = sorted(((value_of(mk), mk) for mk in v_masks), reverse=True)
-        best, best_mask = None, 0
-        for uval, um in us:
-            if best is not None and uval <= best:
+    u_masks, v_masks = _side_masks(table, h)
+    us = sorted(((value_of(mk), mk) for mk in u_masks), reverse=True)
+    vs = sorted(((value_of(mk), mk) for mk in v_masks), reverse=True)
+    best, best_mask = None, 0
+    for uval, um in us:
+        if best is not None and uval <= best:
+            break
+        for vval, vm in vs:
+            bound = uval if uval < vval else vval
+            if best is not None and bound <= best:
                 break
-            for vval, vm in vs:
-                bound = uval if uval < vval else vval
-                if best is not None and bound <= best:
-                    break
-                val = value_of(um & vm)
-                if best is None or val > best:
-                    best, best_mask = val, um & vm
-        return best, best_mask
+            val = value_of(um & vm)
+            if best is None or val > best:
+                best, best_mask = val, um & vm
+    return best, best_mask
 
 
 def _gate_assignments(X, Y, assignment_budget):
@@ -361,10 +319,10 @@ def box_fixed_coupling(
     assignment_budget: int = ASSIGNMENT_BUDGET,
 ) -> tuple:
     """Best cell set for one fixed coupling: (objective value, witness S)."""
-    same_mode(same_mode(X.mode, Y.mode), pi.mode)
+    mode = same_mode(same_mode(X.mode, Y.mode), pi.mode)
     pi.check_marginals(X.measure, Y.measure)
     _gate_assignments(X, Y, assignment_budget)
-    grids = _FamilyGrids(X, Y)
+    table, levels = _table(X, Y)
     flat = [pi.matrix[i][j] for i in range(X.n) for j in range(Y.n)]
     mass_cache = {}
 
@@ -384,14 +342,14 @@ def box_fixed_coupling(
 
     def fall(idx):
         if idx not in cache:
-            val, mask = grids.best_pair_mass(idx, mass)
+            val, mask = _best_pair_mass(table, levels[idx], mass)
             cache[idx] = (1 - val, mask)
         return cache[idx][0]
 
-    value, idx = _v_crossing(grids.levels, lambda i: 2 * grids.levels[i], fall)
+    value, idx = _v_crossing(levels, lambda i: 2 * levels[i], fall)
     cells = CellSet.from_mask(X.n, Y.n, cache[idx][1])
     got = box_objective(pi, cells, X.features, Y.features)
-    if not close(got, value, grids.mode):
+    if not close(got, value, mode):
         raise AssertionError("fixed-coupling sweep witness disagrees with its value")
     return value, cells
 
@@ -408,26 +366,26 @@ def box_exact(
     so at each threshold level the inner problem is one max-flow per
     assignment-pair mask and no coupling enumeration happens at all.
     """
-    same_mode(X.mode, Y.mode)
+    mode = same_mode(X.mode, Y.mode)
     if X.n * Y.n > cell_budget:
         raise SizeLimit(
             f"{X.n * Y.n} cells exceed the exact budget {cell_budget}"
         )
     _gate_assignments(X, Y, assignment_budget)
-    grids = _FamilyGrids(X, Y)
+    table, levels = _table(X, Y)
     cache = {}
 
     def fall(idx):
         if idx not in cache:
-            val, mask = grids.best_pair_mass(idx, grids.flow)
+            val, mask = _best_pair_mass(table, levels[idx], table.flow)
             cache[idx] = (1 - val, mask)
         return cache[idx][0]
 
-    value, idx = _v_crossing(grids.levels, lambda i: 2 * grids.levels[i], fall)
+    value, idx = _v_crossing(levels, lambda i: 2 * levels[i], fall)
     cells = CellSet.from_mask(X.n, Y.n, cache[idx][1])
     _, pi = max_mass_on_set(X.measure, Y.measure, cells)
     got = box_objective(pi, cells, X.features, Y.features)
-    if not close(got, value, grids.mode):
+    if not close(got, value, mode):
         raise AssertionError("box sweep witness disagrees with its value")
     return BoxResult(value, pi, cells)
 
@@ -504,11 +462,11 @@ def box_heuristic(
     bound for any budget.
     """
     same_mode(X.mode, Y.mode)
-    grids = _FamilyGrids(X, Y)
+    table, levels = _table(X, Y)
     n, m = X.n, Y.n
     nm = n * m
-    full = (1 << nm) - 1
-    pm = [grids.mu[i] * grids.nu[j] for i in range(n) for j in range(m)]
+    full = table.full
+    pm = [table.mu[i] * table.nu[j] for i in range(n) for j in range(m)]
 
     def weight(mask):
         total = 0
@@ -521,30 +479,30 @@ def box_heuristic(
     def radius(mask):
         """Hausdorff distance of the families over the masked cells."""
         best = 0
-        for f in range(grids.kx):
+        for f in range(table.kx):
             near = None
-            for g in range(grids.ky):
+            for g in range(table.ky):
                 d = 0
                 t = mask
                 while t:
                     c = (t & -t).bit_length() - 1
                     t &= t - 1
-                    if grids.diff[f][g][c] > d:
-                        d = grids.diff[f][g][c]
+                    if table.diff[f][g][c] > d:
+                        d = table.diff[f][g][c]
                 if near is None or d < near:
                     near = d
             if near > best:
                 best = near
-        for g in range(grids.ky):
+        for g in range(table.ky):
             near = None
-            for f in range(grids.kx):
+            for f in range(table.kx):
                 d = 0
                 t = mask
                 while t:
                     c = (t & -t).bit_length() - 1
                     t &= t - 1
-                    if grids.diff[f][g][c] > d:
-                        d = grids.diff[f][g][c]
+                    if table.diff[f][g][c] > d:
+                        d = table.diff[f][g][c]
                 if near is None or d < near:
                     near = d
             if near > best:
@@ -561,23 +519,21 @@ def box_heuristic(
         spent += 1
         hit = evals.get(mask)
         if hit is None:
-            a = 1 - grids.flow(mask)
+            a = 1 - table.flow(mask)
             b = 2 * radius(mask)
             hit = a if a > b else b
             evals[mask] = hit
         return hit
 
-    def greedy_mask(idx):
+    def greedy_mask(h):
         mask = full
-        for f in range(grids.kx):
+        for f in range(table.kx):
             mask &= max(
-                (grids.allowed(f, g, idx) for g in range(grids.ky)),
-                key=weight,
+                (table.allowed(f, g, h) for g in range(table.ky)), key=weight
             )
-        for g in range(grids.ky):
+        for g in range(table.ky):
             mask &= max(
-                (grids.allowed(f, g, idx) for f in range(grids.kx)),
-                key=weight,
+                (table.allowed(f, g, h) for f in range(table.kx)), key=weight
             )
         return mask
 
@@ -586,16 +542,17 @@ def box_heuristic(
     def starts():
         yield 0
         yield full
-        count = len(grids.levels)
-        step = max(1, count // 12)
-        for idx in range(0, count, step):
-            yield greedy_mask(idx)
+        count = len(levels)
+        for h in levels[:: max(1, count // 12)]:
+            yield greedy_mask(h)
         while True:
             mask = full
-            for f in range(grids.kx):
-                mask &= grids.allowed(f, rng.randrange(grids.ky), rng.randrange(count))
-            for g in range(grids.ky):
-                mask &= grids.allowed(rng.randrange(grids.kx), g, rng.randrange(count))
+            for f in range(table.kx):
+                g, h = rng.randrange(table.ky), levels[rng.randrange(count)]
+                mask &= table.allowed(f, g, h)
+            for g in range(table.ky):
+                f, h = rng.randrange(table.kx), levels[rng.randrange(count)]
+                mask &= table.allowed(f, g, h)
             yield mask
 
     best = None

@@ -20,13 +20,11 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     GdsError,
     MetricViolation,
-    ModeMismatch,
     SeparationFailure,
     SupportError,
 )
 from .numerics import (
     EXACT,
-    FLOAT,
     FLOAT_TOL,
     Scalar,
     check_mode,
@@ -66,17 +64,10 @@ class DiscreteMeasure:
         cls,
         values: Iterable,
         mode: str = EXACT,
-        normalize_support: bool = False,
         rescale: bool = False,
     ) -> "DiscreteMeasure":
-        """Build a measure, optionally dropping zero weights and rescaling.
-
-        With normalize_support the zero-weight entries are silently removed;
-        use support_filter first if the surviving indices matter.
-        """
+        """Build a measure, optionally rescaling the weights to total 1."""
         ws = list(scalar_list(values, mode))
-        if normalize_support:
-            ws = [w for w in ws if w != 0]
         if rescale:
             total = sum(ws)
             if total <= 0:
@@ -106,12 +97,6 @@ class DiscreteMeasure:
                 seen.add(i)
                 total += self.weights[i]
         return total
-
-
-def support_filter(values: Iterable, mode: str = EXACT) -> tuple[int, ...]:
-    """Indices of the strictly positive entries, in order."""
-    ws = scalar_list(values, mode)
-    return tuple(i for i, w in enumerate(ws) if w > 0)
 
 
 @dataclass(frozen=True)
@@ -232,26 +217,12 @@ class GeometricDataSet:
         feature_labels: Optional[Sequence[str]] = None,
         point_labels: Optional[Sequence[str]] = None,
         mode: str = EXACT,
-        normalize_support: bool = False,
-        rescale: bool = False,
     ) -> "GeometricDataSet":
-        ws = list(scalar_list(weights, mode))
-        rows = [list(scalar_list(r, mode)) for r in feature_rows]
-        n = len(ws)
-        labels = list(point_labels) if point_labels else list(_default_labels("p", n))
-        if normalize_support:
-            keep = [i for i, w in enumerate(ws) if w > 0]
-            ws = [ws[i] for i in keep]
-            rows = [[r[i] for i in keep] for r in rows]
-            labels = [labels[i] for i in keep]
-        if rescale:
-            total = sum(ws)
-            if total <= 0:
-                raise SupportError("cannot rescale weights with non-positive total")
-            ws = [w / total for w in ws]
-        fam = FeatureFamily.build(rows, feature_labels, mode)
-        meas = DiscreteMeasure(tuple(ws), mode)
-        return cls(fam, meas, tuple(labels))
+        ws = scalar_list(weights, mode)
+        labels = tuple(point_labels) if point_labels else _default_labels("p", len(ws))
+        fam = FeatureFamily.build(feature_rows, feature_labels, mode)
+        meas = DiscreteMeasure(ws, mode)
+        return cls(fam, meas, labels)
 
     @property
     def mode(self) -> str:

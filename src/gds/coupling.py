@@ -6,7 +6,7 @@ other so they can cross-validate:
 
   * max_mass_on_set: bipartite max-flow, specialised and fast;
   * feasibility_lp: a dense two-phase simplex with Bland's rule, exact in
-    rational arithmetic, handling several set-mass constraints at once;
+    rational arithmetic, capping the mass on several cell sets at once;
   * enumerate_couplings: explicit vertex enumeration of the transportation
     polytope on tiny grids, plus a deterministic mixture lattice.
 """
@@ -158,9 +158,10 @@ def max_mass_on_set(
 def _simplex(rows, rhs, costs, mode):
     """Two-phase dense simplex with Bland's rule, minimising costs . x.
 
-    rows/rhs describe equality constraints Ax = b with x >= 0.  Returns
-    (feasible, solution list, optimal value).  Exact mode never divides
-    inexactly; float mode uses a small pivot tolerance.
+    rows/rhs describe equality constraints Ax = b with x >= 0.  Returns an
+    optimal solution list, or None when phase 1 shows Ax = b infeasible.
+    Exact mode never divides inexactly; float mode uses a small pivot
+    tolerance.
     """
     eps = 0 if mode == EXACT else 1e-12
     coerce = (lambda v: Q(v)) if mode == EXACT else float
@@ -236,7 +237,7 @@ def _simplex(rows, rhs, costs, mode):
     run_phase(phase1_cost, blocked=set())
     infeas = sum(phase1_cost[basis[r]] * tab[r][-1] for r in range(len(tab)))
     if infeas > (0 if mode == EXACT else FLOAT_TOL):
-        return False, None, None
+        return None
 
     # Drive leftover artificials out of the basis or drop redundant rows.
     r = 0
@@ -263,36 +264,26 @@ def _simplex(rows, rhs, costs, mode):
     for r in range(len(tab)):
         if basis[r] < n_cols:
             solution[basis[r]] = tab[r][-1]
-    value = sum(costs[k] * solution[k] for k in range(n_cols) if solution[k] != 0)
-    return True, solution, value
-
-
-OBJECTIVES = ("feasibility", "minimize-common-cap", "maximize-mass-on-set")
+    return solution
 
 
 @dataclass(frozen=True)
 class SetMassProgram:
-    """Transport program with mass caps on cell sets.
+    """Common-cap transport program over a tuple of cell sets.
 
-    constraints is a tuple of (CellSet, cap) pairs.  The cap scalars are
-    read only in feasibility mode; the other two objectives quantify over
-    them instead.
+    Asks for the least t such that some coupling of (mu, nu) puts mass at
+    most t on every set in `sets`.
     """
 
     mu: DiscreteMeasure
     nu: DiscreteMeasure
-    constraints: tuple = field(default=())
-    objective: str = "feasibility"
+    sets: tuple = field(default=())
 
     def __post_init__(self):
         same_mode(self.mu.mode, self.nu.mode)
-        if self.objective not in OBJECTIVES:
-            raise GdsError(f"unknown objective {self.objective!r}")
-        for (cells, _cap) in self.constraints:
+        for cells in self.sets:
             if cells.n != self.mu.n or cells.m != self.nu.n:
                 raise GdsError("constraint cell set disagrees with the marginals")
-        if self.objective == "maximize-mass-on-set" and len(self.constraints) != 1:
-            raise GdsError("maximize-mass-on-set takes exactly one cell set")
 
 
 def feasibility_lp(
@@ -300,11 +291,10 @@ def feasibility_lp(
 ) -> tuple[bool, Optional[Coupling], Optional[Scalar]]:
     """Solve a SetMassProgram by the exact simplex.
 
-    feasibility: is there a coupling with pi(B_k) <= cap_k for all k?
-    minimize-common-cap: least t admitting a coupling with pi(B_k) <= t.
-    maximize-mass-on-set: largest pi(B) over couplings.
-
-    Returns (feasible, witness coupling, optimal scalar or None).
+    Minimises t over couplings pi subject to pi(B_k) + s_k = t with slack
+    s_k >= 0 for every set B_k.  Returns (feasible, witness coupling, t);
+    feasible is False, with no witness, only when phase 1 finds no
+    coupling at all.
     """
     mu, nu = prog.mu, prog.nu
     mode = same_mode(mu.mode, nu.mode)
@@ -312,14 +302,8 @@ def feasibility_lp(
     if abs(sum(mu.weights) - sum(nu.weights)) > tol:
         raise InfeasibleMarginals("marginals carry different total mass")
     n, m = mu.n, nu.n
-    ncells = n * m
-    K = len(prog.constraints)
-
-    has_t = prog.objective == "minimize-common-cap"
-    n_slack = K if prog.objective in ("feasibility", "minimize-common-cap") else 0
-    t_col = ncells
-    slack0 = ncells + (1 if has_t else 0)
-    n_cols = slack0 + n_slack
+    t_col = n * m
+    n_cols = t_col + 1 + len(prog.sets)
 
     rows, rhs = [], []
     for i in range(n):
@@ -334,41 +318,26 @@ def feasibility_lp(
             row[i * m + j] = 1
         rows.append(row)
         rhs.append(nu.weights[j])
-    if prog.objective != "maximize-mass-on-set":
-        for k, (cells, cap) in enumerate(prog.constraints):
-            row = [0] * n_cols
-            for (i, j) in cells:
-                row[i * m + j] = 1
-            row[slack0 + k] = 1
-            if has_t:
-                row[t_col] = -1
-                rows.append(row)
-                rhs.append(0)
-            else:
-                rows.append(row)
-                rhs.append(cap)
+    for k, cells in enumerate(prog.sets):
+        row = [0] * n_cols
+        for (i, j) in cells:
+            row[i * m + j] = 1
+        row[t_col] = -1
+        row[t_col + 1 + k] = 1
+        rows.append(row)
+        rhs.append(0)
 
     costs = [0] * n_cols
-    if prog.objective == "minimize-common-cap":
-        costs[t_col] = 1
-    elif prog.objective == "maximize-mass-on-set":
-        cells, _cap = prog.constraints[0]
-        for (i, j) in cells:
-            costs[i * m + j] = -1
-
-    feasible, solution, value = _simplex(rows, rhs, costs, mode)
-    if not feasible:
+    costs[t_col] = 1
+    solution = _simplex(rows, rhs, costs, mode)
+    if solution is None:
         return False, None, None
     matrix = tuple(
         tuple(solution[i * m + j] for j in range(m)) for i in range(n)
     )
     witness = Coupling.build(matrix, mode)
     witness.check_marginals(mu, nu)
-    if prog.objective == "feasibility":
-        return True, witness, None
-    if prog.objective == "minimize-common-cap":
-        return True, witness, solution[t_col]
-    return True, witness, -value
+    return True, witness, solution[t_col]
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,28 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import DiscreteMeasure, GeometricDataSet
-from .errors import GdsError, ModeMismatch, SizeLimit
+from .errors import GdsError, SizeLimit
 from .flows import max_flow_on_cells
-from .numerics import EXACT, Scalar, same_mode
+from .numerics import Scalar, leq, same_mode
 
 BRUTE_FORCE_POINT_LIMIT = 12
+ASSIGNMENT_BUDGET = 70000
+
+
+def first_feasible(pred: Callable[[int], bool], hi: int, lo: int = 0) -> int:
+    """First index in [lo, hi] where the monotone predicate holds.
+
+    pred(hi) is assumed true and never evaluated; each probe is at
+    (lo + hi) // 2, so a threshold grid of L levels costs about log2(L)
+    evaluations.
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -142,6 +159,53 @@ def hausdorff(items_a: Sequence, items_b: Sequence, dist: Callable) -> Scalar:
     return forward if forward >= backward else backward
 
 
+class GapTable:
+    """Lifted gaps |f(x) - g(y)| between two feature families.
+
+    diff[f][g][c] is the gap on the flat n x m cell grid (c = x * m + y).
+    The exact searches walk thresholds h of this table: allowed(f, g, h) is
+    the bitmask of cells with gap <= h, and flow(mask) the largest mass a
+    coupling of (mu, nu) puts on a mask.  Both are memoised, since the
+    sweeps revisit them across levels.
+    """
+
+    def __init__(self, rows_x: Sequence, rows_y: Sequence, mu: Sequence, nu: Sequence):
+        self.n, self.m = len(mu), len(nu)
+        self.mu, self.nu = mu, nu
+        self.kx, self.ky = len(rows_x), len(rows_y)
+        self.full = (1 << (self.n * self.m)) - 1
+        self.diff = [
+            [
+                [abs(fr[i] - gr[j]) for i in range(self.n) for j in range(self.m)]
+                for gr in rows_y
+            ]
+            for fr in rows_x
+        ]
+        self._allowed: dict = {}
+        self._flow: dict = {}
+
+    def gaps(self) -> set:
+        return {d for per_f in self.diff for cells in per_f for d in cells}
+
+    def allowed(self, f: int, g: int, h) -> int:
+        key = (f, g, h)
+        hit = self._allowed.get(key)
+        if hit is None:
+            hit = 0
+            for c, d in enumerate(self.diff[f][g]):
+                if d <= h:
+                    hit |= 1 << c
+            self._allowed[key] = hit
+        return hit
+
+    def flow(self, mask: int) -> Scalar:
+        hit = self._flow.get(mask)
+        if hit is None:
+            hit, _ = max_flow_on_cells(self.mu, self.nu, mask)
+            self._flow[mask] = hit
+        return hit
+
+
 # ---------------------------------------------------------------------------
 # Prohorov metric on a shared finite metric space
 # ---------------------------------------------------------------------------
@@ -197,19 +261,9 @@ def prohorov_weights(
     def requirement(i: int) -> Scalar:
         return _prohorov_requirement_flow(mu_weights, nu_weights, dist, thresholds[i])
 
-    def feasible(i: int) -> bool:
-        if i + 1 < len(thresholds):
-            return requirement(i) <= thresholds[i + 1]
-        return True
-
-    lo_i, hi_i = 0, len(thresholds) - 1
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        if feasible(mid):
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    ans = interval_answer(lo_i, requirement(lo_i))
+    last = len(thresholds) - 1
+    i = first_feasible(lambda k: requirement(k) <= thresholds[k + 1], last)
+    ans = interval_answer(i, requirement(i))
     if ans is None:
         raise AssertionError("bisection landed on an infeasible interval")
     return ans
@@ -315,6 +369,7 @@ def partial_diameter(values: Sequence, mu: DiscreteMeasure, alpha) -> Scalar:
     if alpha <= 0:
         return 0
     vs, ws = _atoms(values, mu.weights)
+    mode = mu.mode
     best = None
     j = -1
     window = 0
@@ -322,10 +377,10 @@ def partial_diameter(values: Sequence, mu: DiscreteMeasure, alpha) -> Scalar:
         if j < i:
             j = i
             window = ws[i]
-        while window < alpha and j + 1 < len(vs):
+        while not leq(alpha, window, mode) and j + 1 < len(vs):
             j += 1
             window += ws[j]
-        if window >= alpha:
+        if leq(alpha, window, mode):
             diam = vs[j] - vs[i]
             if best is None or diam < best:
                 best = diam

@@ -20,13 +20,9 @@ from typing import Iterable, Union
 from .errors import ModeMismatch
 
 try:
-    from gmpy2 import mpq as _mpq
-
-    Q = _mpq
-    _RATIONAL_TYPES = (type(_mpq(0)), Fraction)
+    from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     Q = Fraction
-    _RATIONAL_TYPES = (Fraction,)
 
 Scalar = Union[Fraction, float, int]
 

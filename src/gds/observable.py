@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,10 +31,15 @@ from .coupling import (
     product_coupling,
 )
 from .errors import BudgetExceeded, GdsError, WitnessNotLipschitz
-from .metrics import CellSet, hausdorff, ky_fan_coupling
+from .metrics import (
+    ASSIGNMENT_BUDGET,
+    CellSet,
+    GapTable,
+    first_feasible,
+    hausdorff,
+    ky_fan_coupling,
+)
 from .numerics import FLOAT_TOL, EXACT, Scalar, same_mode
-
-ASSIGNMENT_BUDGET = 70000
 
 
 @dataclass(frozen=True)
@@ -77,55 +83,58 @@ def feature_transfer(X: GeometricDataSet, Y: GeometricDataSet, pi) -> tuple:
     return tuple(out)
 
 
+def _unit_levels(gaps) -> list:
+    """Ky Fan threshold grid: 0, 1 and every gap strictly between them."""
+    return sorted({0, 1} | {d for d in gaps if 0 < d < 1})
+
+
+def _bits(mask: int) -> list:
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
+def _least_eps(levels: Sequence, need) -> tuple:
+    """(least feasible eps, its level index) for a Ky Fan-type bound.
+
+    need(i) is the least mass bound forced on the interval starting at
+    levels[i]; it never grows with i, and the last interval is always
+    feasible.  The first interval with need < its right end holds the
+    optimum, which is need or the interval start, whichever is larger.
+    """
+    idx = first_feasible(lambda i: need(i) < levels[i + 1], len(levels) - 1)
+    cap = need(idx)
+    return (cap if cap > levels[idx] else levels[idx]), idx
+
+
 class _DconcSearch:
-    """Shared state for the exact search: diff tables, memoised flows/LPs."""
+    """Exact-search state: the gap table, its level grid, memoised LPs.
+
+    Cell sets are bitmasks over the flat n x m grid.  exceed(idx)[f][g] is
+    where |f - g| exceeds level idx: the set whose mass a Ky Fan bound caps.
+    """
 
     def __init__(self, X: GeometricDataSet, Y: GeometricDataSet):
-        self.mode = same_mode(X.mode, Y.mode)
         self.X, self.Y = X, Y
-        self.n, self.m = X.n, Y.n
+        self.table = GapTable(
+            X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
+        )
         self.kx, self.ky = X.k, Y.k
-        # diff[f][g][cell] = |f(x) - g(y)| flattened over the n*m grid
-        self.diff = [
-            [
-                [abs(fr[i] - gr[j]) for i in range(self.n) for j in range(self.m)]
-                for gr in Y.features.rows
-            ]
-            for fr in X.features.rows
-        ]
-        levels = {0, 1}
-        for fr in self.diff:
-            for cells in fr:
-                for d in cells:
-                    if 0 < d < 1:
-                        levels.add(d)
-        self.levels = sorted(levels)
-        self._exceed_cache: dict = {}
+        self.levels = _unit_levels(self.table.gaps())
         self._minmass_cache: dict = {}
         self._lp_cache: dict = {}
 
-    def exceed_set(self, f: int, g: int, level_idx: int) -> frozenset:
-        """Cells where |f - g| > level, as a frozenset of flat indices."""
-        key = (f, g, level_idx)
-        hit = self._exceed_cache.get(key)
-        if hit is None:
-            b = self.levels[level_idx]
-            hit = frozenset(
-                c for c, d in enumerate(self.diff[f][g]) if d > b
-            )
-            self._exceed_cache[key] = hit
-        return hit
+    def exceed(self, level_idx: int) -> list:
+        """exceed[f][g]: cells where |f - g| is above the level."""
+        h, table = self.levels[level_idx], self.table
+        return [
+            [table.full ^ table.allowed(f, g, h) for g in range(self.ky)]
+            for f in range(self.kx)
+        ]
 
-    def min_mass(self, cells: frozenset) -> Scalar:
+    def min_mass(self, cells: int) -> Scalar:
         """min over couplings of pi(cells) = 1 - max mass on the complement."""
         hit = self._minmass_cache.get(cells)
         if hit is None:
-            full = frozenset(range(self.n * self.m))
-            comp = CellSet.from_pairs(
-                self.n, self.m, [divmod(c, self.m) for c in full - cells]
-            )
-            value, _ = max_mass_on_set(self.X.measure, self.Y.measure, comp)
-            hit = 1 - value
+            hit = 1 - self.table.flow(self.table.full ^ cells)
             self._minmass_cache[cells] = hit
         return hit
 
@@ -133,44 +142,31 @@ class _DconcSearch:
         """min over couplings of max mass over several cell sets, via LP."""
         hit = self._lp_cache.get(sets)
         if hit is None:
-            live = [s for s in sets if s]
+            mu, nu = self.X.measure, self.Y.measure
+            n, m = self.X.n, self.Y.n
+            # The constraint order fixes the simplex pivots, hence the
+            # witness: sets go by their ascending cell lists.
+            live = sorted((s for s in sets if s), key=_bits)
             if not live:
-                pi = product_coupling(self.X.measure, self.Y.measure)
-                hit = (0, pi)
+                hit = (0, product_coupling(mu, nu))
             elif len(live) == 1:
-                cs = CellSet.from_pairs(
-                    self.n, self.m, [divmod(c, self.m) for c in live[0]]
-                )
-                comp = cs.complement()
-                value, pi = max_mass_on_set(self.X.measure, self.Y.measure, comp)
+                comp = CellSet.from_mask(n, m, self.table.full ^ live[0])
+                value, pi = max_mass_on_set(mu, nu, comp)
                 hit = (1 - value, pi)
             else:
-                constraints = tuple(
-                    (
-                        CellSet.from_pairs(
-                            self.n, self.m, [divmod(c, self.m) for c in s]
-                        ),
-                        0,
-                    )
-                    for s in sorted(live, key=sorted)
-                )
-                prog = SetMassProgram(
-                    self.X.measure, self.Y.measure, constraints, "minimize-common-cap"
-                )
-                _, pi, t = feasibility_lp(prog)
+                cells = tuple(CellSet.from_mask(n, m, s) for s in live)
+                _, pi, t = feasibility_lp(SetMassProgram(mu, nu, cells))
                 hit = (t, pi)
             self._lp_cache[sets] = hit
         return hit
 
     def pair_sets(self, u: Sequence[int], v: Sequence[int], level_idx: int):
-        sets = set()
-        for f, g in enumerate(u):
-            sets.add(self.exceed_set(f, g, level_idx))
-        for g, f in enumerate(v):
-            sets.add(self.exceed_set(f, g, level_idx))
-        return frozenset(sets)
+        ex = self.exceed(level_idx)
+        return frozenset(ex[f][g] for f, g in enumerate(u)) | frozenset(
+            ex[f][g] for g, f in enumerate(v)
+        )
 
-    def candidate_lists(self, level_idx: int, cutoff) -> Optional[tuple]:
+    def candidate_lists(self, ex: list, cutoff) -> Optional[tuple]:
         """Per-feature partner lists that could stay under `cutoff`.
 
         A chosen pair (f, g) forces at least min_mass(exceed set) onto the
@@ -179,24 +175,17 @@ class _DconcSearch:
         """
         gs_for_f = []
         for f in range(self.kx):
-            opts = [
-                g
-                for g in range(self.ky)
-                if self.min_mass(self.exceed_set(f, g, level_idx)) < cutoff
-            ]
-            if not opts:
+            gs_for_f.append(
+                [g for g in range(self.ky) if self.min_mass(ex[f][g]) < cutoff]
+            )
+            if not gs_for_f[-1]:
                 return None
-            gs_for_f.append(opts)
-        fs_for_g = []
-        for g in range(self.ky):
-            opts = [
-                f
-                for f in range(self.kx)
-                if self.min_mass(self.exceed_set(f, g, level_idx)) < cutoff
-            ]
-            if not opts:
-                return None
-            fs_for_g.append(opts)
+        fs_for_g = [
+            [f for f in range(self.kx) if self.min_mass(ex[f][g]) < cutoff]
+            for g in range(self.ky)
+        ]
+        if not all(fs_for_g):
+            return None
         return gs_for_f, fs_for_g
 
     def scan_level(self, level_idx: int, stop_at_first: bool):
@@ -209,24 +198,20 @@ class _DconcSearch:
         """
         level = self.levels[level_idx]
         is_last = level_idx + 1 == len(self.levels)
-        nxt = None if is_last else self.levels[level_idx + 1]
-        cutoff = 2 if is_last else nxt  # mass bounds never exceed 1
-        lists = self.candidate_lists(level_idx, cutoff)
+        cutoff = 2 if is_last else self.levels[level_idx + 1]  # masses are <= 1
+        ex = self.exceed(level_idx)
+        lists = self.candidate_lists(ex, cutoff)
         if lists is None:
             return None
         gs_for_f, fs_for_g = lists
         best = None
         for u in itertools.product(*gs_for_f):
-            u_sets = frozenset(
-                self.exceed_set(f, g, level_idx) for f, g in enumerate(u)
-            )
+            u_sets = frozenset(ex[f][g] for f, g in enumerate(u))
             u_floor = max(self.min_mass(s) for s in u_sets)
             if best is not None and u_floor >= best[0]:
                 continue
             for v in itertools.product(*fs_for_g):
-                sets = u_sets | frozenset(
-                    self.exceed_set(f, g, level_idx) for g, f in enumerate(v)
-                )
+                sets = u_sets | frozenset(ex[f][g] for g, f in enumerate(v))
                 floor = max(self.min_mass(s) for s in sets)
                 if floor >= cutoff:
                     continue
@@ -277,16 +262,10 @@ def dconc_exact(
     # A certified upper bound narrows the bisection range: the interval
     # holding the optimum can never lie above the one holding the bound.
     ub = dconc_at_coupling(X, Y, product_coupling(X.measure, Y.measure))
-    hi = 0
-    while hi + 1 < len(search.levels) and search.levels[hi + 1] <= ub:
-        hi += 1
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if search.scan_level(mid, stop_at_first=True) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
+    hi = bisect_right(search.levels, ub) - 1
+    lo = first_feasible(
+        lambda i: search.scan_level(i, stop_at_first=True) is not None, hi
+    )
     best = search.scan_level(lo, stop_at_first=False)
     if best is None:
         raise AssertionError("bisection landed on an infeasible level")
@@ -323,26 +302,11 @@ def dconc_heuristic(
 
     def pair_value(u, v):
         """Exact optimum over couplings for one fixed assignment pair."""
-        lo = 0
-        hi = len(search.levels) - 1
-
-        def feasible(idx):
-            sets = search.pair_sets(u, v, idx)
-            cap, _ = search.joint_min_cap(sets)
-            if idx + 1 == len(search.levels):
-                return True
-            return cap < search.levels[idx + 1]
-
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        sets = search.pair_sets(u, v, lo)
-        cap, pi = search.joint_min_cap(sets)
-        level = search.levels[lo]
-        return (cap if cap > level else level), pi
+        value, idx = _least_eps(
+            search.levels,
+            lambda i: search.joint_min_cap(search.pair_sets(u, v, i))[0],
+        )
+        return value, search.joint_min_cap(search.pair_sets(u, v, idx))[1]
 
     best_val, best_pi = None, None
     for pi in anchors:
@@ -387,30 +351,13 @@ def dconc_lower_witness(
                 raise WitnessNotLipschitz(
                     f"witness violates 1-Lipschitz between points {x} and {y}"
                 )
-    search = _DconcSearch(X, Y)
+    table = GapTable([witness], Y.features.rows, X.measure.weights, Y.measure.weights)
     best = None
-    for g_idx in range(Y.k):
-        g = Y.features.rows[g_idx]
-        diffs = [
-            abs(witness[i] - g[j]) for i in range(X.n) for j in range(Y.n)
-        ]
-        levels = sorted({0, 1} | {d for d in diffs if 0 < d < 1})
-
-        def min_kf_at(idx):
-            cells = frozenset(c for c, d in enumerate(diffs) if d > levels[idx])
-            return search.min_mass(cells)
-
-        lo, hi = 0, len(levels) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            cap = min_kf_at(mid)
-            ok = cap < levels[mid + 1] if mid + 1 < len(levels) else True
-            if ok:
-                hi = mid
-            else:
-                lo = mid + 1
-        cap = min_kf_at(lo)
-        val = cap if cap > levels[lo] else levels[lo]
+    for g in range(Y.k):
+        levels = _unit_levels(table.diff[0][g])
+        val, _ = _least_eps(
+            levels, lambda i: 1 - table.flow(table.allowed(0, g, levels[i]))
+        )
         if best is None or val < best:
             best = val
     return best

@@ -1,10 +1,13 @@
 import io
 import json
+import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+import gds
 from gds import emit_gds, n_point_discrete, parse_gds, random_gds, singleton_gds
 from gds.cli import main
 from gds.numerics import Q
@@ -240,11 +243,17 @@ class TestErrorsAndModes:
 
 class TestShellPipeline:
     def test_piped_generation(self):
+        # Run the module from this checkout; no installed `gds` script needed.
+        gds_cmd = f"{shlex.quote(sys.executable)} -m gds"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gds.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            "gds gen discrete --n 3 | gds dconc --other singleton:1 --exact",
+            f"{gds_cmd} gen discrete --n 3"
+            f" | {gds_cmd} dconc --other singleton:1 --exact",
             shell=True,
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["exact"] == "1/3"

@@ -14,7 +14,6 @@ from gds import (
     pushforward_vector,
     sample_lip1,
 )
-from gds.core import support_filter
 from gds.errors import (
     GdsError,
     MetricViolation,
@@ -50,9 +49,6 @@ class TestDiscreteMeasure:
     def test_wrong_total_rejected(self):
         with pytest.raises(SupportError):
             DiscreteMeasure.from_weights([Q(1, 2), Q(1, 4)])
-
-    def test_support_filter(self):
-        assert support_filter([Q(1, 2), 0, Q(1, 2)]) == (0, 2)
 
 
 class TestFeatureFamily:

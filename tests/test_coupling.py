@@ -12,7 +12,7 @@ from gds.coupling import (
     max_mass_on_set,
     transportation_vertices,
 )
-from gds.errors import GdsError, MarginalMismatch
+from gds.errors import MarginalMismatch
 from gds.numerics import Q
 from gds.spaces import random_gds
 
@@ -170,24 +170,13 @@ class TestCouplingProhorov:
 
 
 class TestSetMassProgram:
-    def test_feasible_cap(self):
+    def test_common_cap_on_diagonal_and_antidiagonal(self):
         mu = DiscreteMeasure.uniform(2)
         diag = CellSet.from_pairs(2, 2, [(0, 0), (1, 1)])
-        prog = SetMassProgram(mu, mu, ((diag, Q(1, 2)),))
-        ok, pi, _ = feasibility_lp(prog)
+        anti = CellSet.from_pairs(2, 2, [(0, 1), (1, 0)])
+        ok, pi, t = feasibility_lp(SetMassProgram(mu, mu, (diag, anti)))
         assert ok
-        assert pi.mass(diag) <= Q(1, 2)
+        assert t == Q(1, 2)
+        assert pi.mass(diag) <= t
+        assert pi.mass(anti) <= t
         pi.check_marginals(mu, mu)
-
-    def test_infeasible_cap(self):
-        mu = DiscreteMeasure.uniform(2)
-        full = CellSet.full(2, 2)
-        prog = SetMassProgram(mu, mu, ((full, Q(1, 2)),))
-        ok, pi, _ = feasibility_lp(prog)
-        assert not ok
-        assert pi is None
-
-    def test_bad_objective_rejected(self):
-        mu = DiscreteMeasure.uniform(2)
-        with pytest.raises(GdsError):
-            SetMassProgram(mu, mu, (), objective="squeeze")

@@ -15,10 +15,10 @@ from gds import (
     prohorov,
     sup_pseudometric,
 )
-from gds.metrics import prohorov_weights
+from gds.metrics import first_feasible, prohorov_weights
 from gds.coupling import product_coupling
 from gds.errors import SupportError
-from gds.numerics import EXACT, Q
+from gds.numerics import EXACT, FLOAT_TOL, Q
 from gds.spaces import n_point_discrete, random_gds
 
 
@@ -199,6 +199,13 @@ class TestDiameters:
                 assert cur >= prev
             prev = cur
 
+    def test_float_weights_just_under_one_cover_full_mass(self):
+        # Summed atom by atom, these float weights come to just under 1, so
+        # at kappa = 0 coverage of alpha = 1 is judged within FLOAT_TOL.
+        X = random_gds(8, 3, seed=0, mode="float")
+        exact = observable_diameter(random_gds(8, 3, seed=0), 0)
+        assert abs(observable_diameter(X, 0) - exact) <= FLOAT_TOL
+
     def test_catching_one_atom_needs_no_width(self):
         mu = DiscreteMeasure.uniform(2)
         assert partial_diameter([0, 1], mu, Q(1, 2)) == 0
@@ -225,3 +232,37 @@ class TestDiameters:
             hi = bps[idx + 1] if idx + 1 < len(bps) else Q(1)
             mid = (b + hi) / 2
             assert observable_diameter(X, mid) == observable_diameter(X, b)
+
+
+class TestFirstFeasible:
+    @given(st.data(), st.integers(1, 40))
+    def test_matches_linear_scan(self, data, length):
+        # A monotone predicate on [0, length) is a cut: false below, true from.
+        cut = data.draw(st.integers(0, length), label="cut")
+        hi = data.draw(st.integers(0, length - 1), label="hi")
+        lo = data.draw(st.integers(0, hi), label="lo")
+        probes = []
+
+        def pred(i):
+            probes.append(i)
+            return i >= cut
+
+        expected = next((i for i in range(lo, hi) if i >= cut), hi)
+        assert first_feasible(pred, hi, lo) == expected
+        assert all(lo <= i < hi for i in probes)
+        assert len(probes) <= (hi - lo).bit_length()
+
+    def test_one_level_grid_probes_nothing(self):
+        def pred(i):
+            raise AssertionError("a one-level grid needs no probe")
+
+        assert first_feasible(pred, 0) == 0
+
+    def test_upper_bound_below_the_last_level(self):
+        # pred(hi) is assumed, never probed, even where it would be false.
+        assert first_feasible(lambda i: i >= 7, 4) == 4
+        assert first_feasible(lambda i: i >= 2, 4) == 2
+
+    def test_lower_bound_above_zero(self):
+        assert first_feasible(lambda i: True, 9, lo=3) == 3
+        assert first_feasible(lambda i: i >= 6, 9, lo=3) == 6
