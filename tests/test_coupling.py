@@ -180,3 +180,103 @@ class TestSetMassProgram:
         assert pi.mass(diag) <= t
         assert pi.mass(anti) <= t
         pi.check_marginals(mu, mu)
+
+    def test_frozen_witness_3x3(self):
+        # Pins the pivot path: the LP has many optimal vertices, and the
+        # simplex must keep landing on this one.
+        mu = DiscreteMeasure.from_weights([Q(1, 6), Q(1, 3), Q(1, 2)])
+        nu = DiscreteMeasure.from_weights([Q(1, 4), Q(1, 4), Q(1, 2)])
+        sets = (
+            CellSet.from_pairs(3, 3, [(0, 0), (1, 1), (2, 2)]),
+            CellSet.from_pairs(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+            CellSet.from_pairs(3, 3, [(1, 1), (1, 2), (2, 1), (2, 2)]),
+        )
+        ok, pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
+        assert ok
+        assert t == Q(7, 12)
+        assert pi.matrix == (
+            (0, Q(1, 6), 0),
+            (Q(1, 4), Q(1, 12), 0),
+            (0, 0, Q(1, 2)),
+        )
+
+    def test_frozen_witness_4x4(self):
+        mu = DiscreteMeasure.from_weights([Q(1, 10), Q(1, 5), Q(3, 10), Q(2, 5)])
+        nu = DiscreteMeasure.from_weights([Q(1, 4), Q(1, 8), Q(3, 8), Q(1, 4)])
+        sets = (
+            CellSet.from_pairs(4, 4, [(0, 0), (1, 1), (2, 2), (3, 3)]),
+            CellSet.from_pairs(4, 4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            CellSet.from_pairs(4, 4, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]),
+            CellSet.from_pairs(4, 4, [(2, 0), (3, 1), (2, 3), (1, 3), (3, 3)]),
+        )
+        ok, pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
+        assert ok
+        assert t == Q(11, 60)
+        assert pi.matrix == (
+            (0, 0, 0, Q(1, 10)),
+            (Q(1, 24), 0, Q(1, 120), Q(3, 20)),
+            (Q(1, 30), Q(1, 8), Q(17, 120), 0),
+            (Q(7, 40), 0, Q(9, 40), 0),
+        )
+
+    def test_duplicate_sets(self):
+        mu = DiscreteMeasure.from_weights([Q(1, 3), Q(2, 3)])
+        nu = DiscreteMeasure.uniform(2)
+        diag = CellSet.from_pairs(2, 2, [(0, 0), (1, 1)])
+        anti = CellSet.from_pairs(2, 2, [(0, 1), (1, 0)])
+        once = feasibility_lp(SetMassProgram(mu, nu, (diag, anti)))
+        twice = feasibility_lp(SetMassProgram(mu, nu, (diag, anti, diag, anti)))
+        assert once[0] and twice[0]
+        assert once[2] == twice[2] == Q(1, 2)
+        twice[1].check_marginals(mu, nu)
+
+    def test_set_holding_every_cell_forces_one(self):
+        mu = DiscreteMeasure.from_weights([Q(1, 3), Q(2, 3)])
+        nu = DiscreteMeasure.from_weights([Q(1, 4), Q(1, 4), Q(1, 2)])
+        sets = (
+            CellSet.full(2, 3),
+            CellSet.from_pairs(2, 3, [(0, 0), (1, 1)]),
+        )
+        ok, pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
+        assert ok
+        assert t == 1
+        pi.check_marginals(mu, nu)
+
+
+def rational_weights(rnd, n):
+    raw = [rnd.randrange(1, 12) for _ in range(n)]
+    tot = sum(raw)
+    return [Q(r, tot) for r in raw]
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(2, 4),
+)
+def test_common_cap_lp_against_float_mode_and_flow_oracle(rnd, n, m, k):
+    ws_mu, ws_nu = rational_weights(rnd, n), rational_weights(rnd, m)
+    sets = tuple(
+        CellSet.from_pairs(
+            n, m,
+            [(i, j) for i in range(n) for j in range(m) if rnd.random() < 0.5],
+        )
+        for _ in range(k)
+    )
+    mu = DiscreteMeasure.from_weights(ws_mu)
+    nu = DiscreteMeasure.from_weights(ws_nu)
+    ok, pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
+    assert ok
+    pi.check_marginals(mu, nu)
+    masses = [pi.mass(cells) for cells in sets]
+    assert max(masses) == t
+    for cells in sets:
+        floor, _ = max_mass_on_set(mu, nu, cells.complement())
+        assert t >= 1 - floor
+
+    fmu = DiscreteMeasure.from_weights([float(w) for w in ws_mu], mode="float")
+    fnu = DiscreteMeasure.from_weights([float(w) for w in ws_nu], mode="float")
+    fok, _, ft = feasibility_lp(SetMassProgram(fmu, fnu, sets))
+    assert fok
+    assert abs(ft - float(t)) <= 1e-9
