@@ -5,8 +5,10 @@ Three search routes live here and deliberately stay independent of each
 other so they can cross-validate:
 
   * max_mass_on_set: bipartite max-flow, specialised and fast;
-  * feasibility_lp: a dense two-phase simplex with Bland's rule, exact in
-    rational arithmetic, capping the mass on several cell sets at once;
+  * feasibility_lp: a dense two-phase simplex with Bland's rule, capping
+    the mass on several cell sets at once; exact mode pivots a
+    fraction-free integer tableau (Bareiss updates), so it takes the same
+    pivots as a rational tableau without the rational arithmetic;
   * enumerate_couplings: explicit vertex enumeration of the transportation
     polytope on tiny grids, plus a deterministic mixture lattice.
 """
@@ -14,6 +16,7 @@ other so they can cross-validate:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Optional, Sequence
 
 from .core import DiscreteMeasure
@@ -25,7 +28,17 @@ from .errors import (
 )
 from .flows import max_flow_on_cells
 from .metrics import CellSet, prohorov_weights
-from .numerics import EXACT, FLOAT, FLOAT_TOL, Q, Scalar, check_mode, same_mode
+from .numerics import (
+    EXACT,
+    FLOAT,
+    FLOAT_TOL,
+    Q,
+    Scalar,
+    check_mode,
+    close,
+    leq,
+    same_mode,
+)
 
 VERTEX_CELL_LIMIT = 9
 
@@ -158,55 +171,101 @@ def max_mass_on_set(
 def _simplex(rows, rhs, costs, mode):
     """Two-phase dense simplex with Bland's rule, minimising costs . x.
 
-    rows/rhs describe equality constraints Ax = b with x >= 0.  Returns an
-    optimal solution list, or None when phase 1 shows Ax = b infeasible.
-    Exact mode never divides inexactly; float mode uses a small pivot
-    tolerance.
+    rows/rhs describe equality constraints Ax = b with x >= 0; the entries
+    of A and of costs are integers, b may be rational.  Returns an optimal
+    solution list, or None when phase 1 shows Ax = b infeasible.
+
+    Exact mode runs on a fraction-free integer tableau (Edmonds 1967;
+    Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 1968).  The right-hand sides are
+    scaled once by the lcm D of their denominators, and the tableau holds
+    T = d * B^-1 [A | I | D b] for the current basis B, with d = |det B|.
+    A pivot on p = T[r][c] keeps the pivot row, negated first when p < 0,
+    and replaces every other row by (row * p - f * prow) // d, where f is
+    the row's entry in column c; then d = |p|.  The division is exact
+    because every entry is d times an entry of B^-1 A, that is, a minor.
+    The reduced costs are one more row, d * (c - c_B B^-1 A), built once
+    per phase and pivoted like the others.  Since d > 0, every sign the
+    method reads is the sign of the rational tableau, and the ratio test
+    compares b_r / a_r by cross-multiplication, where d cancels.  So Bland
+    picks the same entering and leaving columns as on a rational tableau,
+    and the final basis, solution and witness are the same numbers.  Only
+    basic columns are converted back, as T[r][-1] / (d * D).
+
+    Float mode runs the same phases, pricing, ratio test and drive-out.
+    Its pivot divides the pivot row by p, so d stays 1, and comparisons
+    use a small pivot tolerance.
     """
-    eps = 0 if mode == EXACT else 1e-12
-    coerce = (lambda v: Q(v)) if mode == EXACT else float
+    exact = mode == EXACT
+    eps = 0 if exact else 1e-12
     n_rows = len(rows)
     n_cols = len(costs)
-    costs = [coerce(c) for c in costs]
+    total_cols = n_cols + n_rows
+    scale = 1
+    if exact:
+        for b in rhs:
+            scale = lcm(scale, int(b.denominator))
+        rhs = [int(b.numerator) * (scale // int(b.denominator)) for b in rhs]
+    else:
+        rows = [[float(v) for v in row] for row in rows]
+        rhs = [float(b) for b in rhs]
+        costs = [float(c) for c in costs]
+    one = 1 if exact else 1.0
     tab = []
     for r in range(n_rows):
-        row = [coerce(v) for v in rows[r]]
-        b = coerce(rhs[r])
+        row = list(rows[r])
+        b = rhs[r]
         if b < 0:
             row = [-v for v in row]
             b = -b
         # One artificial per row, identity block appended after real columns.
-        art = [coerce(0)] * n_rows
-        art[r] = coerce(1)
+        art = [0 * one] * n_rows
+        art[r] = one
         tab.append(row + art + [b])
     basis = [n_cols + r for r in range(n_rows)]
-    total_cols = n_cols + n_rows
+    d = 1
 
     def pivot(pr, pc):
+        # The reduced-cost row, when a phase carries one, is tab[-1].
+        nonlocal d
         prow = tab[pr]
-        pv = prow[pc]
-        inv = [v / pv for v in prow]
-        tab[pr] = inv
-        for r in range(len(tab)):
+        p = prow[pc]
+        if not exact:
+            prow = [v / p for v in prow]
+            p = 1
+        elif p < 0:
+            prow = [-v for v in prow]
+            p = -p
+        tab[pr] = prow
+        nz = [k for k, v in enumerate(prow) if v]
+        for r, row in enumerate(tab):
             if r == pr:
                 continue
-            factor = tab[r][pc]
-            if factor != 0:
-                row = tab[r]
-                tab[r] = [row[k] - factor * inv[k] for k in range(len(row))]
+            f = row[pc]
+            if not f:
+                if p != d:
+                    tab[r] = [v * p // d for v in row]
+                continue
+            if p != 1:
+                row = [v * p for v in row]
+            for k in nz:
+                row[k] -= f * prow[k]
+            tab[r] = row if d == 1 else [v // d for v in row]
         basis[pr] = pc
+        d = p
 
     def run_phase(cost_vec, blocked):
-        # Reduced-cost row for the current basis, rebuilt from scratch.
+        live = len(basis)
+        red = [c * d for c in cost_vec] + [0]
+        for r in range(live):
+            cb = cost_vec[basis[r]]
+            if cb != 0:
+                for k, v in enumerate(tab[r]):
+                    if v:
+                        red[k] -= cb * v
+        tab.append(red)
         while True:
-            red = list(cost_vec)
-            for r in range(len(tab)):
-                cb = cost_vec[basis[r]]
-                if cb != 0:
-                    row = tab[r]
-                    for k in range(total_cols):
-                        if row[k] != 0:
-                            red[k] -= cb * row[k]
+            red = tab[-1]
             enter = -1
             for k in range(total_cols):
                 if k in blocked:
@@ -215,19 +274,18 @@ def _simplex(rows, rhs, costs, mode):
                     enter = k
                     break
             if enter < 0:
+                tab.pop()
                 return
             leave = -1
-            best_ratio = None
-            for r in range(len(tab)):
+            for r in range(live):
                 a = tab[r][enter]
                 if a > eps:
-                    ratio = tab[r][-1] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[leave])
-                    ):
-                        best_ratio = ratio
+                    if leave < 0:
+                        leave = r
+                        continue
+                    br_al = tab[r][-1] * tab[leave][enter]
+                    bl_ar = tab[leave][-1] * a
+                    if br_al < bl_ar or (br_al == bl_ar and basis[r] < basis[leave]):
                         leave = r
             if leave < 0:
                 raise GdsError("unbounded linear program")
@@ -236,7 +294,7 @@ def _simplex(rows, rhs, costs, mode):
     phase1_cost = [0] * n_cols + [1] * n_rows
     run_phase(phase1_cost, blocked=set())
     infeas = sum(phase1_cost[basis[r]] * tab[r][-1] for r in range(len(tab)))
-    if infeas > (0 if mode == EXACT else FLOAT_TOL):
+    if infeas > (0 if exact else FLOAT_TOL):
         return None
 
     # Drive leftover artificials out of the basis or drop redundant rows.
@@ -263,7 +321,8 @@ def _simplex(rows, rhs, costs, mode):
     solution = [0] * n_cols
     for r in range(len(tab)):
         if basis[r] < n_cols:
-            solution[basis[r]] = tab[r][-1]
+            b = tab[r][-1]
+            solution[basis[r]] = Q(b, d * scale) if exact else b
     return solution
 
 
@@ -337,7 +396,14 @@ def feasibility_lp(
     )
     witness = Coupling.build(matrix, mode)
     witness.check_marginals(mu, nu)
-    return True, witness, solution[t_col]
+    t = solution[t_col]
+    # At the optimum t is the largest set mass: no set above it, one at it.
+    masses = [witness.mass(cells) for cells in prog.sets]
+    if masses and not (
+        all(leq(x, t, mode) for x in masses) and any(close(x, t, mode) for x in masses)
+    ):
+        raise AssertionError("LP witness does not attain its common cap")
+    return True, witness, t
 
 
 # ---------------------------------------------------------------------------

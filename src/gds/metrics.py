@@ -10,6 +10,7 @@ sit on top of the same machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import DiscreteMeasure, GeometricDataSet
@@ -96,19 +97,33 @@ class CellSet:
 def _ky_fan_from_pairs(pairs: Sequence) -> Scalar:
     """Ky Fan value from (weight, deviation) pairs with total weight 1.
 
-    Finds min eps with mass{deviation > eps} <= eps by walking the
-    half-open intervals between consecutive deviation values; within an
-    interval the tail mass is constant, so the least feasible point there
-    is max(interval start, tail mass).  The first interval that admits one
-    yields the minimum, which is always attained.
+    Finds min eps with mass{deviation > eps} <= eps.  Between consecutive
+    deviation values the tail mass T is constant, so an interval [lo, hi)
+    admits a feasible point iff T < hi, and its least one is max(lo, T).
+    Walking the intervals from the top down, T only grows and hi only
+    falls, so the admitting intervals form a top segment and the lowest of
+    them yields the minimum, which is always attained.  One sort of the
+    deviations and one running sum from the top find it.  Pairs with zero
+    weight never change T, and mass at deviation 0 lies above no interval
+    start, so both are dropped; the interval starting at 0 is tried last.
     """
-    starts = sorted({0} | {d for _, d in pairs})
-    for idx, lo in enumerate(starts):
-        tail = sum((w for w, d in pairs if d > lo), start=lo - lo)
-        cand = tail if tail > lo else lo
-        if idx + 1 == len(starts) or cand < starts[idx + 1]:
-            return cand
-    raise AssertionError("threshold scan cannot exhaust without an answer")
+    ranked = sorted(
+        (p for p in pairs if p[0] and p[1]), key=itemgetter(1), reverse=True
+    )
+    lo = tail = prev = None
+    above = 0  # mass strictly above the deviation being visited
+    for w, d in ranked:
+        if d != prev:
+            if lo is not None and not above < lo:
+                break
+            lo, tail, prev = d, above, d
+        above += w
+    else:
+        if lo is None:
+            return 0
+        if above < lo:
+            lo, tail = 0, above
+    return tail if tail > lo else lo
 
 
 def ky_fan(mu: DiscreteMeasure, a: Sequence, b: Sequence) -> Scalar:

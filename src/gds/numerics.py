@@ -7,17 +7,22 @@ floats and is meant for heuristics and sampling, with FLOAT_TOL as the
 comparison tolerance.  Mixing the two modes in one computation is an error,
 never a silent promotion.
 
-Rationals are gmpy2.mpq when available (an order of magnitude faster under
-the pivot-heavy solvers) and fractions.Fraction otherwise.  The two types
-hash and compare identically, so the choice is invisible to callers.
+Rationals are gmpy2.mpq when the optional gmpy2 package is installed and
+fractions.Fraction otherwise.  The two types hash and compare identically,
+so the choice is invisible to callers.  The exact simplex pivots on Python
+ints with either type (see coupling._simplex), so mpq only speeds up the
+remaining rational arithmetic: max-flow, threshold and Ky Fan scans.
 """
 
 from __future__ import annotations
 
+import math
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ModeMismatch
+from .errors import GdsError, ModeMismatch
 
 try:
     from gmpy2 import mpq as Q
@@ -35,6 +40,12 @@ FLOAT_TOL = 1e-9
 
 ZERO = Q(0)
 ONE = Q(1)
+
+# The exponent of a decimal string, as fractions.Fraction parses it.
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+
+# Interpreters before 3.10.7 have no int/str digit limit.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def check_mode(mode: str) -> str:
@@ -57,19 +68,36 @@ def to_scalar(value, mode: str) -> Scalar:
 
     Exact mode accepts ints, rationals and strings like "3/7" or "0.25";
     it refuses floats, because a binary float rarely means the decimal the
-    user wrote.  Float mode accepts anything float() does, plus "p/q"
-    strings, so exact-mode documents stay readable.
+    user wrote, and decimal exponents beyond sys.get_int_max_str_digits().
+    Float mode accepts anything float() does, plus "p/q" strings, so
+    exact-mode documents stay readable, and refuses NaN and infinities.
+    Refusals raise GdsError.
     """
     if mode == FLOAT:
-        if isinstance(value, str) and "/" in value:
-            return float(Fraction(value.strip()))
-        return float(value)
+        try:
+            if isinstance(value, str) and "/" in value:
+                x = float(Fraction(value.strip()))
+            else:
+                x = float(value)
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            raise GdsError(f"non-finite number {value!r}")
+        return x
     if isinstance(value, float):
         raise ModeMismatch(
             "refusing to coerce a float into exact mode; pass a string or rational"
         )
     if isinstance(value, str):
         text = value.strip()
+        # A decimal exponent e builds a 10**|e| before anything can reject
+        # it; beyond the interpreter's int/str digit limit the value could
+        # not even be printed, so refuse it first.
+        exponent = _EXPONENT.search(text)
+        if exponent:
+            limit = _int_max_str_digits()
+            if limit and abs(int(exponent.group(1))) > limit:
+                raise GdsError(f"decimal exponent of {text[:40]!r} exceeds {limit}")
         # mpq parses "p/q" directly but not decimal strings in all versions;
         # Fraction handles both, so normalise through it.
         return Q(Fraction(text))

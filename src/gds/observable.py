@@ -249,7 +249,7 @@ def dconc_exact(
     surviving assignment pairs inside it.  The reported minimum is attained
     by the returned witnesses.
     """
-    same_mode(X.mode, Y.mode)
+    mode = same_mode(X.mode, Y.mode)
     if X.n == 1 or Y.n == 1:
         return _forced_coupling_result(X, Y)
     pairs = X.k ** Y.k * Y.k ** X.k
@@ -261,8 +261,11 @@ def dconc_exact(
 
     # A certified upper bound narrows the bisection range: the interval
     # holding the optimum can never lie above the one holding the bound.
+    # A float bound can round to just below the level it sits on, which
+    # would cut that level off, so it gets the float tolerance.
     ub = dconc_at_coupling(X, Y, product_coupling(X.measure, Y.measure))
-    hi = bisect_right(search.levels, ub) - 1
+    tol = 0 if mode == EXACT else FLOAT_TOL
+    hi = bisect_right(search.levels, ub + tol) - 1
     lo = first_feasible(
         lambda i: search.scan_level(i, stop_at_first=True) is not None, hi
     )

@@ -234,6 +234,27 @@ class TestErrorsAndModes:
         assert "exact" not in payload
         assert abs(payload["value"] - 1.0) < 1e-9
 
+    @pytest.mark.parametrize(
+        "mode, weights, values",
+        [
+            ("float", ["nan", "1/2"], ["0", "1"]),
+            ("float", ["1/2", "1/2"], ["0", "inf"]),
+            ("exact", ["1/2", "1/2"], ["0", "1e999999"]),
+            ("exact", ["1/2", "1/2"], ["0", "1e-999999"]),
+        ],
+    )
+    def test_non_finite_and_oversized_numbers(
+        self, capsys, tmp_path, mode, weights, values
+    ):
+        doc = {"points": ["p0", "p1"], "weights": weights, "features": {"f0": values}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["od", "--mode", mode, "--kappa", "0", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gds: dataset document:")
+        assert "Traceback" not in captured.err
+
     def test_verify_smoke(self, capsys):
         assert main(["verify", "--trials", "2", "--seed", "0"]) == 0
         out = capsys.readouterr().out

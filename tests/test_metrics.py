@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -113,6 +114,29 @@ class TestKyFan:
         assert ab == ba
         assert 0 <= ab <= 1
         assert ab <= ky_fan(mu, a, c) + ky_fan(mu, c, b)
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=4, max_size=16),
+        vectors,
+        vectors,
+    )
+    def test_coupling_form_with_zero_cells_matches_scan(self, raw, f, g):
+        # Witness couplings put zero mass on many cells; those cells still
+        # carry gaps, which the scan oracle counts as interval starts.
+        n, m = len(f), len(g)
+        raw = (raw * (n * m))[: n * m]
+        if not any(raw):
+            raw[0] = 1
+        total = sum(raw)
+        matrix = [[Q(raw[i * m + j], total) for j in range(m)] for i in range(n)]
+        flat = SimpleNamespace(weights=[v for row in matrix for v in row])
+        a = [Q(f[i]) for i in range(n) for _ in range(m)]
+        b = [Q(g[j]) for _ in range(n) for j in range(m)]
+        got = ky_fan_coupling(matrix, [Q(v) for v in f], [Q(v) for v in g])
+        assert got == ky_fan_scan(flat, a, b)
+        fmatrix = [[float(v) for v in row] for row in matrix]
+        fgot = ky_fan_coupling(fmatrix, [float(v) for v in f], [float(v) for v in g])
+        assert abs(fgot - float(got)) <= FLOAT_TOL
 
     def test_coupling_form_on_product(self):
         mu = uniform_weights(2)

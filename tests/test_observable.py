@@ -9,6 +9,7 @@ linear pieces finds the exact minimum.
 import pytest
 
 from gds import (
+    GeometricDataSet,
     dconc_at_coupling,
     dconc_exact,
     dconc_heuristic,
@@ -183,6 +184,31 @@ class TestExactStructure:
                 for f in X.features.rows
             ]
             assert vals[to_left[j]] == min(vals)
+
+    @pytest.mark.parametrize(
+        "x_rows, x_weights, y_rows, y_weights",
+        [
+            (
+                [["1/2", "1/2", "3/8"], ["1/4", "3/8", "0"]], ["7/10", "1/10", "1/5"],
+                [["1", "3/8", "1/8"], ["7/8", "0", "7/8"]], ["1/2", "2/7", "3/14"],
+            ),
+            (
+                [["1/4", "1/2", "3/8"], ["1/8", "1/4", "1"]], ["1/3", "1/6", "1/2"],
+                [["7/8", "3/4", "1"], ["3/8", "5/8", "7/8"]], ["3/10", "1/5", "1/2"],
+            ),
+        ],
+    )
+    def test_float_bound_rounding_below_a_level_keeps_it(
+        self, x_rows, x_weights, y_rows, y_weights
+    ):
+        # In float mode the product-coupling bound of these pairs can sum to
+        # 0.49999999999999994, just under the level 1/2 holding the optimum.
+        X = GeometricDataSet.build(x_rows, x_weights)
+        Y = GeometricDataSet.build(y_rows, y_weights)
+        assert dconc_exact(X, Y).value == Q(1, 2)
+        Xf = GeometricDataSet.build(x_rows, x_weights, mode="float")
+        Yf = GeometricDataSet.build(y_rows, y_weights, mode="float")
+        assert abs(dconc_exact(Xf, Yf).value - 0.5) <= 1e-9
 
     def test_budget_gate(self):
         X = random_gds(3, 3, seed=51)
