@@ -204,8 +204,8 @@ def _simplex(rows, rhs, costs, mode):
     scale = 1
     if exact:
         for b in rhs:
-            scale = lcm(scale, int(b.denominator))
-        rhs = [int(b.numerator) * (scale // int(b.denominator)) for b in rhs]
+            scale = lcm(scale, b.denominator)
+        rhs = [b.numerator * (scale // b.denominator) for b in rhs]
     else:
         rows = [[float(v) for v in row] for row in rows]
         rhs = [float(b) for b in rhs]

@@ -7,27 +7,20 @@ floats and is meant for heuristics and sampling, with FLOAT_TOL as the
 comparison tolerance.  Mixing the two modes in one computation is an error,
 never a silent promotion.
 
-Rationals are gmpy2.mpq when the optional gmpy2 package is installed and
-fractions.Fraction otherwise.  The two types hash and compare identically,
-so the choice is invisible to callers.  The exact simplex pivots on Python
-ints with either type (see coupling._simplex), so mpq only speeds up the
-remaining rational arithmetic: max-flow, threshold and Ky Fan scans.
+Rationals are fractions.Fraction.  The exact simplex, the one
+pivot-heavy solver, runs on Python ints (see coupling._simplex).
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import GdsError, ModeMismatch
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Q = Fraction
+Q = Fraction
 
 Scalar = Union[Fraction, float, int]
 
@@ -44,8 +37,12 @@ ONE = Q(1)
 # The exponent of a decimal string, as fractions.Fraction parses it.
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
 
-# Interpreters before 3.10.7 have no int/str digit limit.
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+# The largest decimal exponent exact mode parses.  A larger one would
+# build a 10**|e| before the value could be checked; 10**600 is cheap, and
+# its 601 digits print under any int/str digit limit (640 at the least).
+# Every value from 1e309 up is refused anyway: format_scalar renders
+# through float, which overflows there.
+MAX_EXPONENT = 600
 
 
 def check_mode(mode: str) -> str:
@@ -68,8 +65,8 @@ def to_scalar(value, mode: str) -> Scalar:
 
     Exact mode accepts ints, rationals and strings like "3/7" or "0.25";
     it refuses floats, because a binary float rarely means the decimal the
-    user wrote, and decimal exponents beyond sys.get_int_max_str_digits().
-    Float mode accepts anything float() does, plus "p/q" strings, so
+    user wrote, decimal exponents beyond MAX_EXPONENT, and values too large
+    for a float.  Float mode accepts anything float() does, plus "p/q" strings, so
     exact-mode documents stay readable, and refuses NaN and infinities.
     Refusals raise GdsError.
     """
@@ -90,29 +87,23 @@ def to_scalar(value, mode: str) -> Scalar:
         )
     if isinstance(value, str):
         text = value.strip()
-        # A decimal exponent e builds a 10**|e| before anything can reject
-        # it; beyond the interpreter's int/str digit limit the value could
-        # not even be printed, so refuse it first.
         exponent = _EXPONENT.search(text)
-        if exponent:
-            limit = _int_max_str_digits()
-            if limit and abs(int(exponent.group(1))) > limit:
-                raise GdsError(f"decimal exponent of {text[:40]!r} exceeds {limit}")
-        # mpq parses "p/q" directly but not decimal strings in all versions;
-        # Fraction handles both, so normalise through it.
-        return Q(Fraction(text))
-    return Q(value)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise GdsError(
+                f"decimal exponent of {text[:40]!r} exceeds {MAX_EXPONENT}"
+            )
+        x = Q(text)
+    else:
+        x = Q(value)
+    try:
+        float(x)
+    except OverflowError:
+        raise GdsError(f"{str(value)[:40]!r} is too large for a float") from None
+    return x
 
 
 def scalar_list(values: Iterable, mode: str) -> tuple:
     return tuple(to_scalar(v, mode) for v in values)
-
-
-def as_fraction(x: Scalar) -> Fraction:
-    """Exact-mode scalar as a fractions.Fraction (for repr and JSON)."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x.numerator, x.denominator)
 
 
 def format_scalar(x: Scalar, mode: str) -> str:
@@ -124,7 +115,7 @@ def format_scalar(x: Scalar, mode: str) -> str:
 def exact_string(x: Scalar, mode: str) -> str:
     """Lossless rendering: "p/q" in exact mode, repr(float) otherwise."""
     if mode == EXACT:
-        return str(as_fraction(x))
+        return str(Fraction(x))
     return repr(float(x))
 
 
