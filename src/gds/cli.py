@@ -93,6 +93,14 @@ def _load(source: str, mode: str) -> GeometricDataSet:
     return parse_gds(text, mode)
 
 
+def _option(value: str, flag: str, mode: str):
+    """A numeric option as a scalar of `mode`; a malformed one is a SchemaError."""
+    try:
+        return to_scalar(value, mode)
+    except (GdsError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{flag}: {exc}") from exc
+
+
 def _generated(spec: str, mode: str) -> GeometricDataSet:
     kind, _, rest = spec.partition(":")
     try:
@@ -168,13 +176,13 @@ def _cmd_od(args) -> int:
     mode = _resolve_mode(args)
     X = _load(args.dataset, mode)
     if args.kappa is not None:
-        kappa = to_scalar(args.kappa, mode)
+        kappa = _option(args.kappa, "--kappa", mode)
         payload = {"command": "od", "kappa": format_scalar(kappa, mode)}
         payload.update(_num(observable_diameter(X, kappa), mode))
         _print_json(payload)
         return 0
     if args.step is not None:
-        step = to_scalar(args.step, mode)
+        step = _option(args.step, "--step", mode)
         if step <= 0:
             raise SchemaError("--step must be positive")
         kappas = []
@@ -197,7 +205,7 @@ def _cmd_od(args) -> int:
 def _cmd_pd(args) -> int:
     mode = _resolve_mode(args)
     X = _load(args.dataset, mode)
-    alpha = to_scalar(args.alpha, mode)
+    alpha = _option(args.alpha, "--alpha", mode)
     if args.feature is not None:
         try:
             row = X.features.by_label(args.feature)
@@ -371,7 +379,7 @@ def _cmd_gen(args) -> int:
     else:  # levy
         base = _load(args.base, mode) if args.base else None
         if args.table:
-            step = to_scalar(args.step, mode)
+            step = _option(args.step, "--step", mode)
             if step <= 0:
                 raise SchemaError("--step must be positive")
             kappas = []

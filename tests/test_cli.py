@@ -241,6 +241,7 @@ class TestErrorsAndModes:
             ("float", ["1/2", "1/2"], ["0", "inf"]),
             ("exact", ["1/2", "1/2"], ["0", "1e999999"]),
             ("exact", ["1/2", "1/2"], ["0", "1e-999999"]),
+            ("exact", ["1/2", "1/2"], ["0", "1e400"]),
         ],
     )
     def test_non_finite_and_oversized_numbers(
@@ -254,6 +255,22 @@ class TestErrorsAndModes:
         assert captured.out == ""
         assert captured.err.startswith("gds: dataset document:")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["od", "--kappa", "abc"],
+            ["od", "--mode", "float", "--kappa", "nan"],
+            ["od", "--step", "1/0"],
+            ["pd", "--alpha", "1e400"],
+        ],
+    )
+    def test_malformed_numeric_options(self, capsys, tmp_path, argv):
+        path = write_dataset(tmp_path, "x.json", n_point_discrete(2))
+        assert main(argv + [path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"gds: {argv[-2]}:")
 
     def test_verify_smoke(self, capsys):
         assert main(["verify", "--trials", "2", "--seed", "0"]) == 0

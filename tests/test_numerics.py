@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from gds.errors import ModeMismatch
+from gds.errors import GdsError, ModeMismatch
 from gds.numerics import (
     EXACT,
     FLOAT,
+    MAX_EXPONENT,
     Q,
     close,
     exact_string,
@@ -31,6 +32,23 @@ class TestToScalar:
     def test_exact_rejects_garbage(self):
         with pytest.raises(ValueError):
             to_scalar("zebra", EXACT)
+
+    def test_exact_range_is_what_float_rendering_shows(self):
+        # The bounds do not depend on the interpreter's int/str digit limit.
+        assert to_scalar("1e308", EXACT) == 10**308
+        assert to_scalar(f"1e-{MAX_EXPONENT}", EXACT) == Q(1, 10**MAX_EXPONENT)
+        assert format_scalar(to_scalar("1e-400", EXACT), EXACT) == "0"
+        assert exact_string(to_scalar("1e-400", EXACT), EXACT) == f"1/{10**400}"
+        for text in ["1e309", "-1e400", f"1e-{MAX_EXPONENT + 1}", "1e999999"]:
+            with pytest.raises(GdsError):
+                to_scalar(text, EXACT)
+        with pytest.raises(GdsError):
+            to_scalar(10**400, EXACT)
+
+    def test_float_refuses_non_finite(self):
+        for value in ["nan", "inf", "-inf", "1e400", float("nan")]:
+            with pytest.raises(GdsError):
+                to_scalar(value, FLOAT)
 
     def test_float_accepts_everything_numeric(self):
         assert to_scalar("0.25", FLOAT) == 0.25
