@@ -42,7 +42,7 @@ from .metrics import (
     hausdorff,
     sup_pseudometric,
 )
-from .numerics import FLOAT_TOL, Scalar, close, same_mode
+from .numerics import FLOAT_TOL, Scalar, close, same_mode, scaled_ints, unscaled
 
 CELL_BUDGET = 16
 
@@ -414,12 +414,13 @@ def box_mm_exact(
     ]
     levels = sorted({0} | {gaps[a][b] for a in range(count) for b in range(a + 1, count)})
     flow_cache = {}
+    weights, scale = scaled_ints(MX.measure.weights, MY.measure.weights)
 
     def flow(mask):
         hit = flow_cache.get(mask)
         if hit is None:
-            hit, _ = max_flow_on_cells(MX.measure.weights, MY.measure.weights, mask)
-            flow_cache[mask] = hit
+            hit, _ = max_flow_on_cells(*weights, mask)
+            hit = flow_cache[mask] = unscaled(hit, scale)
         return hit
 
     cache = {}
@@ -557,7 +558,8 @@ def box_heuristic(
 
     best = None
     for start in starts():
-        if spent >= budget:
+        # At least one start is scored, so any budget returns a bound.
+        if best is not None and spent >= budget:
             break
         current = start
         cur_val = objective(current)

@@ -10,7 +10,8 @@ Scalar results are printed as JSON with a 12-significant-digit decimal,
 plus the exact rational string in exact mode.  Tables are CSV with a
 header row.  Exit codes: 2 for schema violations or otherwise unusable
 inputs, 3 when an exact search refuses its budget and no --heuristic
-fallback was offered, 1 when the verification suite fails.
+fallback was offered, or when a --step grid would exceed GRID_BUDGET
+values, 1 when the verification suite fails.
 
 Environment: GDS_MODE picks exact or float arithmetic (flag --mode wins);
 GDS_BUDGET_CELLS caps the exact box search grid (default 16).
@@ -50,6 +51,9 @@ from .spaces import (
 from .suite import verify_theorem_suite
 
 __all__ = ["main"]
+
+# The most kappa values a uniform --step grid may hold.
+GRID_BUDGET = 10000
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +103,26 @@ def _option(value: str, flag: str, mode: str):
         return to_scalar(value, mode)
     except (GdsError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{flag}: {exc}") from exc
+
+
+def _kappa_grid(text: str, mode: str, first: int) -> list:
+    """kappa = j * step for j = first, first + 1, ... while below 1.
+
+    A step finer than 1/GRID_BUDGET is declined as a budget (exit 3):
+    every kappa costs a diameter solve, and a step such as 1e-300
+    would otherwise run for ever.
+    """
+    step = _option(text, "--step", mode)
+    if step <= 0:
+        raise SchemaError("--step must be positive")
+    if step * GRID_BUDGET < 1:
+        raise SizeLimit(f"--step {text} asks for more than {GRID_BUDGET} kappa values")
+    kappas = []
+    j = first
+    while j * step < 1:
+        kappas.append(j * step)
+        j += 1
+    return kappas
 
 
 def _generated(spec: str, mode: str) -> GeometricDataSet:
@@ -182,14 +206,7 @@ def _cmd_od(args) -> int:
         _print_json(payload)
         return 0
     if args.step is not None:
-        step = _option(args.step, "--step", mode)
-        if step <= 0:
-            raise SchemaError("--step must be positive")
-        kappas = []
-        j = 0
-        while j * step < 1:
-            kappas.append(j * step)
-            j += 1
+        kappas = _kappa_grid(args.step, mode, 0)
     else:
         kappas = list(od_breakpoints(X))
     header = ["kappa", "od"]
@@ -379,14 +396,7 @@ def _cmd_gen(args) -> int:
     else:  # levy
         base = _load(args.base, mode) if args.base else None
         if args.table:
-            step = _option(args.step, "--step", mode)
-            if step <= 0:
-                raise SchemaError("--step must be positive")
-            kappas = []
-            j = 1
-            while j * step < 1:
-                kappas.append(j * step)
-                j += 1
+            kappas = _kappa_grid(args.step, mode, 1)
             kappas, rows = levy_table(args.family, args.n, base, kappas)
             header = ["member"] + [format_scalar(k, mode) for k in kappas]
             body = [

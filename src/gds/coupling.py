@@ -38,6 +38,8 @@ from .numerics import (
     close,
     leq,
     same_mode,
+    scaled_ints,
+    unscaled,
 )
 
 VERTEX_CELL_LIMIT = 9
@@ -157,7 +159,10 @@ def max_mass_on_set(
     mode = same_mode(mu.mode, nu.mode)
     if cells.n != mu.n or cells.m != nu.n:
         raise GdsError("cell set shape disagrees with the marginals")
-    value, plan = max_flow_on_cells(mu.weights, nu.weights, cells.to_mask())
+    weights, scale = scaled_ints(mu.weights, nu.weights)
+    value, plan = max_flow_on_cells(*weights, cells.to_mask())
+    value = unscaled(value, scale)
+    plan = [[unscaled(x, scale) for x in row] for row in plan]
     coupling = _completed_plan(mu, nu, plan, mode)
     coupling.check_marginals(mu, nu)
     return value, coupling

@@ -5,9 +5,14 @@ the mu weights, left -> right across an allowed cell set with unbounded
 capacity, right -> sink with the nu weights.  The maximum flow is then the
 largest mass a coupling of (mu, nu) can place on the allowed cells.
 
-Edmonds-Karp on this graph is exact for rational (and correct for float)
+Edmonds-Karp on this graph is exact for integer (and correct for float)
 capacities and its augmentation count is bounded by the edge structure, not
-the capacity values, so termination never depends on the arithmetic.
+the capacity values, so termination never depends on the arithmetic.  For
+the same reason, scaling every capacity by one positive D leaves each
+search, bottleneck and augmenting path as it was.  Exact callers therefore
+pass integer capacities, scaled once at their boundary by
+numerics.scaled_ints, and convert back only the values they return;
+float callers pass floats.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .core import DiscreteMeasure, GeometricDataSet
 from .errors import GdsError, SizeLimit
 from .flows import max_flow_on_cells
-from .numerics import Scalar, leq, same_mode
+from .numerics import Scalar, leq, same_mode, scaled_ints, unscaled
 
 BRUTE_FORCE_POINT_LIMIT = 12
 ASSIGNMENT_BUDGET = 70000
@@ -181,12 +181,14 @@ class GapTable:
     The exact searches walk thresholds h of this table: allowed(f, g, h) is
     the bitmask of cells with gap <= h, and flow(mask) the largest mass a
     coupling of (mu, nu) puts on a mask.  Both are memoised, since the
-    sweeps revisit them across levels.
+    sweeps revisit them across levels.  The flows run on the weights
+    scaled to ints once, here.
     """
 
     def __init__(self, rows_x: Sequence, rows_y: Sequence, mu: Sequence, nu: Sequence):
         self.n, self.m = len(mu), len(nu)
         self.mu, self.nu = mu, nu
+        self._scaled, self._scale = scaled_ints(mu, nu)
         self.kx, self.ky = len(rows_x), len(rows_y)
         self.full = (1 << (self.n * self.m)) - 1
         self.diff = [
@@ -216,8 +218,8 @@ class GapTable:
     def flow(self, mask: int) -> Scalar:
         hit = self._flow.get(mask)
         if hit is None:
-            hit, _ = max_flow_on_cells(self.mu, self.nu, mask)
-            self._flow[mask] = hit
+            hit, _ = max_flow_on_cells(*self._scaled, mask)
+            hit = self._flow[mask] = unscaled(hit, self._scale)
         return hit
 
 
@@ -246,6 +248,10 @@ def prohorov_weights(
     if method == "auto":
         method = "brute" if n <= 8 else "flow"
     thresholds = sorted({dist[x][y] for x in range(n) for y in range(n)} | {0})
+    # Both routes sum and compare weights only, so they run on ints; a
+    # requirement is converted back before it meets the (unscaled)
+    # thresholds.
+    (mu_int, nu_int), scale = scaled_ints(mu_weights, nu_weights)
 
     def interval_answer(i: int, need) -> Optional[Scalar]:
         lo = thresholds[i]
@@ -261,9 +267,9 @@ def prohorov_weights(
             raise SizeLimit(
                 f"brute-force prohorov caps at {BRUTE_FORCE_POINT_LIMIT} points"
             )
-        req = _prohorov_requirements_brute(mu_weights, nu_weights, dist, thresholds)
+        req = _prohorov_requirements_brute(mu_int, nu_int, dist, thresholds)
         for i in range(len(thresholds)):
-            ans = interval_answer(i, req[i])
+            ans = interval_answer(i, unscaled(req[i], scale))
             if ans is not None:
                 return ans
         raise AssertionError("final prohorov interval is always feasible")
@@ -274,7 +280,8 @@ def prohorov_weights(
     # Feasibility of an interval is monotone in its index, so bisect for the
     # first interval containing a feasible eps, then read off its least one.
     def requirement(i: int) -> Scalar:
-        return _prohorov_requirement_flow(mu_weights, nu_weights, dist, thresholds[i])
+        need = _prohorov_requirement_flow(mu_int, nu_int, dist, thresholds[i])
+        return unscaled(need, scale)
 
     last = len(thresholds) - 1
     i = first_feasible(lambda k: requirement(k) <= thresholds[k + 1], last)

@@ -7,8 +7,10 @@ floats and is meant for heuristics and sampling, with FLOAT_TOL as the
 comparison tolerance.  Mixing the two modes in one computation is an error,
 never a silent promotion.
 
-Rationals are fractions.Fraction.  The exact simplex, the one
-pivot-heavy solver, runs on Python ints (see coupling._simplex).
+Rationals are fractions.Fraction.  The two hot kernels run on Python
+ints: the exact simplex scales its right-hand sides itself (see
+coupling._simplex), and every max-flow caller scales its weights once
+per instance with scaled_ints and converts back only what it returns.
 """
 
 from __future__ import annotations
@@ -100,6 +102,31 @@ def to_scalar(value, mode: str) -> Scalar:
     except OverflowError:
         raise GdsError(f"{str(value)[:40]!r} is too large for a float") from None
     return x
+
+
+def scaled_ints(*vectors) -> tuple:
+    """Exact weight vectors as ints over one common denominator.
+
+    Returns (scaled vectors, D), where D is the lcm of every entry's
+    denominator and each entry is multiplied by D.  Sums, differences
+    and minima of the scaled entries are those of the rationals times D,
+    and every comparison comes out the same, so a max-flow or a mass
+    scan runs on ints and unscaled(x, D) recovers each rational it
+    returns.  Vectors holding a float (float mode) come back unchanged,
+    with D = None.
+    """
+    if any(isinstance(x, float) for v in vectors for x in v):
+        return vectors, None
+    D = math.lcm(*(x.denominator for v in vectors for x in v))
+    return (
+        tuple([x.numerator * (D // x.denominator) for x in v] for v in vectors),
+        D,
+    )
+
+
+def unscaled(x, D):
+    """Undo scaled_ints on one value: x / D as a rational (x if D is None)."""
+    return x if D is None else Q(x, D)
 
 
 def scalar_list(values: Iterable, mode: str) -> tuple:

@@ -4,8 +4,10 @@ import os
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gds
 from gds import emit_gds, n_point_discrete, parse_gds, random_gds, singleton_gds
@@ -277,6 +279,181 @@ class TestErrorsAndModes:
         out = capsys.readouterr().out
         assert out.startswith("theorem suite:")
         assert "result: ok" in out
+
+
+# Numbers as a document might hold them: mostly sound, some malformed,
+# non-finite, huge or of the wrong JSON type.
+odd_numbers = st.one_of(
+    st.integers(-2, 5),
+    st.builds("{}/{}".format, st.integers(-2, 5), st.integers(0, 5)),
+    st.sampled_from(
+        ["0.25", "-1", "nan", "inf", "1e400", "1e-400", "1e999999", "abc", "", "1_0"]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def documents(draw):
+    """A sound dataset document, one with a damaged part, or any JSON."""
+    n = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    value = st.one_of(
+        st.integers(0, 4).map(str),
+        st.builds("{}/{}".format, st.integers(-4, 8), st.integers(1, 4)),
+    )
+    doc = {
+        "points": [f"p{i}" for i in range(n)],
+        "weights": [f"{w}/{sum(raw)}" for w in raw],
+        "features": {
+            f"f{j}": draw(st.lists(value, min_size=n, max_size=n))
+            for j in range(draw(st.integers(1, 3)))
+        },
+    }
+    kind = draw(st.sampled_from(["sound"] * 3 + ["damaged"] * 2 + ["any"]))
+    if kind == "any":
+        return draw(json_values)
+    if kind == "damaged":
+        part = draw(st.sampled_from(["points", "weights", "features", "extra", "leaf"]))
+        if part == "leaf":
+            key = draw(st.sampled_from(["weights"] + list(doc["features"])))
+            row = doc["weights"] if key == "weights" else doc["features"][key]
+            row[draw(st.integers(0, n - 1))] = draw(odd_numbers)
+        else:
+            doc[part] = draw(json_values)
+    return doc
+
+
+option_values = st.one_of(
+    st.sampled_from(
+        ["0", "1/2", "1", "2", "-1", "abc", "nan", "inf", "1e400", "1/0", "0.1", "",
+         "1e-300", "5e-324"]
+    ),
+    st.builds("{}/{}".format, st.integers(-3, 6), st.integers(1, 6)),
+    st.text(max_size=4),
+)
+int_values = st.one_of(st.integers(-3, 40).map(str), st.text(max_size=3))
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+_modes = _flag("--mode", st.sampled_from(["exact", "float"]))
+COMMAND_OPTIONS = {
+    "od": st.tuples(_modes, _flag("--kappa", option_values), _flag("--step", option_values)),
+    "dconc": st.tuples(
+        _modes, _switch("--exact"), _switch("--heuristic"), _switch("--bounds"),
+        _flag("--budget", int_values), _flag("--seed", int_values),
+    ),
+    "box": st.tuples(
+        _modes, _switch("--exact"), _switch("--heuristic"), _switch("--mm"),
+        _flag("--budget", int_values), _flag("--cells", int_values),
+    ),
+    "prohorov": st.tuples(
+        _modes, _flag("--method", st.sampled_from(["auto", "brute", "flow", "x"]))
+    ),
+}
+other_specs = st.one_of(
+    st.sampled_from(
+        ["singleton:1", "singleton:", "discrete:2", "discrete:0", "random:2,1",
+         "random:3,2,5", "random:2", "random:3,2,1,-4", "x:1"]
+    ),
+    st.text(max_size=6),
+)
+
+
+def run_captured(argv, stdin_text):
+    """Exit code, stdout and stderr of one in-process CLI run.
+
+    An exception escaping main would print a traceback, so it fails the
+    caller's test rather than being caught here.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArbitraryInputs:
+    @settings(max_examples=100)
+    @given(
+        st.sampled_from(sorted(COMMAND_OPTIONS)),
+        st.data(),
+        documents(),
+        documents(),
+        st.sampled_from(["path", "other", "same-metric"]),
+        other_specs,
+    )
+    def test_exit_codes_and_ranges(
+        self, tmp_path_factory, command, data, first, second, second_as, spec
+    ):
+        if second_as == "same-metric" and isinstance(first, dict) and isinstance(second, dict):
+            # Prohorov needs one metric: same features, other weights.
+            second = dict(first, weights=second.get("weights"))
+        folder = tmp_path_factory.mktemp("docs")
+        paths = [folder / "a.json", folder / "b.json"]
+        for path, doc in zip(paths, (first, second)):
+            path.write_text(json.dumps(doc))
+        options = [word for part in data.draw(COMMAND_OPTIONS[command]) for word in part]
+        argv = [command] + options + [str(paths[0])]
+        if command != "od":
+            argv += ["--other", spec] if second_as == "other" else [str(paths[1])]
+        code, out, err = run_captured(argv, json.dumps(second))
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        if code != 0 or (command == "od" and "--kappa" not in argv):
+            return
+        payload = json.loads(out)
+        values = [payload[k]["value"] for k in ("lower", "upper") if k in payload]
+        values += [payload["value"]] if "value" in payload else []
+        assert values
+        # od reports a diameter, the others a distance.
+        top = float("inf") if command == "od" else 1
+        assert all(0 <= value <= top for value in values), (argv, payload)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["box", "--heuristic", "--budget", "-1"], 0),
+            (["box", "--exact", "--heuristic", "--budget", "-1"], 0),
+            (["od", "--step", "1e-300"], 3),
+            (["od", "--mode", "float", "--step", "5e-324"], 3),
+            (["od", "--step", "1/10001"], 3),
+            (["od", "--step", "1/10000"], 0),
+        ],
+    )
+    def test_found_by_the_property(self, tmp_path, argv, code):
+        # box --heuristic with a budget below 1 died unpacking an empty
+        # search; a very fine --step made od loop for ever.
+        a = write_dataset(tmp_path, "a.json", random_gds(3, 2, seed=1))
+        b = write_dataset(tmp_path, "b.json", random_gds(3, 2, seed=2))
+        argv = argv + ([a] if argv[0] == "od" else [a, b])
+        got, out, err = run_captured(argv, "")
+        assert got == code, err
+        assert "Traceback" not in err
+        if code == 3:
+            assert err.startswith("gds: budget: --step")
 
 
 class TestShellPipeline:

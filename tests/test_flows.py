@@ -1,13 +1,84 @@
 """The bipartite max-flow kernel and the solvers built on it.
 
-The frozen values pin what the flow-backed solvers return, witnesses
-included: `box_exact` completes a max-flow plan into its coupling, so a
-change in the plan the kernel finds would change the matrix below.
+Exact callers scale their weights to ints once and hand the kernel int
+capacities.  The property below checks that this changes nothing: the
+value and the plan equal those of the kernel run on the rationals
+themselves, which stays here as the oracle.  The frozen values pin what
+the flow-backed solvers return, witnesses included: `box_exact`
+completes a max-flow plan into its coupling, so a change in the plan the
+kernel finds would change the matrix below.
 """
 
+from hypothesis import given, strategies as st
+
 from gds import box_exact, box_mm_exact, gds_to_mm, prohorov
-from gds.numerics import Q
+from gds import metrics
+from gds.flows import max_flow_on_cells
+from gds.metrics import GapTable
+from gds.numerics import Q, scaled_ints, unscaled
 from gds.spaces import random_gds
+
+# Zero weights allowed, totals free: the kernel never assumes a
+# probability measure.
+weight_vectors = st.lists(
+    st.fractions(min_value=0, max_value=3, max_denominator=12), min_size=1, max_size=5
+)
+
+
+@st.composite
+def instances(draw):
+    mu, nu = draw(weight_vectors), draw(weight_vectors)
+    mask = draw(st.integers(0, (1 << (len(mu) * len(nu))) - 1))
+    return mu, nu, mask
+
+
+class TestKernel:
+    @given(instances())
+    def test_scaled_ints_give_the_rational_flow_and_plan(self, instance):
+        mu, nu, mask = instance
+        want_value, want_plan = max_flow_on_cells(mu, nu, mask)
+        (mu_int, nu_int), scale = scaled_ints(mu, nu)
+        assert all(type(x) is int for x in mu_int + nu_int)
+        value, plan = max_flow_on_cells(mu_int, nu_int, mask)
+        assert unscaled(value, scale) == want_value
+        assert [[unscaled(x, scale) for x in row] for row in plan] == want_plan
+
+    @given(instances())
+    def test_float_value_matches(self, instance):
+        mu, nu, mask = instance
+        want, _ = max_flow_on_cells(mu, nu, mask)
+        floats, scale = scaled_ints([float(w) for w in mu], [float(w) for w in nu])
+        assert scale is None
+        value, _ = max_flow_on_cells(*floats, mask)
+        assert abs(value - float(want)) <= 1e-9
+
+    def test_plan_respects_marginals_and_mask(self):
+        mu, nu = [Q(1, 2), Q(1, 3), Q(1, 6)], [Q(1, 4), Q(3, 4)]
+        mask = 0b011001  # cells (0, 0), (1, 1), (2, 0)
+        value, plan = max_flow_on_cells(mu, nu, mask)
+        assert value == Q(1, 4) + Q(1, 3)
+        assert plan[1] == [0, Q(1, 3)]
+        assert plan[0][0] + plan[2][0] == Q(1, 4)
+        assert plan[0][1] == plan[2][1] == 0
+
+    def test_gap_table_hands_the_kernel_ints(self, monkeypatch):
+        seen = []
+
+        def recording(mu, nu, allowed):
+            seen.append(tuple(mu) + tuple(nu))
+            return max_flow_on_cells(mu, nu, allowed)
+
+        monkeypatch.setattr(metrics, "max_flow_on_cells", recording)
+        X, Y = random_gds(4, 2, seed=11), random_gds(4, 2, seed=12)
+        table = GapTable(
+            X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
+        )
+        value = table.flow(table.allowed(0, 0, Q(1, 4)))
+        assert seen and all(type(c) is int for caps in seen for c in caps)
+        assert type(value) is Q
+        assert value == max_flow_on_cells(
+            X.measure.weights, Y.measure.weights, table.allowed(0, 0, Q(1, 4))
+        )[0]
 
 
 class TestFrozenWitnesses:
