@@ -6,13 +6,26 @@ value and the plan equal those of the kernel run on the rationals
 themselves, which stays here as the oracle.  The frozen values pin what
 the flow-backed solvers return, witnesses included: `box_exact`
 completes a max-flow plan into its coupling, so a change in the plan the
-kernel finds would change the matrix below.
+kernel finds would change the matrix below.  The threshold sweeps of
+`dis_coupling`, `box_fixed_coupling` and `box_heuristic` are frozen the
+same way, in both modes, cells included: on ties the sweep keeps the
+first best set it meets, so a reordered sweep would show there.
 """
 
+import pytest
 from hypothesis import given, strategies as st
 
-from gds import box_exact, box_mm_exact, gds_to_mm, prohorov
+from gds import (
+    box_exact,
+    box_fixed_coupling,
+    box_heuristic,
+    box_mm_exact,
+    dis_coupling,
+    gds_to_mm,
+    prohorov,
+)
 from gds import metrics
+from gds.coupling import product_coupling
 from gds.flows import max_flow_on_cells
 from gds.metrics import GapTable
 from gds.numerics import Q, scaled_ints, unscaled
@@ -132,3 +145,80 @@ class TestFrozenWitnesses:
             X = random_gds(n, 2, seed=sx, scale=32)
             nu = random_gds(n, 2, seed=sy, scale=64).measure
             assert prohorov(X.measure, nu, X.dist, "flow") == want
+
+
+
+# One row per pair (n, m, k, seed of X, seed of Y) and mode: dis_coupling
+# of the box_exact coupling and of the product coupling, box_fixed_coupling
+# of the same two, each as (value, cells), and box_heuristic at budgets
+# 1, 7, 80 and 400.
+SWEEP_PAIRS = [(4, 3, 2, 61, 62), (3, 4, 3, 63, 64), (4, 4, 2, 65, 66)]
+FROZEN_SWEEPS = {
+    "exact": [
+        (
+            (Q(3, 8), ((0, 0), (2, 2), (3, 1))),
+            (Q(3, 8), ((0, 0), (0, 2), (1, 0), (1, 2), (2, 1), (3, 0), (3, 2))),
+            (Q(1, 2), ((0, 0), (0, 2), (3, 1))),
+            (Q(121, 189), ((0, 0), (0, 2), (3, 1))),
+            [1, Q(13, 21), Q(1, 2), Q(1, 2)],
+        ),
+        (
+            (Q(17, 63), ((0, 1), (1, 2), (2, 0))),
+            (Q(5, 8), ((0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 3), (2, 2))),
+            (Q(1, 2), ((0, 1), (1, 2), (2, 0), (2, 3))),
+            (Q(29, 42), ((0, 1), (1, 2), (2, 0), (2, 3))),
+            [1, Q(13, 21), Q(1, 2), Q(1, 2)],
+        ),
+        (
+            (Q(479, 1134), ((0, 3), (1, 1), (3, 2))),
+            (Q(1, 2), ((0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (2, 2), (3, 1), (3, 3))),
+            (Q(1, 2), ((0, 3), (1, 1), (3, 1))),
+            (Q(130, 189), ((0, 3), (1, 1), (2, 1), (2, 3), (3, 1))),
+            [1, Q(3, 4), Q(3, 4), Q(1, 2)],
+        ),
+    ],
+    "float": [
+        (
+            (0.375, ((0, 0), (2, 2), (3, 1))),
+            (0.375, ((0, 0), (0, 2), (1, 0), (1, 2), (2, 1), (3, 0), (3, 2))),
+            (0.5, ((0, 0), (0, 2), (3, 1))),
+            (0.6402116402116402, ((0, 0), (0, 2), (3, 1))),
+            [1, 0.6190476190476191, 0.5, 0.5],
+        ),
+        (
+            (0.26984126984126977, ((0, 1), (1, 2), (2, 0))),
+            (0.625, ((0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 3), (2, 2))),
+            (0.5, ((0, 1), (1, 2), (2, 0), (2, 3))),
+            (0.6904761904761905, ((0, 1), (1, 2), (2, 0), (2, 3))),
+            [1, 0.6190476190476191, 0.5, 0.5],
+        ),
+        (
+            (0.42239858906525574, ((0, 3), (1, 1), (3, 2))),
+            # Float ties pick another set than exact mode does.
+            (0.5, ((0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (2, 2), (3, 0), (3, 2))),
+            (0.5, ((0, 3), (1, 1), (3, 1))),
+            (0.6878306878306879, ((0, 3), (1, 1), (2, 1), (2, 3), (3, 1))),
+            [1, 0.75, 0.75, 0.5],
+        ),
+    ],
+}
+
+
+class TestFrozenSweeps:
+    @pytest.mark.parametrize("mode", sorted(FROZEN_SWEEPS))
+    @pytest.mark.parametrize("index", range(len(SWEEP_PAIRS)))
+    def test_distortion_fixed_coupling_and_heuristic(self, mode, index):
+        n, m, k, sx, sy = SWEEP_PAIRS[index]
+        X = random_gds(n, k, seed=sx, mode=mode)
+        Y = random_gds(m, k, seed=sy, mode=mode)
+        couplings = [box_exact(X, Y).coupling, product_coupling(X.measure, Y.measure)]
+        got = [dis_coupling(pi, X.dist, Y.dist) for pi in couplings]
+        got += [box_fixed_coupling(X, Y, pi) for pi in couplings]
+        records = [(value, cells.sorted_cells) for value, cells in got]
+        heuristic = [box_heuristic(X, Y, budget=b) for b in (1, 7, 80, 400)]
+        dis_box, dis_product, fixed_box, fixed_product, want_heuristic = (
+            FROZEN_SWEEPS[mode][index]
+        )
+        assert records == [dis_box, dis_product, fixed_box, fixed_product]
+        assert heuristic == want_heuristic
+        assert all(type(v) is float for v, _ in records) == (mode == "float")
