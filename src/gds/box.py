@@ -10,15 +10,18 @@ The solvers below never enumerate all 2^(n*m) cell sets.  Both objective
 terms are monotone along the threshold grid of the instance (the first
 increases, the second decreases), so the minimum sits where they cross,
 and each threshold level needs only the best mass among the cell sets
-that the level permits:
+that the level permits.  One driver, _v_crossing, bisects for that
+crossing and memoises the best set of each level it probes; two sweeps
+feed it:
 
-  * features: a set has Hausdorff radius <= h exactly when it fits inside
-    a rectangle-intersection pattern cut out by a pair of feature
-    assignments, so the best mass at level h is a max over assignment
-    pairs of one max-flow;
-  * metric measure spaces / fixed couplings: a set has distortion <= t
-    exactly when it is a clique in the compatibility graph at t, so the
-    best mass is a clique search.
+  * _feature_sweep (box_exact, box_fixed_coupling): a set has Hausdorff
+    radius <= h exactly when it fits inside a rectangle-intersection
+    pattern cut out by a pair of feature assignments, so the best mass at
+    level h is a max over assignment pairs of one max-flow (or of one
+    fixed coupling's mass);
+  * _distortion_sweep (box_mm_exact, dis_coupling): a set has distortion
+    <= t exactly when it is a clique in the compatibility graph at t, so
+    the best mass is a clique search.
 
 The subset enumeration the sweep replaces is kept alive in the test suite
 as an independent oracle.
@@ -26,6 +29,7 @@ as an independent oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -107,21 +111,42 @@ def box_objective(pi: Coupling, S: CellSet, FX: FeatureFamily, FY: FeatureFamily
     return a if a > b else b
 
 
-def _v_crossing(levels, rise, fall):
-    """Minimise max(rise, fall) over a grid where rise grows and fall shrinks.
+def _v_crossing(levels, rise, best_at):
+    """Minimise max(rise(h), 1 - kept(h)) over the sorted levels h.
 
-    Only the crossing level and its predecessor can attain the minimum, so
-    a bisection for the first index with rise >= fall settles it with
-    O(log) evaluations of the expensive falling term.
+    best_at(h) returns (kept, mask): the largest mass a set permitted at
+    level h keeps, and that set.  rise grows with h and the kept mass
+    too, so only the crossing level and its predecessor can attain the
+    minimum, and a bisection for the first level with rise >= 1 - kept
+    settles it with O(log) calls of the expensive best_at.  Returns
+    (value, mask) for the first level attaining the minimum.
     """
-    lo = first_feasible(lambda i: rise(i) >= fall(i), len(levels) - 1)
+    memo = {}
+
+    def fall(i):
+        if i not in memo:
+            kept, mask = best_at(levels[i])
+            memo[i] = (1 - kept, mask)
+        return memo[i][0]
+
+    lo = first_feasible(lambda i: rise(levels[i]) >= fall(i), len(levels) - 1)
     best = None
     for i in ([lo - 1] if lo else []) + [lo]:
-        a, b = rise(i), fall(i)
+        a, b = rise(levels[i]), fall(i)
         v = a if a > b else b
         if best is None or v < best[0]:
-            best = (v, i)
+            best = (v, memo[i][1])
     return best
+
+
+def _mask_sum(values, mask):
+    """Sum of values[c] over the set bits c of mask, lowest bit first."""
+    total = 0
+    while mask:
+        c = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        total = total + values[c]
+    return total
 
 
 def _max_weight_clique(weights, adj):
@@ -199,6 +224,30 @@ def _maximal_cliques(count, adj):
     return out
 
 
+def _distortion_sweep(cells, dX, dY, best_clique) -> tuple:
+    """Minimise max(1 - kept mass, distortion) over sets of the given cells.
+
+    The sets of distortion <= t are the cliques of the compatibility graph
+    at t, whose edges join two cells that the metrics dX and dY disagree
+    on by at most t.  best_clique(adj) gets that graph as neighbour
+    bitmasks over positions in cells and returns (kept mass, clique mask).
+    Returns (value, mask over positions in cells).
+    """
+    count = len(cells)
+    gaps = [[abs(dX[a[0]][b[0]] - dY[a[1]][b[1]]) for b in cells] for a in cells]
+    levels = sorted({0} | {gaps[a][b] for a in range(count) for b in range(a + 1, count)})
+
+    def best_at(t):
+        adj = [0] * count
+        for a in range(count):
+            for b in range(count):
+                if a != b and gaps[a][b] <= t:
+                    adj[a] |= 1 << b
+        return best_clique(adj)
+
+    return _v_crossing(levels, lambda t: t, best_at)
+
+
 def dis_coupling(pi: Coupling, dX, dY, cell_budget: int = CELL_BUDGET) -> tuple:
     """Distortion of a coupling: best trade-off of discarded mass vs spread.
 
@@ -207,45 +256,17 @@ def dis_coupling(pi: Coupling, dX, dY, cell_budget: int = CELL_BUDGET) -> tuple:
     clique search runs on the support only; its size is capped because the
     branch and bound is exact, not polynomial.
     """
-    matrix = pi.matrix
-    support = [
-        (i, j)
-        for i in range(pi.n)
-        for j in range(pi.m)
-        if matrix[i][j] > 0
-    ]
+    support = pi.support()
     if len(support) > cell_budget:
         raise SizeLimit(
             f"{len(support)} support cells exceed the exact budget {cell_budget}"
         )
-    weights = [matrix[i][j] for i, j in support]
-    count = len(support)
-    gaps = [
-        [
-            abs(dX[support[a][0]][support[b][0]] - dY[support[a][1]][support[b][1]])
-            for b in range(count)
-        ]
-        for a in range(count)
-    ]
-    levels = sorted({0} | {gaps[a][b] for a in range(count) for b in range(a + 1, count)})
-    cache = {}
-
-    def fall(idx):
-        if idx not in cache:
-            t = levels[idx]
-            adj = [0] * count
-            for a in range(count):
-                for b in range(count):
-                    if a != b and gaps[a][b] <= t:
-                        adj[a] |= 1 << b
-            wval, mask = _max_weight_clique(weights, adj)
-            cache[idx] = (1 - wval, mask)
-        return cache[idx][0]
-
-    value, idx = _v_crossing(levels, lambda i: levels[i], fall)
-    mask = cache[idx][1]
+    weights = [pi.matrix[i][j] for i, j in support]
+    value, mask = _distortion_sweep(
+        support, dX, dY, lambda adj: _max_weight_clique(weights, adj)
+    )
     cells = CellSet.from_pairs(
-        pi.n, pi.m, [support[p] for p in range(count) if mask >> p & 1]
+        pi.n, pi.m, [cell for p, cell in enumerate(support) if mask >> p & 1]
     )
     got = max(1 - pi.mass(cells), distortion(cells, dX, dY))
     if not close(got, value, pi.mode):
@@ -304,12 +325,27 @@ def _best_pair_mass(table: GapTable, h, value_of) -> tuple:
     return best, best_mask
 
 
-def _gate_assignments(X, Y, assignment_budget):
+def _feature_sweep(
+    X: GeometricDataSet, Y: GeometricDataSet, assignment_budget: int, kept
+) -> tuple:
+    """Minimise max(1 - kept mass, 2 * Hausdorff radius) over cell sets.
+
+    kept(table, mask) is the mass kept on a cell mask, monotone under
+    inclusion; table is the instance's GapTable.  The assignment pairs
+    behind each level are enumerated, so their count is gated first.
+    Returns (value, witness cells).
+    """
     count = Y.k ** X.k + X.k ** Y.k
     if count > assignment_budget:
         raise SizeLimit(
             f"{count} feature assignments exceed the budget {assignment_budget}"
         )
+    table, levels = _table(X, Y)
+    value_of = functools.partial(kept, table)
+    value, mask = _v_crossing(
+        levels, lambda h: 2 * h, lambda h: _best_pair_mass(table, h, value_of)
+    )
+    return value, CellSet.from_mask(X.n, Y.n, mask)
 
 
 def box_fixed_coupling(
@@ -321,33 +357,13 @@ def box_fixed_coupling(
     """Best cell set for one fixed coupling: (objective value, witness S)."""
     mode = same_mode(same_mode(X.mode, Y.mode), pi.mode)
     pi.check_marginals(X.measure, Y.measure)
-    _gate_assignments(X, Y, assignment_budget)
-    table, levels = _table(X, Y)
     flat = [pi.matrix[i][j] for i in range(X.n) for j in range(Y.n)]
-    mass_cache = {}
 
-    def mass(mask: int) -> Scalar:
-        hit = mass_cache.get(mask)
-        if hit is None:
-            hit = 0
-            t = mask
-            while t:
-                c = (t & -t).bit_length() - 1
-                t &= t - 1
-                hit = hit + flat[c]
-            mass_cache[mask] = hit
-        return hit
+    @functools.cache
+    def mass(_table, mask: int) -> Scalar:
+        return _mask_sum(flat, mask)
 
-    cache = {}
-
-    def fall(idx):
-        if idx not in cache:
-            val, mask = _best_pair_mass(table, levels[idx], mass)
-            cache[idx] = (1 - val, mask)
-        return cache[idx][0]
-
-    value, idx = _v_crossing(levels, lambda i: 2 * levels[i], fall)
-    cells = CellSet.from_mask(X.n, Y.n, cache[idx][1])
+    value, cells = _feature_sweep(X, Y, assignment_budget, mass)
     got = box_objective(pi, cells, X.features, Y.features)
     if not close(got, value, mode):
         raise AssertionError("fixed-coupling sweep witness disagrees with its value")
@@ -371,18 +387,7 @@ def box_exact(
         raise SizeLimit(
             f"{X.n * Y.n} cells exceed the exact budget {cell_budget}"
         )
-    _gate_assignments(X, Y, assignment_budget)
-    table, levels = _table(X, Y)
-    cache = {}
-
-    def fall(idx):
-        if idx not in cache:
-            val, mask = _best_pair_mass(table, levels[idx], table.flow)
-            cache[idx] = (1 - val, mask)
-        return cache[idx][0]
-
-    value, idx = _v_crossing(levels, lambda i: 2 * levels[i], fall)
-    cells = CellSet.from_mask(X.n, Y.n, cache[idx][1])
+    value, cells = _feature_sweep(X, Y, assignment_budget, GapTable.flow)
     _, pi = max_mass_on_set(X.measure, Y.measure, cells)
     got = box_objective(pi, cells, X.features, Y.features)
     if not close(got, value, mode):
@@ -404,45 +409,19 @@ def box_mm_exact(
     count = n * m
     if count > cell_budget:
         raise SizeLimit(f"{count} cells exceed the exact budget {cell_budget}")
-    cells = [(i, j) for i in range(n) for j in range(m)]
-    gaps = [
-        [
-            abs(MX.dist[a[0]][b[0]] - MY.dist[a[1]][b[1]])
-            for b in cells
-        ]
-        for a in cells
-    ]
-    levels = sorted({0} | {gaps[a][b] for a in range(count) for b in range(a + 1, count)})
-    flow_cache = {}
     weights, scale = scaled_ints(MX.measure.weights, MY.measure.weights)
 
+    @functools.cache
     def flow(mask):
-        hit = flow_cache.get(mask)
-        if hit is None:
-            hit, _ = max_flow_on_cells(*weights, mask)
-            hit = flow_cache[mask] = unscaled(hit, scale)
-        return hit
+        return unscaled(max_flow_on_cells(*weights, mask)[0], scale)
 
-    cache = {}
+    def best_flow(adj):
+        # max keeps the first heaviest clique in sorted order.
+        mask = max(sorted(_maximal_cliques(count, adj)), key=flow)
+        return flow(mask), mask
 
-    def fall(idx):
-        if idx not in cache:
-            t = levels[idx]
-            adj = [0] * count
-            for a in range(count):
-                for b in range(count):
-                    if a != b and gaps[a][b] <= t:
-                        adj[a] |= 1 << b
-            best, best_mask = None, 0
-            for clique in sorted(_maximal_cliques(count, adj)):
-                val = flow(clique)
-                if best is None or val > best:
-                    best, best_mask = val, clique
-            cache[idx] = (1 - best, best_mask)
-        return cache[idx][0]
-
-    value, idx = _v_crossing(levels, lambda i: levels[i], fall)
-    mask = cache[idx][1]
+    cells = [(i, j) for i in range(n) for j in range(m)]
+    value, mask = _distortion_sweep(cells, MX.dist, MY.dist, best_flow)
     witness = CellSet.from_mask(n, m, mask)
     got = max(1 - flow(mask), distortion(witness, MX.dist, MY.dist))
     if not close(got, value, mode):
@@ -468,47 +447,18 @@ def box_heuristic(
     nm = n * m
     full = table.full
     pm = [table.mu[i] * table.nu[j] for i in range(n) for j in range(m)]
-
-    def weight(mask):
-        total = 0
-        while mask:
-            c = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            total = total + pm[c]
-        return total
+    weight = functools.partial(_mask_sum, pm)
 
     def radius(mask):
         """Hausdorff distance of the families over the masked cells."""
-        best = 0
-        for f in range(table.kx):
-            near = None
-            for g in range(table.ky):
-                d = 0
-                t = mask
-                while t:
-                    c = (t & -t).bit_length() - 1
-                    t &= t - 1
-                    if table.diff[f][g][c] > d:
-                        d = table.diff[f][g][c]
-                if near is None or d < near:
-                    near = d
-            if near > best:
-                best = near
-        for g in range(table.ky):
-            near = None
-            for f in range(table.kx):
-                d = 0
-                t = mask
-                while t:
-                    c = (t & -t).bit_length() - 1
-                    t &= t - 1
-                    if table.diff[f][g][c] > d:
-                        d = table.diff[f][g][c]
-                if near is None or d < near:
-                    near = d
-            if near > best:
-                best = near
-        return best
+        cells = [c for c in range(nm) if mask >> c & 1]
+        sup = [
+            [max([gaps[c] for c in cells], default=0) for gaps in per_f]
+            for per_f in table.diff
+        ]
+        forward = max(min(row) for row in sup)
+        backward = max(min(column) for column in zip(*sup))
+        return forward if forward > backward else backward
 
     evals = {}
     spent = 0

@@ -36,7 +36,14 @@ from .metrics import (
     partial_diameter,
     prohorov,
 )
-from .numerics import EXACT, FLOAT, FLOAT_TOL, Q, exact_string, format_scalar, to_scalar
+from .numerics import (
+    EXACT,
+    FLOAT,
+    exact_string,
+    format_scalar,
+    to_scalar,
+    tolerance,
+)
 from .observable import dconc_exact, dconc_heuristic, dconc_lower_witness
 from .order import check_domination, check_isomorphism
 from .spaces import (
@@ -105,6 +112,14 @@ def _option(value: str, flag: str, mode: str):
         raise SchemaError(f"{flag}: {exc}") from exc
 
 
+def _constants(text: str, flag: str, mode: str) -> list:
+    """The comma-separated constants of a singleton, as scalars of `mode`."""
+    values = [_option(v.strip(), flag, mode) for v in text.split(",") if v.strip()]
+    if not values:
+        raise SchemaError(f"{flag} needs at least one constant")
+    return values
+
+
 def _kappa_grid(text: str, mode: str, first: int) -> list:
     """kappa = j * step for j = first, first + 1, ... while below 1.
 
@@ -129,10 +144,7 @@ def _generated(spec: str, mode: str) -> GeometricDataSet:
     kind, _, rest = spec.partition(":")
     try:
         if kind == "singleton":
-            values = [v.strip() for v in rest.split(",") if v.strip()]
-            if not values:
-                raise SchemaError("singleton needs at least one constant")
-            return singleton_gds(values, mode)
+            return singleton_gds(_constants(rest, "singleton", mode), mode)
         if kind == "discrete":
             return n_point_discrete(int(rest), mode)
         if kind == "random":
@@ -332,7 +344,7 @@ def _cmd_prohorov(args) -> int:
     X, Y = _pair(args, mode)
     if X.n != Y.n:
         raise SchemaError("prohorov compares two measures on one space")
-    tol = 0 if mode == EXACT else FLOAT_TOL
+    tol = tolerance(mode)
     for x in range(X.n):
         for y in range(X.n):
             if abs(X.dist[x][y] - Y.dist[x][y]) > tol:
@@ -385,10 +397,7 @@ def _cmd_product(args) -> int:
 def _cmd_gen(args) -> int:
     mode = _resolve_mode(args)
     if args.kind == "singleton":
-        values = [v.strip() for v in args.values.split(",") if v.strip()]
-        if not values:
-            raise SchemaError("--values needs at least one constant")
-        X = singleton_gds(values, mode)
+        X = singleton_gds(_constants(args.values, "--values", mode), mode)
     elif args.kind == "discrete":
         X = n_point_discrete(args.n, mode)
     elif args.kind == "random":

@@ -31,6 +31,7 @@ from .numerics import (
     same_mode,
     scalar_list,
     to_scalar,
+    tolerance,
 )
 
 
@@ -201,7 +202,7 @@ class GeometricDataSet:
         if len(self.point_labels) != self.measure.n:
             raise SupportError("need exactly one label per point")
         d = self.dist
-        tol = 0 if self.mode == EXACT else FLOAT_TOL
+        tol = tolerance(self.mode)
         for x in range(self.n):
             for y in range(x + 1, self.n):
                 if d[x][y] <= tol:
@@ -255,7 +256,7 @@ class MmSpace:
             raise MetricViolation("distance matrix shape disagrees with measure")
         if not self.point_labels:
             object.__setattr__(self, "point_labels", _default_labels("p", n))
-        tol = 0 if self.mode == EXACT else FLOAT_TOL
+        tol = tolerance(self.mode)
         d = self.dist
         for x in range(n):
             if abs(d[x][x]) > tol:

@@ -31,7 +31,6 @@ from .metrics import CellSet, prohorov_weights
 from .numerics import (
     EXACT,
     FLOAT,
-    FLOAT_TOL,
     Q,
     Scalar,
     check_mode,
@@ -39,6 +38,7 @@ from .numerics import (
     leq,
     same_mode,
     scaled_ints,
+    tolerance,
     unscaled,
 )
 
@@ -57,7 +57,7 @@ class Coupling:
         if not self.matrix or not self.matrix[0]:
             raise GdsError("a coupling needs a nonempty matrix")
         width = len(self.matrix[0])
-        tol = 0 if self.mode == EXACT else FLOAT_TOL
+        tol = tolerance(self.mode)
         for row in self.matrix:
             if len(row) != width:
                 raise GdsError("coupling rows have inconsistent lengths")
@@ -104,7 +104,7 @@ class Coupling:
 
     def check_marginals(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
         same_mode(self.mode, mu.mode, nu.mode)
-        tol = 0 if self.mode == EXACT else FLOAT_TOL
+        tol = tolerance(self.mode)
         for i, s in enumerate(self.row_sums()):
             if abs(s - mu.weights[i]) > tol:
                 raise MarginalMismatch(f"row {i} sums to {s}, expected {mu.weights[i]}")
@@ -299,7 +299,7 @@ def _simplex(rows, rhs, costs, mode):
     phase1_cost = [0] * n_cols + [1] * n_rows
     run_phase(phase1_cost, blocked=set())
     infeas = sum(phase1_cost[basis[r]] * tab[r][-1] for r in range(len(tab)))
-    if infeas > (0 if exact else FLOAT_TOL):
+    if infeas > tolerance(mode):
         return None
 
     # Drive leftover artificials out of the basis or drop redundant rows.
@@ -362,7 +362,7 @@ def feasibility_lp(
     """
     mu, nu = prog.mu, prog.nu
     mode = same_mode(mu.mode, nu.mode)
-    tol = 0 if mode == EXACT else FLOAT_TOL
+    tol = tolerance(mode)
     if abs(sum(mu.weights) - sum(nu.weights)) > tol:
         raise InfeasibleMarginals("marginals carry different total mass")
     n, m = mu.n, nu.n
@@ -423,7 +423,7 @@ def glue(pi_xy: Coupling, pi_yz: Coupling) -> tuple[tuple, Coupling]:
     Returns the triple tensor and its (x,z) marginal as a Coupling.
     """
     mode = same_mode(pi_xy.mode, pi_yz.mode)
-    tol = 0 if mode == EXACT else FLOAT_TOL
+    tol = tolerance(mode)
     mid_a = pi_xy.col_sums()
     mid_b = pi_yz.row_sums()
     if len(mid_a) != len(mid_b) or any(

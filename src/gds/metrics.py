@@ -9,6 +9,7 @@ sit on top of the same machinery.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -279,6 +280,8 @@ def prohorov_weights(
 
     # Feasibility of an interval is monotone in its index, so bisect for the
     # first interval containing a feasible eps, then read off its least one.
+    # The bisection has already solved the interval it lands on.
+    @functools.cache
     def requirement(i: int) -> Scalar:
         need = _prohorov_requirement_flow(mu_int, nu_int, dist, thresholds[i])
         return unscaled(need, scale)

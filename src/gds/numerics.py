@@ -47,6 +47,11 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
 MAX_EXPONENT = 600
 
 
+def tolerance(mode: str) -> Scalar:
+    """Comparison slack of a mode: 0 in exact mode, FLOAT_TOL in float mode."""
+    return 0 if mode == EXACT else FLOAT_TOL
+
+
 def check_mode(mode: str) -> str:
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}, expected one of {MODES}")

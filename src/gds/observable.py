@@ -39,7 +39,7 @@ from .metrics import (
     hausdorff,
     ky_fan_coupling,
 )
-from .numerics import FLOAT_TOL, EXACT, Scalar, same_mode
+from .numerics import Scalar, same_mode, tolerance
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def dconc_exact(
     # A float bound can round to just below the level it sits on, which
     # would cut that level off, so it gets the float tolerance.
     ub = dconc_at_coupling(X, Y, product_coupling(X.measure, Y.measure))
-    tol = 0 if mode == EXACT else FLOAT_TOL
+    tol = tolerance(mode)
     hi = bisect_right(search.levels, ub + tol) - 1
     lo = first_feasible(
         lambda i: search.scan_level(i, stop_at_first=True) is not None, hi
@@ -347,7 +347,7 @@ def dconc_lower_witness(
     mode = same_mode(X.mode, Y.mode)
     if len(witness) != X.n:
         raise GdsError("witness length disagrees with the space")
-    tol = 0 if mode == EXACT else FLOAT_TOL
+    tol = tolerance(mode)
     for x in range(X.n):
         for y in range(X.n):
             if abs(witness[x] - witness[y]) > X.dist[x][y] + tol:

@@ -9,23 +9,17 @@ the first witness wins, which keeps reruns reproducible.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import GeometricDataSet, pushforward_vector
 from .errors import BudgetExceeded
-from .numerics import EXACT, FLOAT_TOL, same_mode
+from .numerics import same_mode, tolerance
 
 MAP_BUDGET = 50000
 
 
 def _sup_gap(a: Sequence, b: Sequence):
     return max(abs(x - y) for x, y in zip(a, b))
-
-
-def _tolerance(mode: str, tol) -> object:
-    if tol is not None:
-        return tol
-    return 0 if mode == EXACT else FLOAT_TOL
 
 
 def _measure_matches(X, Y, assignment, tol) -> bool:
@@ -56,7 +50,7 @@ def check_domination(
     continuity check is needed.
     """
     mode = same_mode(X.mode, Y.mode)
-    eps = _tolerance(mode, tol)
+    eps = tolerance(mode) if tol is None else tol
     for assignment in _maps(X, Y, map_budget):
         if not _measure_matches(X, Y, assignment, eps):
             continue
@@ -84,7 +78,7 @@ def check_isomorphism(
     to be a bijection, so no inverse needs to be searched separately.
     """
     mode = same_mode(X.mode, Y.mode)
-    eps = _tolerance(mode, tol)
+    eps = tolerance(mode) if tol is None else tol
     for assignment in _maps(X, Y, map_budget):
         if not _measure_matches(X, Y, assignment, eps):
             continue

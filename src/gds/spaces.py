@@ -9,7 +9,7 @@ from typing import Iterable, Optional, Sequence
 from .core import FeatureFamily, GeometricDataSet
 from .errors import GdsError, NotLipschitzFamily
 from .metrics import observable_diameter
-from .numerics import EXACT, FLOAT_TOL, Q, same_mode, scalar_list, to_scalar
+from .numerics import EXACT, Q, same_mode, scalar_list, to_scalar, tolerance
 
 
 def singleton_gds(values: Iterable, mode: str = EXACT) -> GeometricDataSet:
@@ -106,7 +106,7 @@ def quotient_gds(X: GeometricDataSet, G) -> tuple:
     if not rows:
         raise GdsError("cannot quotient by an empty family")
     n = X.n
-    tol = 0 if X.mode == EXACT else FLOAT_TOL
+    tol = tolerance(X.mode)
     d = X.dist
     for r in rows:
         if len(r) != n:
@@ -166,8 +166,11 @@ def levy_sequence(
     """Deterministic families whose observable diameter is meant to vanish.
 
     kind "discrete" yields the N-point discrete spaces for N = 1..n_max;
-    kind "product_power" yields base, base^2, ..., base^n_max.
+    kind "product_power" yields base, base^2, ..., base^n_max.  A family
+    needs at least one member, so n_max < 1 raises GdsError.
     """
+    if n_max < 1:
+        raise GdsError(f"a family needs at least one member, not n = {n_max}")
     if kind == "discrete":
         for N in range(1, n_max + 1):
             yield n_point_discrete(N)
@@ -214,6 +217,8 @@ def random_gds(
     """
     if n < 1 or k < 1:
         raise GdsError("need at least one point and one feature")
+    if scale < 1:
+        raise GdsError(f"the value lattice needs a scale of at least 1, not {scale}")
     rng = random.Random(seed)
     ints = [rng.randrange(1, scale + 1) for _ in range(n)]
     total = sum(ints)

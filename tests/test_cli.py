@@ -353,6 +353,26 @@ def _switch(name):
 
 
 _modes = _flag("--mode", st.sampled_from(["exact", "float"]))
+# Feature labels as documents() names them, plus ones no document has.
+labels = st.sampled_from(["f0", "f1", "f2", "zz", ""])
+# Sizes for generators stay small: a levy product_power member has
+# (base points)**n points.
+small_ints = st.one_of(st.integers(-2, 4).map(str), st.text(max_size=2))
+# "@a" stands for the first document's path.
+GEN_OPTIONS = st.one_of(
+    st.tuples(st.just(["singleton"]), _flag("--values", option_values)),
+    st.tuples(st.just(["discrete"]), _flag("--n", int_values)),
+    st.tuples(
+        st.just(["random"]), _flag("--n", int_values), _flag("--k", small_ints),
+        _flag("--seed", int_values), _flag("--scale", small_ints),
+    ),
+    st.tuples(
+        st.just(["levy"]),
+        _flag("--family", st.sampled_from(["discrete", "product_power", "x"])),
+        _flag("--n", small_ints), _flag("--base", st.just("@a")),
+        _switch("--table"), _flag("--step", st.sampled_from(["1/4", "1/2", "0", "x"])),
+    ),
+)
 COMMAND_OPTIONS = {
     "od": st.tuples(_modes, _flag("--kappa", option_values), _flag("--step", option_values)),
     "dconc": st.tuples(
@@ -366,7 +386,27 @@ COMMAND_OPTIONS = {
     "prohorov": st.tuples(
         _modes, _flag("--method", st.sampled_from(["auto", "brute", "flow", "x"]))
     ),
+    "pd": st.tuples(_modes, _flag("--alpha", option_values), _flag("--feature", labels)),
+    "kyfan": st.tuples(_modes, _flag("-f", labels), _flag("-g", labels)),
+    "quotient": st.tuples(
+        _modes, _flag("--by", st.sampled_from(["f0", "f0,f1", "f2,f0", " , ", "zz", ""]))
+    ),
+    "product": st.tuples(_modes),
+    "check": st.tuples(
+        st.sampled_from([["domination"], ["isomorphism"], ["x"]]),
+        _modes, _flag("--budget", int_values),
+    ),
+    "gen": st.tuples(_modes, GEN_OPTIONS.map(lambda parts: [w for p in parts for w in p])),
 }
+# Commands that read one dataset, and those that read none.
+ONE_INPUT = {"od", "pd", "kyfan", "quotient"}
+NO_INPUT = {"gen"}
+# The largest value a command's JSON payload may report: distances lie in
+# [0, 1], diameters are only bounded below.  od and pd print a CSV table
+# unless the flag named here asks for one value.
+VALUE_TOPS = {"dconc": 1, "box": 1, "prohorov": 1, "kyfan": 1, "od": float("inf"),
+              "pd": float("inf")}
+ONE_VALUE_FLAG = {"od": "--kappa", "pd": "--feature"}
 other_specs = st.one_of(
     st.sampled_from(
         ["singleton:1", "singleton:", "discrete:2", "discrete:0", "random:2,1",
@@ -416,20 +456,24 @@ class TestArbitraryInputs:
         for path, doc in zip(paths, (first, second)):
             path.write_text(json.dumps(doc))
         options = [word for part in data.draw(COMMAND_OPTIONS[command]) for word in part]
-        argv = [command] + options + [str(paths[0])]
-        if command != "od":
+        options = [str(paths[0]) if word == "@a" else word for word in options]
+        argv = [command] + options
+        if command not in NO_INPUT:
+            argv.append(str(paths[0]))
+        if command not in ONE_INPUT | NO_INPUT:
             argv += ["--other", spec] if second_as == "other" else [str(paths[1])]
         code, out, err = run_captured(argv, json.dumps(second))
         assert code in (0, 2, 3), (argv, err)
         assert "Traceback" not in err
-        if code != 0 or (command == "od" and "--kappa" not in argv):
+        if code != 0 or command not in VALUE_TOPS:
+            return
+        if command in ONE_VALUE_FLAG and ONE_VALUE_FLAG[command] not in argv:
             return
         payload = json.loads(out)
         values = [payload[k]["value"] for k in ("lower", "upper") if k in payload]
         values += [payload["value"]] if "value" in payload else []
         assert values
-        # od reports a diameter, the others a distance.
-        top = float("inf") if command == "od" else 1
+        top = VALUE_TOPS[command]
         assert all(0 <= value <= top for value in values), (argv, payload)
 
     @pytest.mark.parametrize(
@@ -441,19 +485,38 @@ class TestArbitraryInputs:
             (["od", "--mode", "float", "--step", "5e-324"], 3),
             (["od", "--step", "1/10001"], 3),
             (["od", "--step", "1/10000"], 0),
+            (["gen", "random", "--n", "3", "--k", "2", "--scale", "0"], 2),
+            (["gen", "random", "--n", "3", "--k", "2", "--scale", "-1"], 2),
+            (["gen", "levy", "--n", "0"], 2),
+            (["gen", "levy", "--n", "-2", "--table"], 2),
+            (["gen", "singleton", "--values", "abc"], 2),
+            (["gen", "singleton", "--values", "1/0"], 2),
+            (["dconc", "--other", "singleton:1/0"], 2),
         ],
     )
     def test_found_by_the_property(self, tmp_path, argv, code):
         # box --heuristic with a budget below 1 died unpacking an empty
-        # search; a very fine --step made od loop for ever.
+        # search; a very fine --step made od loop for ever; gen random
+        # with a scale below 1 died in randrange, gen levy with n below 1
+        # died on an empty family, or printed a table with no rows; a
+        # singleton constant that is no number (or divides by zero) died
+        # in Fraction.
         a = write_dataset(tmp_path, "a.json", random_gds(3, 2, seed=1))
         b = write_dataset(tmp_path, "b.json", random_gds(3, 2, seed=2))
-        argv = argv + ([a] if argv[0] == "od" else [a, b])
-        got, out, err = run_captured(argv, "")
+        if argv[0] == "gen":
+            inputs = []
+        elif argv[0] == "od" or "--other" in argv:
+            inputs = [a]
+        else:
+            inputs = [a, b]
+        got, out, err = run_captured(argv + inputs, "")
         assert got == code, err
         assert "Traceback" not in err
         if code == 3:
             assert err.startswith("gds: budget: --step")
+        if code == 2:
+            # Refused by the program, not by argparse's usage check.
+            assert err.startswith("gds: "), err
 
 
 class TestShellPipeline:

@@ -93,6 +93,19 @@ class TestKernel:
             X.measure.weights, Y.measure.weights, table.allowed(0, 0, Q(1, 4))
         )[0]
 
+    def test_prohorov_flow_solves_each_mask_once(self, monkeypatch):
+        masks = []
+
+        def recording(mu, nu, allowed):
+            masks.append(allowed)
+            return max_flow_on_cells(mu, nu, allowed)
+
+        monkeypatch.setattr(metrics, "max_flow_on_cells", recording)
+        X = random_gds(30, 2, seed=55, scale=32)
+        nu = random_gds(30, 2, seed=56, scale=32).measure
+        prohorov(X.measure, nu, X.dist, "flow")
+        assert masks and len(masks) == len(set(masks))
+
 
 class TestFrozenWitnesses:
     def test_box_exact_4x4_k2(self):
