@@ -36,14 +36,7 @@ from .metrics import (
     partial_diameter,
     prohorov,
 )
-from .numerics import (
-    EXACT,
-    FLOAT,
-    exact_string,
-    format_scalar,
-    to_scalar,
-    tolerance,
-)
+from .numerics import EXACT, FLOAT, exact_string, format_scalar, to_scalar, tolerance
 from .observable import dconc_exact, dconc_heuristic, dconc_lower_witness
 from .order import check_domination, check_isomorphism
 from .spaces import (
