@@ -20,8 +20,10 @@ feed it:
     level h is a max over assignment pairs of one max-flow (or of one
     fixed coupling's mass);
   * _distortion_sweep (box_mm_exact, dis_coupling): a set has distortion
-    <= t exactly when it is a clique in the compatibility graph at t, so
-    the best mass is a clique search.
+    <= t exactly when it is a clique in the compatibility graph at t, and
+    the kept mass only grows with the set, so the best mass at level t is
+    that of a heaviest maximal clique; one Bron-Kerbosch scan of the
+    maximal cliques serves both callers.
 
 The subset enumeration the sweep replaces is kept alive in the test suite
 as an independent oracle.
@@ -149,52 +151,6 @@ def _mask_sum(values, mask):
     return total
 
 
-def _max_weight_clique(weights, adj):
-    """Heaviest clique, branch and bound, vertices tried by weight.
-
-    adj[v] is the neighbour bitmask (no self loops).  Returns
-    (weight, vertex bitmask); the empty clique weighs 0.
-    """
-    count = len(weights)
-    order = sorted(range(count), key=weights.__getitem__, reverse=True)
-    pos = {v: p for p, v in enumerate(order)}
-    w = [weights[v] for v in order]
-    radj = [0] * count
-    for v in range(count):
-        mask = adj[v]
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            radj[pos[v]] |= 1 << pos[u]
-    best_w, best_mask = 0, 0
-
-    def remaining(mask):
-        total = 0
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            total += w[v]
-        return total
-
-    def extend(cand, cur_w, cur_mask):
-        nonlocal best_w, best_mask
-        if cur_w > best_w:
-            best_w, best_mask = cur_w, cur_mask
-        while cand:
-            if cur_w + remaining(cand) <= best_w:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= ~(1 << v)
-            extend(cand & radj[v], cur_w + w[v], cur_mask | (1 << v))
-
-    extend((1 << count) - 1, 0, 0)
-    out = 0
-    for p in range(count):
-        if best_mask >> p & 1:
-            out |= 1 << order[p]
-    return best_w, out
-
-
 def _maximal_cliques(count, adj):
     """All maximal cliques as bitmasks (pivoting Bron-Kerbosch)."""
     out = []
@@ -224,14 +180,16 @@ def _maximal_cliques(count, adj):
     return out
 
 
-def _distortion_sweep(cells, dX, dY, best_clique) -> tuple:
+def _distortion_sweep(cells, dX, dY, kept) -> tuple:
     """Minimise max(1 - kept mass, distortion) over sets of the given cells.
 
     The sets of distortion <= t are the cliques of the compatibility graph
     at t, whose edges join two cells that the metrics dX and dY disagree
-    on by at most t.  best_clique(adj) gets that graph as neighbour
-    bitmasks over positions in cells and returns (kept mass, clique mask).
-    Returns (value, mask over positions in cells).
+    on by at most t.  kept(mask) is the mass kept on a set of positions in
+    cells, monotone under inclusion, so every clique lies in a maximal one
+    that keeps at least as much: each level scans the maximal cliques once
+    and keeps the first heaviest in sorted order.  Returns (value, mask
+    over positions in cells).
     """
     count = len(cells)
     gaps = [[abs(dX[a[0]][b[0]] - dY[a[1]][b[1]]) for b in cells] for a in cells]
@@ -243,7 +201,8 @@ def _distortion_sweep(cells, dX, dY, best_clique) -> tuple:
             for b in range(count):
                 if a != b and gaps[a][b] <= t:
                     adj[a] |= 1 << b
-        return best_clique(adj)
+        mask = max(sorted(_maximal_cliques(count, adj)), key=kept)
+        return kept(mask), mask
 
     return _v_crossing(levels, lambda t: t, best_at)
 
@@ -253,8 +212,8 @@ def dis_coupling(pi: Coupling, dX, dY, cell_budget: int = CELL_BUDGET) -> tuple:
 
     Minimises max(1 - pi(S), distortion(S)) over cell sets.  Cells outside
     the support can be dropped from S without raising either term, so the
-    clique search runs on the support only; its size is capped because the
-    branch and bound is exact, not polynomial.
+    clique scan runs on the support only; its size is capped because the
+    number of maximal cliques grows exponentially with it.
     """
     support = pi.support()
     if len(support) > cell_budget:
@@ -263,7 +222,7 @@ def dis_coupling(pi: Coupling, dX, dY, cell_budget: int = CELL_BUDGET) -> tuple:
         )
     weights = [pi.matrix[i][j] for i, j in support]
     value, mask = _distortion_sweep(
-        support, dX, dY, lambda adj: _max_weight_clique(weights, adj)
+        support, dX, dY, functools.partial(_mask_sum, weights)
     )
     cells = CellSet.from_pairs(
         pi.n, pi.m, [cell for p, cell in enumerate(support) if mask >> p & 1]
@@ -415,13 +374,8 @@ def box_mm_exact(
     def flow(mask):
         return unscaled(max_flow_on_cells(*weights, mask)[0], scale)
 
-    def best_flow(adj):
-        # max keeps the first heaviest clique in sorted order.
-        mask = max(sorted(_maximal_cliques(count, adj)), key=flow)
-        return flow(mask), mask
-
     cells = [(i, j) for i in range(n) for j in range(m)]
-    value, mask = _distortion_sweep(cells, MX.dist, MY.dist, best_flow)
+    value, mask = _distortion_sweep(cells, MX.dist, MY.dist, flow)
     witness = CellSet.from_mask(n, m, mask)
     got = max(1 - flow(mask), distortion(witness, MX.dist, MY.dist))
     if not close(got, value, mode):
