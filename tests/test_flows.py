@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gds import (
+    CellSet,
     box_exact,
     box_fixed_coupling,
     box_heuristic,
     box_mm_exact,
     dis_coupling,
+    distortion,
     gds_to_mm,
     prohorov,
 )
@@ -28,7 +30,7 @@ from gds import metrics
 from gds.coupling import product_coupling
 from gds.flows import max_flow_on_cells
 from gds.metrics import GapTable
-from gds.numerics import Q, scaled_ints, unscaled
+from gds.numerics import Q, close, scaled_ints, unscaled
 from gds.spaces import random_gds
 
 # Zero weights allowed, totals free: the kernel never assumes a
@@ -184,7 +186,7 @@ FROZEN_SWEEPS = {
         ),
         (
             (Q(479, 1134), ((0, 3), (1, 1), (3, 2))),
-            (Q(1, 2), ((0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (2, 2), (3, 1), (3, 3))),
+            (Q(1, 2), ((0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (2, 2), (3, 0), (3, 2))),
             (Q(1, 2), ((0, 3), (1, 1), (3, 1))),
             (Q(130, 189), ((0, 3), (1, 1), (2, 1), (2, 3), (3, 1))),
             [1, Q(3, 4), Q(3, 4), Q(1, 2)],
@@ -199,7 +201,7 @@ FROZEN_SWEEPS = {
             [1, 0.6190476190476191, 0.5, 0.5],
         ),
         (
-            (0.26984126984126977, ((0, 1), (1, 2), (2, 0))),
+            (0.2698412698412699, ((0, 1), (1, 2), (2, 0))),
             (0.625, ((0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 3), (2, 2))),
             (0.5, ((0, 1), (1, 2), (2, 0), (2, 3))),
             (0.6904761904761905, ((0, 1), (1, 2), (2, 0), (2, 3))),
@@ -207,7 +209,6 @@ FROZEN_SWEEPS = {
         ),
         (
             (0.42239858906525574, ((0, 3), (1, 1), (3, 2))),
-            # Float ties pick another set than exact mode does.
             (0.5, ((0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (2, 2), (3, 0), (3, 2))),
             (0.5, ((0, 3), (1, 1), (3, 1))),
             (0.6878306878306879, ((0, 3), (1, 1), (2, 1), (2, 3), (3, 1))),
@@ -215,6 +216,14 @@ FROZEN_SWEEPS = {
         ),
     ],
 }
+# dis_coupling witnesses pinned above in place of equally good ones,
+# as (mode, pair index, coupling position, value, cells): the earlier
+# clique search kept these on ties.
+TIED_WITNESSES = [
+    ("float", 1, 0, 0.26984126984126977, ((0, 1), (1, 2), (2, 0))),
+    ("exact", 2, 1, Q(1, 2),
+     ((0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (2, 2), (3, 1), (3, 3))),
+]
 
 
 class TestFrozenSweeps:
@@ -235,3 +244,14 @@ class TestFrozenSweeps:
         assert records == [dis_box, dis_product, fixed_box, fixed_product]
         assert heuristic == want_heuristic
         assert all(type(v) is float for v, _ in records) == (mode == "float")
+
+    @pytest.mark.parametrize("mode, index, position, value, cells", TIED_WITNESSES)
+    def test_tied_witness_attains_the_frozen_value(self, mode, index, position, value, cells):
+        n, m, k, sx, sy = SWEEP_PAIRS[index]
+        X = random_gds(n, k, seed=sx, mode=mode)
+        Y = random_gds(m, k, seed=sy, mode=mode)
+        pi = [box_exact(X, Y).coupling, product_coupling(X.measure, Y.measure)][position]
+        S = CellSet.from_pairs(n, m, cells)
+        got = max(1 - pi.mass(S), distortion(S, X.dist, Y.dist))
+        frozen = FROZEN_SWEEPS[mode][index][position][0]
+        assert close(got, frozen, mode) and close(value, frozen, mode)
