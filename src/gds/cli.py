@@ -101,7 +101,7 @@ def _option(value: str, flag: str, mode: str):
     """A numeric option as a scalar of `mode`; a malformed one is a SchemaError."""
     try:
         return to_scalar(value, mode)
-    except (GdsError, ValueError, ZeroDivisionError) as exc:
+    except GdsError as exc:
         raise SchemaError(f"{flag}: {exc}") from exc
 
 
@@ -231,7 +231,7 @@ def _cmd_pd(args) -> int:
     if args.feature is not None:
         try:
             row = X.features.by_label(args.feature)
-        except (GdsError, KeyError) as exc:
+        except GdsError as exc:
             raise SchemaError(f"no feature {args.feature!r}") from exc
         payload = {
             "command": "pd",
@@ -285,7 +285,7 @@ def _cmd_dconc(args) -> int:
             payload.update(_num(result.value, mode))
             _print_json(payload)
             return 0
-        except (BudgetExceeded, SizeLimit) as exc:
+        except BudgetExceeded as exc:
             if not args.heuristic:
                 raise
             payload["note"] = f"exact search declined: {exc}"
@@ -319,7 +319,7 @@ def _cmd_box(args) -> int:
             payload.update(_num(result.value, mode))
             _print_json(payload)
             return 0
-        except (BudgetExceeded, SizeLimit) as exc:
+        except BudgetExceeded as exc:
             if not args.heuristic:
                 raise
             payload["note"] = f"exact search declined: {exc}"
@@ -357,7 +357,7 @@ def _cmd_kyfan(args) -> int:
     try:
         f = X.features.by_label(args.first)
         g = X.features.by_label(args.second)
-    except (GdsError, KeyError) as exc:
+    except GdsError as exc:
         raise SchemaError(str(exc)) from exc
     payload = {"command": "kyfan", "first": args.first, "second": args.second}
     payload.update(_num(ky_fan(X.measure, f, g), mode))
@@ -650,7 +650,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceeded, SizeLimit) as exc:
+    except BudgetExceeded as exc:
         print(f"gds: budget: {exc}", file=sys.stderr)
         return 3
     except SchemaError as exc:

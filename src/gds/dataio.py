@@ -63,7 +63,7 @@ def _scalar(value, mode: str, where: str):
         raise _fail(f"{where} must be a number or numeric string")
     try:
         return to_scalar(value, mode)
-    except (GdsError, ValueError, ZeroDivisionError) as exc:
+    except GdsError as exc:
         raise _fail(f"{where}: {exc}") from exc
 
 

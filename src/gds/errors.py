@@ -37,8 +37,12 @@ class BudgetExceeded(GdsError):
     """An exact enumeration would exceed the configured search budget."""
 
 
-class SizeLimit(GdsError):
-    """An input is larger than the hard cap of an exact algorithm."""
+class SizeLimit(BudgetExceeded):
+    """An input is larger than the hard cap of an exact algorithm.
+
+    Like any declined budget, it is a BudgetExceeded, so one except clause
+    (and the CLI's exit 3) covers both.
+    """
 
 
 class WitnessNotLipschitz(GdsError):

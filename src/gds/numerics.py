@@ -85,6 +85,8 @@ def to_scalar(value, mode: str) -> Scalar:
                 x = float(value)
         except OverflowError:
             x = math.inf
+        except (ValueError, ZeroDivisionError):
+            raise GdsError(f"not a number: {str(value)[:40]!r}") from None
         if not math.isfinite(x):
             raise GdsError(f"non-finite number {value!r}")
         return x
@@ -95,11 +97,14 @@ def to_scalar(value, mode: str) -> Scalar:
     if isinstance(value, str):
         text = value.strip()
         exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
-            raise GdsError(
-                f"decimal exponent of {text[:40]!r} exceeds {MAX_EXPONENT}"
-            )
-        x = Q(text)
+        try:
+            if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+                raise GdsError(
+                    f"decimal exponent of {text[:40]!r} exceeds {MAX_EXPONENT}"
+                )
+            x = Q(text)
+        except (ValueError, ZeroDivisionError):
+            raise GdsError(f"not a number: {text[:40]!r}") from None
     else:
         x = Q(value)
     try:

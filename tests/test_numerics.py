@@ -30,8 +30,10 @@ class TestToScalar:
             to_scalar(0.25, EXACT)
 
     def test_exact_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            to_scalar("zebra", EXACT)
+        for mode in (EXACT, FLOAT):
+            for text in ["zebra", "1/0", "", "1e_"]:
+                with pytest.raises(GdsError):
+                    to_scalar(text, mode)
 
     def test_exact_range_is_what_float_rendering_shows(self):
         # The bounds do not depend on the interpreter's int/str digit limit.
