@@ -10,8 +10,9 @@ Scalar results are printed as JSON with a 12-significant-digit decimal,
 plus the exact rational string in exact mode.  Tables are CSV with a
 header row.  Exit codes: 2 for schema violations or otherwise unusable
 inputs, 3 when an exact search refuses its budget and no --heuristic
-fallback was offered, or when a --step grid would exceed GRID_BUDGET
-values, 1 when the verification suite fails.
+fallback was offered, when a --step grid would exceed GRID_BUDGET
+values or a gen levy family LEVY_POINTS points, 1 when the verification
+suite fails.
 
 Environment: GDS_MODE picks exact or float arithmetic (flag --mode wins);
 GDS_BUDGET_CELLS caps the exact box search grid (default 16).
@@ -54,6 +55,11 @@ __all__ = ["main"]
 
 # The most kappa values a uniform --step grid may hold.
 GRID_BUDGET = 10000
+# The most points (and members) a `gen levy` family may hold.  Member N
+# has N points (discrete) or |base|**N (product_power), and building the
+# discrete family up to N takes about N**4 rational operations: 40 points
+# build in a few seconds, 80 would take most of a minute.
+LEVY_POINTS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +137,18 @@ def _kappa_grid(text: str, mode: str, first: int) -> list:
         kappas.append(j * step)
         j += 1
     return kappas
+
+
+def _levy_budget(family: str, n: int, base: Optional[GeometricDataSet]) -> None:
+    """Decline, before any member is built, a family larger than LEVY_POINTS.
+
+    n counts too, so a one-point base cannot ask for endless members.
+    """
+    size = n
+    if family == "product_power" and base is not None and n <= LEVY_POINTS:
+        size = max(n, base.n ** n)
+    if size > LEVY_POINTS:
+        raise SizeLimit(f"--n {n} asks for more than {LEVY_POINTS} points or members")
 
 
 def _generated(spec: str, mode: str) -> GeometricDataSet:
@@ -397,6 +415,7 @@ def _cmd_gen(args) -> int:
         X = random_gds(args.n, args.k, seed=args.seed, scale=args.scale, mode=mode)
     else:  # levy
         base = _load(args.base, mode) if args.base else None
+        _levy_budget(args.family, args.n, base)
         if args.table:
             kappas = _kappa_grid(args.step, mode, 1)
             kappas, rows = levy_table(args.family, args.n, base, kappas)
@@ -575,11 +594,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser(
-        "gen",
-        parents=[mode_parent, out_parent],
-        help="emit a generated dataset as JSON",
-    )
+    p = sub.add_parser("gen", help="emit a generated dataset as JSON")
     gen_sub = p.add_subparsers(dest="kind", required=True)
     g = gen_sub.add_parser(
         "singleton", parents=[mode_parent, out_parent], help="one point, constant features"

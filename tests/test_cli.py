@@ -203,6 +203,11 @@ class TestGen:
         assert main(["gen", "random", "--n", "3", "--k", "2", "--seed", "5"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_random_float_mode(self, capsys):
+        assert main(["gen", "random", "--n", "3", "--k", "2", "--mode", "float"]) == 0
+        weights = json.loads(capsys.readouterr().out)["weights"]
+        assert not any("/" in w for w in weights)
+
     def test_levy_member(self, capsys):
         assert main(["gen", "levy", "--family", "discrete", "--n", "4"]) == 0
         X = parse_gds(capsys.readouterr().out)
@@ -355,9 +360,13 @@ def _switch(name):
 _modes = _flag("--mode", st.sampled_from(["exact", "float"]))
 # Feature labels as documents() names them, plus ones no document has.
 labels = st.sampled_from(["f0", "f1", "f2", "zz", ""])
-# Sizes for generators stay small: a levy product_power member has
-# (base points)**n points.
 small_ints = st.one_of(st.integers(-2, 4).map(str), st.text(max_size=2))
+# Levy sizes up to a few past the points cap for every base the documents
+# give (1 to 4 points), and far past it.
+levy_ints = st.one_of(
+    st.one_of(st.integers(-2, 8), st.sampled_from([41, 100000])).map(str),
+    st.text(max_size=2),
+)
 # "@a" stands for the first document's path.
 GEN_OPTIONS = st.one_of(
     st.tuples(st.just(["singleton"]), _flag("--values", option_values)),
@@ -369,7 +378,7 @@ GEN_OPTIONS = st.one_of(
     st.tuples(
         st.just(["levy"]),
         _flag("--family", st.sampled_from(["discrete", "product_power", "x"])),
-        _flag("--n", small_ints), _flag("--base", st.just("@a")),
+        _flag("--n", levy_ints), _flag("--base", st.just("@a")),
         _switch("--table"), _flag("--step", st.sampled_from(["1/4", "1/2", "0", "x"])),
     ),
 )
@@ -396,7 +405,7 @@ COMMAND_OPTIONS = {
         st.sampled_from([["domination"], ["isomorphism"], ["x"]]),
         _modes, _flag("--budget", int_values),
     ),
-    "gen": st.tuples(_modes, GEN_OPTIONS.map(lambda parts: [w for p in parts for w in p])),
+    "gen": st.tuples(GEN_OPTIONS.map(lambda parts: [w for p in parts for w in p]), _modes),
 }
 # Commands that read one dataset, and those that read none.
 ONE_INPUT = {"od", "pd", "kyfan", "quotient"}
@@ -492,6 +501,13 @@ class TestArbitraryInputs:
             (["gen", "singleton", "--values", "abc"], 2),
             (["gen", "singleton", "--values", "1/0"], 2),
             (["dconc", "--other", "singleton:1/0"], 2),
+            (["gen", "--mode", "float", "random", "--n", "2", "--k", "1"], 2),
+            (["gen", "-o", "@tmp/F.json", "discrete", "--n", "2"], 2),
+            (["gen", "levy", "--n", "100000"], 3),
+            (["gen", "levy", "--family", "product_power", "--base", "@tmp/a.json",
+              "--n", "4"], 3),
+            (["gen", "levy", "--family", "product_power", "--base", "@tmp/a.json",
+              "--n", "3"], 0),
         ],
     )
     def test_found_by_the_property(self, tmp_path, argv, code):
@@ -500,9 +516,11 @@ class TestArbitraryInputs:
         # with a scale below 1 died in randrange, gen levy with n below 1
         # died on an empty family, or printed a table with no rows; a
         # singleton constant that is no number (or divides by zero) died
-        # in Fraction.
+        # in Fraction; --mode and -o before the gen kind were overwritten
+        # by the kind's defaults; gen levy built members of any size.
         a = write_dataset(tmp_path, "a.json", random_gds(3, 2, seed=1))
         b = write_dataset(tmp_path, "b.json", random_gds(3, 2, seed=2))
+        argv = [word.replace("@tmp", str(tmp_path)) for word in argv]
         if argv[0] == "gen":
             inputs = []
         elif argv[0] == "od" or "--other" in argv:
@@ -513,8 +531,11 @@ class TestArbitraryInputs:
         assert got == code, err
         assert "Traceback" not in err
         if code == 3:
-            assert err.startswith("gds: budget: --step")
-        if code == 2:
+            assert err.startswith("gds: budget: " + ("--n" if argv[0] == "gen" else "--step"))
+        if code == 2 and argv[:2] in (["gen", "--mode"], ["gen", "-o"]):
+            # gen itself takes no options: only its kinds do.
+            assert err.startswith("usage: gds gen"), err
+        elif code == 2:
             # Refused by the program, not by argparse's usage check.
             assert err.startswith("gds: "), err
 
