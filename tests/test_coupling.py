@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -253,7 +255,7 @@ def rational_weights(rnd, n):
     st.randoms(use_true_random=False),
     st.integers(1, 4),
     st.integers(1, 4),
-    st.integers(2, 4),
+    st.integers(0, 4),
 )
 def test_common_cap_lp_against_float_mode_and_flow_oracle(rnd, n, m, k):
     ws_mu, ws_nu = rational_weights(rnd, n), rational_weights(rnd, m)
@@ -270,7 +272,7 @@ def test_common_cap_lp_against_float_mode_and_flow_oracle(rnd, n, m, k):
     assert ok
     pi.check_marginals(mu, nu)
     masses = [pi.mass(cells) for cells in sets]
-    assert max(masses) == t
+    assert max(masses, default=0) == t
     for cells in sets:
         floor, _ = max_mass_on_set(mu, nu, cells.complement())
         assert t >= 1 - floor
@@ -280,3 +282,69 @@ def test_common_cap_lp_against_float_mode_and_flow_oracle(rnd, n, m, k):
     fok, _, ft = feasibility_lp(SetMassProgram(fmu, fnu, sets))
     assert fok
     assert abs(ft - float(t)) <= 1e-9
+
+
+# Frozen optimal caps of seeded programs, as (seed, n, m, random sets,
+# extra sets, t).  Extra sets follow the random ones: "e" is the empty
+# set, "f" the full grid and "d" a duplicate of the first set.  The
+# witness may be any optimal vertex; t is unique.
+FROZEN_CAPS = [
+    (1, 1, 1, 0, "", "0"),
+    (2, 1, 3, 1, "", "0"),
+    (3, 3, 1, 2, "", "14/23"),
+    (4, 1, 4, 2, "e", "7/11"),
+    (5, 4, 1, 3, "f", "1"),
+    (6, 2, 2, 0, "", "0"),
+    (7, 2, 3, 1, "", "8/19"),
+    (8, 3, 2, 1, "e", "23/119"),
+    (9, 3, 3, 0, "f", "1"),
+    (10, 3, 3, 0, "e", "0"),
+    (11, 2, 4, 2, "d", "17/35"),
+    (12, 4, 2, 3, "", "13/33"),
+    (13, 3, 4, 4, "", "25/58"),
+    (14, 4, 3, 5, "", "487/672"),
+    (15, 4, 4, 3, "ef", "1"),
+    (16, 4, 4, 4, "d", "11/20"),
+    (17, 3, 3, 2, "df", "1"),
+    (18, 2, 2, 2, "ed", "1"),
+    (19, 4, 4, 5, "", "214/299"),
+    (20, 3, 4, 3, "e", "3/5"),
+    (21, 4, 3, 2, "fd", "1"),
+    (22, 1, 1, 2, "ef", "1"),
+    (23, 1, 2, 3, "d", "1"),
+    (24, 2, 1, 4, "", "1"),
+    (25, 4, 4, 2, "", "76/1275"),
+    (26, 3, 3, 4, "d", "3/13"),
+    (27, 2, 3, 0, "ee", "0"),
+    (28, 4, 2, 1, "ff", "1"),
+    (29, 3, 4, 5, "", "263/459"),
+    (30, 4, 4, 1, "d", "9/25"),
+]
+
+
+@pytest.mark.parametrize("seed,n,m,k,extras,want", FROZEN_CAPS)
+def test_frozen_common_caps(seed, n, m, k, extras, want):
+    rnd = random.Random(seed)
+    ws_mu, ws_nu = rational_weights(rnd, n), rational_weights(rnd, m)
+    sets = [
+        CellSet.from_pairs(
+            n, m,
+            [(i, j) for i in range(n) for j in range(m) if rnd.random() < 0.5],
+        )
+        for _ in range(k)
+    ]
+    for e in extras:
+        sets.append(
+            CellSet.empty(n, m) if e == "e" else CellSet.full(n, m) if e == "f" else sets[0]
+        )
+    sets = tuple(sets)
+    mu = DiscreteMeasure.from_weights(ws_mu)
+    nu = DiscreteMeasure.from_weights(ws_nu)
+    *_, pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
+    assert t == Q(want)
+    assert max((pi.mass(cells) for cells in sets), default=0) == t
+
+    fmu = DiscreteMeasure.from_weights([float(w) for w in ws_mu], mode="float")
+    fnu = DiscreteMeasure.from_weights([float(w) for w in ws_nu], mode="float")
+    *_, ft = feasibility_lp(SetMassProgram(fmu, fnu, sets))
+    assert abs(ft - float(Q(want))) <= 1e-9
