@@ -5,10 +5,11 @@ Three search routes live here and deliberately stay independent of each
 other so they can cross-validate:
 
   * max_mass_on_set: bipartite max-flow, specialised and fast;
-  * feasibility_lp: a dense two-phase simplex with Bland's rule, capping
-    the mass on several cell sets at once; exact mode pivots a
-    fraction-free integer tableau (Bareiss updates), so it takes the same
-    pivots as a rational tableau without the rational arithmetic;
+  * feasibility_lp: a dense simplex with Bland's rule, started from the
+    northwest-corner coupling, capping the mass on several cell sets at
+    once; exact mode pivots a fraction-free integer tableau (Bareiss
+    updates), so it takes the same pivots as a rational tableau without
+    the rational arithmetic;
   * enumerate_couplings: explicit vertex enumeration of the transportation
     polytope on tiny grids, plus a deterministic mixture lattice.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import DiscreteMeasure
 from .errors import (
@@ -173,65 +174,58 @@ def max_mass_on_set(
 # ---------------------------------------------------------------------------
 
 
-def _simplex(rows, rhs, costs, mode):
-    """Two-phase dense simplex with Bland's rule, minimising costs . x.
+def _simplex(rows, rhs, costs, start, mode):
+    """Dense simplex with Bland's rule, minimising costs . x.
 
     rows/rhs describe equality constraints Ax = b with x >= 0; the entries
-    of A and of costs are integers, b may be rational.  Returns an optimal
-    solution list, or None when phase 1 shows Ax = b infeasible.
+    of A and of costs are integers, b may be rational.  start lists one
+    column per row and must be a feasible basis: B nonsingular and
+    B^-1 b >= 0.  The tableau is pivoted into that basis and Bland's rule
+    runs from there.  Returns an optimal solution list.
 
     Exact mode runs on a fraction-free integer tableau (Edmonds 1967;
     Bareiss, "Sylvester's identity and multistep integer-preserving
     Gaussian elimination", Math. Comp. 1968).  The right-hand sides are
-    scaled once by the lcm D of their denominators, and the tableau holds
-    T = d * B^-1 [A | I | D b] for the current basis B, with d = |det B|.
-    A pivot on p = T[r][c] keeps the pivot row, negated first when p < 0,
-    and replaces every other row by (row * p - f * prow) // d, where f is
-    the row's entry in column c; then d = |p|.  The division is exact
-    because every entry is d times an entry of B^-1 A, that is, a minor.
-    The reduced costs are one more row, d * (c - c_B B^-1 A), built once
-    per phase and pivoted like the others.  Since d > 0, every sign the
-    method reads is the sign of the rational tableau, and the ratio test
-    compares b_r / a_r by cross-multiplication, where d cancels.  So Bland
-    picks the same entering and leaving columns as on a rational tableau,
-    and the final basis, solution and witness are the same numbers.  Only
-    basic columns are converted back, as T[r][-1] / (d * D).
+    scaled once by the lcm D of their denominators, so the tableau starts
+    as [A | D b] with d = 1.  A pivot on p = T[r][c] keeps the pivot row,
+    negated first when p < 0, and replaces every other row by
+    (row * p - f * prow) // d, where f is the row's entry in column c;
+    then d = |p|.  After any sequence of pivots T = d * B^-1 [A | D b],
+    where B holds the pivoted columns and a unit column for every row not
+    yet pivoted, and d = |det B|; the division is exact because every
+    entry is a minor of [A | D b].  The reduced costs are one more row,
+    d * (c - c_B B^-1 A), built once the starting basis is in and pivoted
+    like the others.  Since d > 0, every sign the method reads is the sign
+    of the rational tableau, and the ratio test compares b_r / a_r by
+    cross-multiplication, where d cancels.  So Bland picks the same
+    entering and leaving columns as on a rational tableau, and the final
+    basis, solution and witness are the same numbers.  Only basic columns
+    are converted back, as T[r][-1] / (d * D).
 
-    Float mode runs the same phases, pricing, ratio test and drive-out.
-    Its pivot divides the pivot row by p, so d stays 1, and comparisons
-    use a small pivot tolerance.
+    Float mode runs the same start, pricing and ratio test.  Its pivot
+    divides the pivot row by p, so d stays 1, and comparisons use a small
+    pivot tolerance.
     """
     exact = mode == EXACT
     eps = 0 if exact else 1e-12
     n_rows = len(rows)
     n_cols = len(costs)
-    total_cols = n_cols + n_rows
     scale = 1
     if exact:
         for b in rhs:
             scale = lcm(scale, b.denominator)
-        rhs = [b.numerator * (scale // b.denominator) for b in rhs]
+        tab = [
+            list(row) + [b.numerator * (scale // b.denominator)]
+            for row, b in zip(rows, rhs)
+        ]
     else:
-        rows = [[float(v) for v in row] for row in rows]
-        rhs = [float(b) for b in rhs]
+        tab = [[float(v) for v in row] + [float(b)] for row, b in zip(rows, rhs)]
         costs = [float(c) for c in costs]
-    one = 1 if exact else 1.0
-    tab = []
-    for r in range(n_rows):
-        row = list(rows[r])
-        b = rhs[r]
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        # One artificial per row, identity block appended after real columns.
-        art = [0 * one] * n_rows
-        art[r] = one
-        tab.append(row + art + [b])
-    basis = [n_cols + r for r in range(n_rows)]
+    basis = [-1] * n_rows
     d = 1
 
     def pivot(pr, pc):
-        # The reduced-cost row, when a phase carries one, is tab[-1].
+        # The reduced-cost row, once built, is tab[-1].
         nonlocal d
         prow = tab[pr]
         p = prow[pc]
@@ -259,75 +253,41 @@ def _simplex(rows, rhs, costs, mode):
         basis[pr] = pc
         d = p
 
-    def run_phase(cost_vec, blocked):
-        live = len(basis)
-        red = [c * d for c in cost_vec] + [0]
-        for r in range(live):
-            cb = cost_vec[basis[r]]
-            if cb != 0:
-                for k, v in enumerate(tab[r]):
-                    if v:
-                        red[k] -= cb * v
-        tab.append(red)
-        while True:
-            red = tab[-1]
-            enter = -1
-            for k in range(total_cols):
-                if k in blocked:
+    # B is nonsingular, so each starting column has a nonzero entry in
+    # some row that no earlier column has taken.
+    for c in start:
+        pivot(next(r for r in range(n_rows) if basis[r] < 0 and abs(tab[r][c]) > eps), c)
+
+    red = [c * d for c in costs] + [0]
+    for r, c in enumerate(basis):
+        if costs[c]:
+            for k, v in enumerate(tab[r]):
+                if v:
+                    red[k] -= costs[c] * v
+    tab.append(red)
+    while True:
+        enter = next((k for k in range(n_cols) if red[k] < -eps), -1)
+        if enter < 0:
+            break
+        leave = -1
+        for r in range(n_rows):
+            a = tab[r][enter]
+            if a > eps:
+                if leave < 0:
+                    leave = r
                     continue
-                if red[k] < -eps:
-                    enter = k
-                    break
-            if enter < 0:
-                tab.pop()
-                return
-            leave = -1
-            for r in range(live):
-                a = tab[r][enter]
-                if a > eps:
-                    if leave < 0:
-                        leave = r
-                        continue
-                    br_al = tab[r][-1] * tab[leave][enter]
-                    bl_ar = tab[leave][-1] * a
-                    if br_al < bl_ar or (br_al == bl_ar and basis[r] < basis[leave]):
-                        leave = r
-            if leave < 0:
-                raise GdsError("unbounded linear program")
-            pivot(leave, enter)
-
-    phase1_cost = [0] * n_cols + [1] * n_rows
-    run_phase(phase1_cost, blocked=set())
-    infeas = sum(phase1_cost[basis[r]] * tab[r][-1] for r in range(len(tab)))
-    if infeas > tolerance(mode):
-        return None
-
-    # Drive leftover artificials out of the basis or drop redundant rows.
-    r = 0
-    while r < len(tab):
-        if basis[r] >= n_cols:
-            pivot_col = -1
-            for k in range(n_cols):
-                if abs(tab[r][k]) > eps:
-                    pivot_col = k
-                    break
-            if pivot_col >= 0:
-                pivot(r, pivot_col)
-                r += 1
-            else:
-                del tab[r]
-                del basis[r]
-        else:
-            r += 1
-
-    blocked = set(range(n_cols, total_cols))
-    full_costs = list(costs) + [0] * n_rows
-    run_phase(full_costs, blocked)
+                br_al = tab[r][-1] * tab[leave][enter]
+                bl_ar = tab[leave][-1] * a
+                if br_al < bl_ar or (br_al == bl_ar and basis[r] < basis[leave]):
+                    leave = r
+        if leave < 0:
+            raise GdsError("unbounded linear program")
+        pivot(leave, enter)
+        red = tab[-1]
     solution = [0] * n_cols
-    for r in range(len(tab)):
-        if basis[r] < n_cols:
-            b = tab[r][-1]
-            solution[basis[r]] = Q(b, d * scale) if exact else b
+    for r, c in enumerate(basis):
+        b = tab[r][-1]
+        solution[c] = Q(b, d * scale) if exact else b
     return solution
 
 
@@ -350,15 +310,14 @@ class SetMassProgram:
                 raise GdsError("constraint cell set disagrees with the marginals")
 
 
-def feasibility_lp(
-    prog: SetMassProgram,
-) -> tuple[bool, Optional[Coupling], Optional[Scalar]]:
+def feasibility_lp(prog: SetMassProgram) -> tuple[Coupling, Scalar]:
     """Solve a SetMassProgram by the exact simplex.
 
     Minimises t over couplings pi subject to pi(B_k) + s_k = t with slack
-    s_k >= 0 for every set B_k.  Returns (feasible, witness coupling, t);
-    feasible is False, with no witness, only when phase 1 finds no
-    coupling at all.
+    s_k >= 0 for every set B_k.  Returns (witness coupling, t).  Once the
+    two totals agree the program is always feasible: the simplex starts
+    from the northwest-corner coupling, with t at the mass it puts on the
+    first heaviest set and every other set's slack basic.
     """
     mu, nu = prog.mu, prog.nu
     mode = same_mode(mu.mode, nu.mode)
@@ -376,7 +335,8 @@ def feasibility_lp(
             row[i * m + j] = 1
         rows.append(row)
         rhs.append(mu.weights[i])
-    for j in range(m):
+    # The last column sum follows from the others and the equal totals.
+    for j in range(m - 1):
         row = [0] * n_cols
         for i in range(n):
             row[i * m + j] = 1
@@ -391,11 +351,16 @@ def feasibility_lp(
         rows.append(row)
         rhs.append(0)
 
+    corner, staircase = _northwest_corner(mu.weights, nu.weights, range(n), range(m))
+    start = [i * m + j for (i, j) in staircase]
+    if prog.sets:
+        masses = [sum(corner[i][j] for (i, j) in cells) for cells in prog.sets]
+        heaviest = masses.index(max(masses))
+        start.append(t_col)
+        start += [t_col + 1 + k for k in range(len(prog.sets)) if k != heaviest]
     costs = [0] * n_cols
     costs[t_col] = 1
-    solution = _simplex(rows, rhs, costs, mode)
-    if solution is None:
-        return False, None, None
+    solution = _simplex(rows, rhs, costs, start, mode)
     matrix = tuple(
         tuple(solution[i * m + j] for j in range(m)) for i in range(n)
     )
@@ -408,7 +373,7 @@ def feasibility_lp(
         all(leq(x, t, mode) for x in masses) and any(close(x, t, mode) for x in masses)
     ):
         raise AssertionError("LP witness does not attain its common cap")
-    return True, witness, t
+    return witness, t
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +516,20 @@ def transportation_vertices(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple:
     return tuple(seen[k] for k in sorted(seen))
 
 
-def _northwest_corner(mu, nu, row_order, col_order, mode):
+def _northwest_corner(mu, nu, row_order, col_order):
+    """Northwest-corner plan along the given orders, and the cells it visits.
+
+    Each step fills one cell and moves past its row when that row is
+    spent, else past its column, so the n + m - 1 visited cells, zero ones
+    included, form a spanning tree of the transport graph: a basis of the
+    transportation problem.
+    """
     n, m = len(mu), len(nu)
     zero = mu[0] - mu[0]
     remaining_mu = list(mu)
     remaining_nu = list(nu)
     matrix = [[zero] * m for _ in range(n)]
+    visited = []
     ri = ci = 0
     while ri < n and ci < m:
         i, j = row_order[ri], col_order[ci]
@@ -564,11 +537,12 @@ def _northwest_corner(mu, nu, row_order, col_order, mode):
         matrix[i][j] += amount
         remaining_mu[i] -= amount
         remaining_nu[j] -= amount
+        visited.append((i, j))
         if remaining_mu[i] == 0:
             ri += 1
-        if remaining_nu[j] == 0:
+        else:
             ci += 1
-    return Coupling(tuple(tuple(r) for r in matrix), mode)
+    return matrix, visited
 
 
 def enumerate_couplings(
@@ -601,9 +575,8 @@ def enumerate_couplings(
         (reversed(range(n)), reversed(range(m))),
     ]
     for ro, co in orders:
-        anchors.append(
-            _northwest_corner(mu.weights, nu.weights, list(ro), list(co), mode)
-        )
+        corner, _ = _northwest_corner(mu.weights, nu.weights, list(ro), list(co))
+        anchors.append(Coupling(tuple(map(tuple, corner)), mode))
     out = {}
     for a in range(len(anchors)):
         for b in range(len(anchors)):

@@ -155,7 +155,7 @@ class _DconcSearch:
                 hit = (1 - value, pi)
             else:
                 cells = tuple(CellSet.from_mask(n, m, s) for s in live)
-                _, pi, t = feasibility_lp(SetMassProgram(mu, nu, cells))
+                pi, t = feasibility_lp(SetMassProgram(mu, nu, cells))
                 hit = (t, pi)
             self._lp_cache[sets] = hit
         return hit

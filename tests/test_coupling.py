@@ -176,8 +176,7 @@ class TestSetMassProgram:
         mu = DiscreteMeasure.uniform(2)
         diag = CellSet.from_pairs(2, 2, [(0, 0), (1, 1)])
         anti = CellSet.from_pairs(2, 2, [(0, 1), (1, 0)])
-        ok, pi, t = feasibility_lp(SetMassProgram(mu, mu, (diag, anti)))
-        assert ok
+        pi, t = feasibility_lp(SetMassProgram(mu, mu, (diag, anti)))
         assert t == Q(1, 2)
         assert pi.mass(diag) <= t
         assert pi.mass(anti) <= t
@@ -193,8 +192,7 @@ class TestSetMassProgram:
             CellSet.from_pairs(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1)]),
             CellSet.from_pairs(3, 3, [(1, 1), (1, 2), (2, 1), (2, 2)]),
         )
-        ok, pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
-        assert ok
+        pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
         assert t == Q(7, 12)
         assert pi.matrix == (
             (0, Q(1, 6), 0),
@@ -211,8 +209,7 @@ class TestSetMassProgram:
             CellSet.from_pairs(4, 4, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]),
             CellSet.from_pairs(4, 4, [(2, 0), (3, 1), (2, 3), (1, 3), (3, 3)]),
         )
-        ok, pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
-        assert ok
+        pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
         assert t == Q(11, 60)
         assert pi.matrix == (
             (0, 0, 0, Q(1, 10)),
@@ -228,9 +225,8 @@ class TestSetMassProgram:
         anti = CellSet.from_pairs(2, 2, [(0, 1), (1, 0)])
         once = feasibility_lp(SetMassProgram(mu, nu, (diag, anti)))
         twice = feasibility_lp(SetMassProgram(mu, nu, (diag, anti, diag, anti)))
-        assert once[0] and twice[0]
-        assert once[2] == twice[2] == Q(1, 2)
-        twice[1].check_marginals(mu, nu)
+        assert once[1] == twice[1] == Q(1, 2)
+        twice[0].check_marginals(mu, nu)
 
     def test_set_holding_every_cell_forces_one(self):
         mu = DiscreteMeasure.from_weights([Q(1, 3), Q(2, 3)])
@@ -239,8 +235,7 @@ class TestSetMassProgram:
             CellSet.full(2, 3),
             CellSet.from_pairs(2, 3, [(0, 0), (1, 1)]),
         )
-        ok, pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
-        assert ok
+        pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
         assert t == 1
         pi.check_marginals(mu, nu)
 
@@ -268,8 +263,7 @@ def test_common_cap_lp_against_float_mode_and_flow_oracle(rnd, n, m, k):
     )
     mu = DiscreteMeasure.from_weights(ws_mu)
     nu = DiscreteMeasure.from_weights(ws_nu)
-    ok, pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
-    assert ok
+    pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
     pi.check_marginals(mu, nu)
     masses = [pi.mass(cells) for cells in sets]
     assert max(masses, default=0) == t
@@ -279,8 +273,7 @@ def test_common_cap_lp_against_float_mode_and_flow_oracle(rnd, n, m, k):
 
     fmu = DiscreteMeasure.from_weights([float(w) for w in ws_mu], mode="float")
     fnu = DiscreteMeasure.from_weights([float(w) for w in ws_nu], mode="float")
-    fok, _, ft = feasibility_lp(SetMassProgram(fmu, fnu, sets))
-    assert fok
+    _, ft = feasibility_lp(SetMassProgram(fmu, fnu, sets))
     assert abs(ft - float(t)) <= 1e-9
 
 
@@ -340,11 +333,11 @@ def test_frozen_common_caps(seed, n, m, k, extras, want):
     sets = tuple(sets)
     mu = DiscreteMeasure.from_weights(ws_mu)
     nu = DiscreteMeasure.from_weights(ws_nu)
-    *_, pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
+    pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
     assert t == Q(want)
     assert max((pi.mass(cells) for cells in sets), default=0) == t
 
     fmu = DiscreteMeasure.from_weights([float(w) for w in ws_mu], mode="float")
     fnu = DiscreteMeasure.from_weights([float(w) for w in ws_nu], mode="float")
-    *_, ft = feasibility_lp(SetMassProgram(fmu, fnu, sets))
+    _, ft = feasibility_lp(SetMassProgram(fmu, fnu, sets))
     assert abs(ft - float(Q(want))) <= 1e-9
