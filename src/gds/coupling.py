@@ -439,8 +439,7 @@ def coupling_prohorov(
                     dy = dist_y[j][j2]
                     row.append(dx if dx >= dy else dy)
             dist.append(row)
-    method = "brute" if n * m <= 9 else "flow"
-    return prohorov_weights(flat_pi, flat_rho, dist, method)
+    return prohorov_weights(flat_pi, flat_rho, dist)
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,7 @@ def prohorov_weights(
     if len(nu_weights) != n or len(dist) != n:
         raise GdsError("prohorov needs two weight vectors on one metric space")
     if method == "auto":
-        method = "brute" if n <= 8 else "flow"
+        method = "flow"
     thresholds = sorted({dist[x][y] for x in range(n) for y in range(n)} | {0})
     # Both routes sum and compare weights only, so they run on ints; a
     # requirement is converted back before it meets the (unscaled)
@@ -358,9 +358,9 @@ def prohorov(
     so the infimum is found exactly; it can sit at an interval's open left
     end, in which case it is a genuine unattained infimum.
 
-    method: "brute" enumerates all subsets, "flow" evaluates the same
-    requirement through max-flow duality, "auto" picks by size.  Both
-    paths return identical values.
+    method: "flow" (or "auto") evaluates the requirement through max-flow
+    duality, the fastest route at every size; "brute" enumerates all
+    subsets and stays as the oracle.  Both return identical values.
     """
     same_mode(mu.mode, nu.mode)
     if nu.n != mu.n:
