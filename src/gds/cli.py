@@ -56,9 +56,10 @@ __all__ = ["main"]
 # The most kappa values a uniform --step grid may hold.
 GRID_BUDGET = 10000
 # The most points (and members) a `gen levy` family may hold.  Member N
-# has N points (discrete) or |base|**N (product_power), and building the
-# discrete family up to N takes about N**4 rational operations: 40 points
-# build in a few seconds, 80 would take most of a minute.
+# has N points (discrete) or |base|**N (product_power).  The discrete
+# member N alone takes about N**3 rational operations, and the --table
+# family up to N about N**4 plus an od scan of every member: 40 points
+# build in a fraction of a second, the table in a few seconds.
 LEVY_POINTS = 40
 
 
@@ -418,7 +419,7 @@ def _cmd_gen(args) -> int:
         _levy_budget(args.family, args.n, base)
         if args.table:
             kappas = _kappa_grid(args.step, mode, 1)
-            kappas, rows = levy_table(args.family, args.n, base, kappas)
+            kappas, rows = levy_table(args.family, args.n, base, kappas, mode)
             header = ["member"] + [format_scalar(k, mode) for k in kappas]
             body = [
                 [label] + [format_scalar(v, mode) for v in values]
@@ -426,10 +427,11 @@ def _cmd_gen(args) -> int:
             ]
             _write(csv_text(header, body), args.output)
             return 0
-        member = None
-        for member in levy_sequence(args.family, args.n, base):
-            pass
-        X = member
+        if args.family == "discrete":
+            # Discrete members do not build on each other: make member n alone.
+            X = n_point_discrete(args.n, mode)
+        else:
+            *_, X = levy_sequence(args.family, args.n, base)
     _write(emit_gds(X), args.output)
     return 0
 
@@ -565,7 +567,12 @@ def _parser() -> argparse.ArgumentParser:
         parents=[mode_parent, pair_parent],
         help="Prohorov distance of two measures on one induced metric",
     )
-    p.add_argument("--method", choices=["auto", "brute", "flow"], default="auto")
+    p.add_argument(
+        "--method",
+        choices=["auto", "brute", "flow"],
+        default="auto",
+        help="flow (auto: the same) by max-flow duality, or brute over every subset",
+    )
     p.set_defaults(func=_cmd_prohorov)
 
     p = sub.add_parser(

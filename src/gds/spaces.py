@@ -161,19 +161,23 @@ def quotient_gds(X: GeometricDataSet, G) -> tuple:
 
 
 def levy_sequence(
-    kind: str, n_max: int, base: Optional[GeometricDataSet] = None
+    kind: str,
+    n_max: int,
+    base: Optional[GeometricDataSet] = None,
+    mode: str = EXACT,
 ):
     """Deterministic families whose observable diameter is meant to vanish.
 
-    kind "discrete" yields the N-point discrete spaces for N = 1..n_max;
-    kind "product_power" yields base, base^2, ..., base^n_max.  A family
-    needs at least one member, so n_max < 1 raises GdsError.
+    kind "discrete" yields the N-point discrete spaces for N = 1..n_max,
+    in `mode`; kind "product_power" yields base, base^2, ..., base^n_max,
+    in the base's mode.  A family needs at least one member, so n_max < 1
+    raises GdsError.
     """
     if n_max < 1:
         raise GdsError(f"a family needs at least one member, not n = {n_max}")
     if kind == "discrete":
         for N in range(1, n_max + 1):
-            yield n_point_discrete(N)
+            yield n_point_discrete(N, mode)
     elif kind == "product_power":
         if base is None:
             raise GdsError("product_power needs a base space")
@@ -190,15 +194,16 @@ def levy_table(
     n_max: int,
     base: Optional[GeometricDataSet] = None,
     kappas: Optional[Sequence] = None,
+    mode: str = EXACT,
 ) -> tuple:
     """Observable diameters of a family over a kappa grid.
 
     Returns (kappas, rows) with one (label, values) row per member.
     """
     if kappas is None:
-        kappas = [Q(j, 20) for j in range(1, 20)]
+        kappas = scalar_list((Q(j, 20) for j in range(1, 20)), mode)
     rows = []
-    for idx, X in enumerate(levy_sequence(kind, n_max, base)):
+    for idx, X in enumerate(levy_sequence(kind, n_max, base, mode)):
         rows.append(
             (f"{kind}[{idx + 1}]", [observable_diameter(X, k) for k in kappas])
         )

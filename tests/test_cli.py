@@ -213,6 +213,24 @@ class TestGen:
         X = parse_gds(capsys.readouterr().out)
         assert X.n == 4
 
+    def test_levy_float_mode(self, capsys):
+        assert main(["gen", "levy", "--n", "3", "--mode", "float"]) == 0
+        weights = json.loads(capsys.readouterr().out)["weights"]
+        assert not any("/" in w for w in weights)
+
+    def test_levy_builds_only_the_emitted_member(self, capsys, monkeypatch):
+        built = []
+
+        def counted(N, mode="exact"):
+            built.append(N)
+            return n_point_discrete(N, mode)
+
+        monkeypatch.setattr(gds.cli, "n_point_discrete", counted)
+        monkeypatch.setattr(gds.spaces, "n_point_discrete", counted)
+        assert main(["gen", "levy", "--n", "5"]) == 0
+        assert parse_gds(capsys.readouterr().out).n == 5
+        assert built == [5]
+
     def test_levy_table(self, capsys):
         assert main(["gen", "levy", "--family", "discrete", "--n", "3", "--table"]) == 0
         out = capsys.readouterr().out
