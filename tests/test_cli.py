@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -559,18 +560,34 @@ class TestArbitraryInputs:
 
 
 class TestShellPipeline:
-    def test_piped_generation(self):
-        # Run the module from this checkout; no installed `gds` script needed.
-        gds_cmd = f"{shlex.quote(sys.executable)} -m gds"
+    # Run the module from this checkout; no installed `gds` script needed.
+    gds_cmd = f"{shlex.quote(sys.executable)} -m gds"
+
+    def run(self, line, cwd=None):
         src = os.path.dirname(os.path.dirname(os.path.abspath(gds.__file__)))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            f"{gds_cmd} gen discrete --n 3"
-            f" | {gds_cmd} dconc --other singleton:1 --exact",
+        return subprocess.run(
+            re.sub(r"(^|\| )gds ", rf"\1{self.gds_cmd} ", line),
             shell=True,
             capture_output=True,
             text=True,
+            cwd=cwd,
             env=dict(os.environ, PYTHONPATH=path),
         )
+
+    def test_piped_generation(self):
+        proc = self.run("gds gen discrete --n 3 | gds dconc --other singleton:1 --exact")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["exact"] == "1/3"
+
+    def test_readme_quick_start(self, tmp_path):
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        section = text.split("## Quick start, command line", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        assert lines
+        for line in lines:
+            proc = self.run(line, cwd=tmp_path)
+            assert proc.returncode == 0, (line, proc.stderr)
