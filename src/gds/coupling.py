@@ -266,6 +266,7 @@ def _simplex(rows, rhs, costs, start, mode):
                     red[k] -= costs[c] * v
     tab.append(red)
     while True:
+        red = tab[-1]
         enter = next((k for k in range(n_cols) if red[k] < -eps), -1)
         if enter < 0:
             break
@@ -283,7 +284,6 @@ def _simplex(rows, rhs, costs, start, mode):
         if leave < 0:
             raise GdsError("unbounded linear program")
         pivot(leave, enter)
-        red = tab[-1]
     solution = [0] * n_cols
     for r, c in enumerate(basis):
         b = tab[r][-1]
@@ -351,10 +351,12 @@ def feasibility_lp(prog: SetMassProgram) -> tuple[Coupling, Scalar]:
         rows.append(row)
         rhs.append(0)
 
-    corner, staircase = _northwest_corner(mu.weights, nu.weights, range(n), range(m))
+    corner, staircase = _northwest_corner(
+        mu.weights, nu.weights, range(n), range(m), mode
+    )
     start = [i * m + j for (i, j) in staircase]
     if prog.sets:
-        masses = [sum(corner[i][j] for (i, j) in cells) for cells in prog.sets]
+        masses = [corner.mass(cells) for cells in prog.sets]
         heaviest = masses.index(max(masses))
         start.append(t_col)
         start += [t_col + 1 + k for k in range(len(prog.sets)) if k != heaviest]
@@ -515,8 +517,8 @@ def transportation_vertices(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple:
     return tuple(seen[k] for k in sorted(seen))
 
 
-def _northwest_corner(mu, nu, row_order, col_order):
-    """Northwest-corner plan along the given orders, and the cells it visits.
+def _northwest_corner(mu, nu, row_order, col_order, mode):
+    """Northwest-corner coupling along the given orders, and the cells it visits.
 
     Each step fills one cell and moves past its row when that row is
     spent, else past its column, so the n + m - 1 visited cells, zero ones
@@ -541,7 +543,7 @@ def _northwest_corner(mu, nu, row_order, col_order):
             ri += 1
         else:
             ci += 1
-    return matrix, visited
+    return Coupling(tuple(tuple(r) for r in matrix), mode), visited
 
 
 def enumerate_couplings(
@@ -574,8 +576,8 @@ def enumerate_couplings(
         (reversed(range(n)), reversed(range(m))),
     ]
     for ro, co in orders:
-        corner, _ = _northwest_corner(mu.weights, nu.weights, list(ro), list(co))
-        anchors.append(Coupling(tuple(map(tuple, corner)), mode))
+        corner, _ = _northwest_corner(mu.weights, nu.weights, list(ro), list(co), mode)
+        anchors.append(corner)
     out = {}
     for a in range(len(anchors)):
         for b in range(len(anchors)):
