@@ -571,7 +571,7 @@ def _parser() -> argparse.ArgumentParser:
         "--method",
         choices=["auto", "brute", "flow"],
         default="auto",
-        help="flow (auto: the same) by max-flow duality, or brute over every subset",
+        help="auto and flow solve by max-flow duality; brute scans every subset",
     )
     p.set_defaults(func=_cmd_prohorov)
 

@@ -360,7 +360,8 @@ def prohorov(
 
     method: "flow" (or "auto") evaluates the requirement through max-flow
     duality, the fastest route at every size; "brute" enumerates all
-    subsets and stays as the oracle.  Both return identical values.
+    subsets and stays as the oracle.  Both return identical values in
+    exact mode; float sums may differ in the last bit.
     """
     same_mode(mu.mode, nu.mode)
     if nu.n != mu.n:

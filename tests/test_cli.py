@@ -567,7 +567,7 @@ class TestShellPipeline:
         src = os.path.dirname(os.path.dirname(os.path.abspath(gds.__file__)))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run(
-            re.sub(r"(^|\| )gds ", rf"\1{self.gds_cmd} ", line),
+            re.sub(r"(^|\| )gds ", lambda m: f"{m[1]}{self.gds_cmd} ", line),
             shell=True,
             capture_output=True,
             text=True,
