@@ -15,7 +15,6 @@ from .core import (
 )
 from .coupling import (
     Coupling,
-    SetMassProgram,
     coupling_prohorov,
     enumerate_couplings,
     feasibility_lp,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .core import FeatureFamily, GeometricDataSet, MmSpace
 from .coupling import Coupling, max_mass_on_set
 from .errors import EmptyCellSet, SizeLimit, WitnessNotLipschitz
-from .flows import max_flow_on_cells
+from .flows import Transport
 from .metrics import (
     ASSIGNMENT_BUDGET,
     CellSet,
@@ -48,7 +48,7 @@ from .metrics import (
     hausdorff,
     sup_pseudometric,
 )
-from .numerics import FLOAT_TOL, Scalar, close, same_mode, scaled_ints, unscaled
+from .numerics import FLOAT_TOL, Scalar, close, same_mode
 
 CELL_BUDGET = 16
 
@@ -285,14 +285,15 @@ def _best_pair_mass(table: GapTable, h, value_of) -> tuple:
 
 
 def _feature_sweep(
-    X: GeometricDataSet, Y: GeometricDataSet, assignment_budget: int, kept
+    X: GeometricDataSet, Y: GeometricDataSet, assignment_budget: int, kept=None
 ) -> tuple:
     """Minimise max(1 - kept mass, 2 * Hausdorff radius) over cell sets.
 
-    kept(table, mask) is the mass kept on a cell mask, monotone under
-    inclusion; table is the instance's GapTable.  The assignment pairs
-    behind each level are enumerated, so their count is gated first.
-    Returns (value, witness cells).
+    kept(mask) is the mass kept on a cell mask, monotone under inclusion;
+    by default the largest mass any coupling keeps, the flow of the
+    instance's GapTable.  The assignment pairs behind each level are
+    enumerated, so their count is gated first.  Returns (value, witness
+    cells).
     """
     count = Y.k ** X.k + X.k ** Y.k
     if count > assignment_budget:
@@ -300,7 +301,7 @@ def _feature_sweep(
             f"{count} feature assignments exceed the budget {assignment_budget}"
         )
     table, levels = _table(X, Y)
-    value_of = functools.partial(kept, table)
+    value_of = kept or table.flow
     value, mask = _v_crossing(
         levels, lambda h: 2 * h, lambda h: _best_pair_mass(table, h, value_of)
     )
@@ -317,11 +318,7 @@ def box_fixed_coupling(
     mode = same_mode(same_mode(X.mode, Y.mode), pi.mode)
     pi.check_marginals(X.measure, Y.measure)
     flat = [pi.matrix[i][j] for i in range(X.n) for j in range(Y.n)]
-
-    @functools.cache
-    def mass(_table, mask: int) -> Scalar:
-        return _mask_sum(flat, mask)
-
+    mass = functools.cache(functools.partial(_mask_sum, flat))
     value, cells = _feature_sweep(X, Y, assignment_budget, mass)
     got = box_objective(pi, cells, X.features, Y.features)
     if not close(got, value, mode):
@@ -346,7 +343,7 @@ def box_exact(
         raise SizeLimit(
             f"{X.n * Y.n} cells exceed the exact budget {cell_budget}"
         )
-    value, cells = _feature_sweep(X, Y, assignment_budget, GapTable.flow)
+    value, cells = _feature_sweep(X, Y, assignment_budget)
     _, pi = max_mass_on_set(X.measure, Y.measure, cells)
     got = box_objective(pi, cells, X.features, Y.features)
     if not close(got, value, mode):
@@ -368,12 +365,7 @@ def box_mm_exact(
     count = n * m
     if count > cell_budget:
         raise SizeLimit(f"{count} cells exceed the exact budget {cell_budget}")
-    weights, scale = scaled_ints(MX.measure.weights, MY.measure.weights)
-
-    @functools.cache
-    def flow(mask):
-        return unscaled(max_flow_on_cells(*weights, mask)[0], scale)
-
+    flow = Transport(MX.measure.weights, MY.measure.weights).value
     cells = [(i, j) for i in range(n) for j in range(m)]
     value, mask = _distortion_sweep(cells, MX.dist, MY.dist, flow)
     witness = CellSet.from_mask(n, m, mask)

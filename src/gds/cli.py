@@ -9,10 +9,11 @@ input inline, so generators pipe into computations:
 Scalar results are printed as JSON with a 12-significant-digit decimal,
 plus the exact rational string in exact mode.  Tables are CSV with a
 header row.  Exit codes: 2 for schema violations or otherwise unusable
-inputs, 3 when an exact search refuses its budget and no --heuristic
-fallback was offered, when a --step grid would exceed GRID_BUDGET
-values or a gen levy family LEVY_POINTS points, 1 when the verification
-suite fails.
+inputs, a dataset file that cannot be read or is not UTF-8 included, and
+for an -o path that cannot be written; 3 when an exact search refuses
+its budget and no --heuristic fallback was offered, when a --step grid
+would exceed GRID_BUDGET values or a gen levy family LEVY_POINTS points;
+1 when the verification suite fails.
 
 Environment: GDS_MODE picks exact or float arithmetic (flag --mode wins);
 GDS_BUDGET_CELLS caps the exact box search grid (default 16).
@@ -99,7 +100,7 @@ def _load(source: str, mode: str) -> GeometricDataSet:
     try:
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {source}: {exc}") from exc
     return parse_gds(text, mode)
 
@@ -193,8 +194,11 @@ def _write(text: str, output: Optional[str]) -> None:
     if output in (None, "-"):
         sys.stdout.write(text)
         return
-    with open(output, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {output}: {exc}") from exc
 
 
 def _num(x, mode: str) -> dict:

@@ -4,19 +4,22 @@ A coupling is a nonnegative matrix with prescribed row and column sums.
 Three search routes live here and deliberately stay independent of each
 other so they can cross-validate:
 
-  * max_mass_on_set: bipartite max-flow, specialised and fast;
+  * max_mass_on_set: bipartite max-flow (flows.Transport), specialised
+    and fast;
   * feasibility_lp: a dense simplex with Bland's rule, started from the
     northwest-corner coupling, capping the mass on several cell sets at
     once; exact mode pivots a fraction-free integer tableau (Bareiss
     updates), so it takes the same pivots as a rational tableau without
     the rational arithmetic;
-  * enumerate_couplings: explicit vertex enumeration of the transportation
-    polytope on tiny grids, plus a deterministic mixture lattice.
+  * transportation_vertices and enumerate_couplings: explicit vertex
+    enumeration of the transportation polytope on tiny grids, and a
+    deterministic mixture lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
@@ -27,7 +30,7 @@ from .errors import (
     MarginalMismatch,
     SizeLimit,
 )
-from .flows import max_flow_on_cells
+from .flows import Transport
 from .metrics import CellSet, prohorov_weights
 from .numerics import (
     EXACT,
@@ -38,9 +41,7 @@ from .numerics import (
     close,
     leq,
     same_mode,
-    scaled_ints,
     tolerance,
-    unscaled,
 )
 
 VERTEX_CELL_LIMIT = 9
@@ -160,10 +161,7 @@ def max_mass_on_set(
     mode = same_mode(mu.mode, nu.mode)
     if cells.n != mu.n or cells.m != nu.n:
         raise GdsError("cell set shape disagrees with the marginals")
-    weights, scale = scaled_ints(mu.weights, nu.weights)
-    value, plan = max_flow_on_cells(*weights, cells.to_mask())
-    value = unscaled(value, scale)
-    plan = [[unscaled(x, scale) for x in row] for row in plan]
+    value, plan = Transport(mu.weights, nu.weights).plan(cells.to_mask())
     coupling = _completed_plan(mu, nu, plan, mode)
     coupling.check_marginals(mu, nu)
     return value, coupling
@@ -291,42 +289,28 @@ def _simplex(rows, rhs, costs, start, mode):
     return solution
 
 
-@dataclass(frozen=True)
-class SetMassProgram:
-    """Common-cap transport program over a tuple of cell sets.
+def feasibility_lp(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, sets: Sequence[CellSet]
+) -> tuple[Coupling, Scalar]:
+    """Least common cap on several cell sets, by the exact simplex.
 
-    Asks for the least t such that some coupling of (mu, nu) puts mass at
-    most t on every set in `sets`.
+    Minimises t over couplings pi of (mu, nu) subject to pi(B_k) + s_k = t
+    with slack s_k >= 0 for every set B_k in `sets`.  Returns (witness
+    coupling, t).  Once the two totals agree the program is always
+    feasible: the simplex starts from the northwest-corner coupling, with
+    t at the mass it puts on the first heaviest set and every other set's
+    slack basic.
     """
-
-    mu: DiscreteMeasure
-    nu: DiscreteMeasure
-    sets: tuple = field(default=())
-
-    def __post_init__(self):
-        same_mode(self.mu.mode, self.nu.mode)
-        for cells in self.sets:
-            if cells.n != self.mu.n or cells.m != self.nu.n:
-                raise GdsError("constraint cell set disagrees with the marginals")
-
-
-def feasibility_lp(prog: SetMassProgram) -> tuple[Coupling, Scalar]:
-    """Solve a SetMassProgram by the exact simplex.
-
-    Minimises t over couplings pi subject to pi(B_k) + s_k = t with slack
-    s_k >= 0 for every set B_k.  Returns (witness coupling, t).  Once the
-    two totals agree the program is always feasible: the simplex starts
-    from the northwest-corner coupling, with t at the mass it puts on the
-    first heaviest set and every other set's slack basic.
-    """
-    mu, nu = prog.mu, prog.nu
     mode = same_mode(mu.mode, nu.mode)
+    n, m = mu.n, nu.n
+    for cells in sets:
+        if cells.n != n or cells.m != m:
+            raise GdsError("constraint cell set disagrees with the marginals")
     tol = tolerance(mode)
     if abs(sum(mu.weights) - sum(nu.weights)) > tol:
         raise InfeasibleMarginals("marginals carry different total mass")
-    n, m = mu.n, nu.n
     t_col = n * m
-    n_cols = t_col + 1 + len(prog.sets)
+    n_cols = t_col + 1 + len(sets)
 
     rows, rhs = [], []
     for i in range(n):
@@ -342,7 +326,7 @@ def feasibility_lp(prog: SetMassProgram) -> tuple[Coupling, Scalar]:
             row[i * m + j] = 1
         rows.append(row)
         rhs.append(nu.weights[j])
-    for k, cells in enumerate(prog.sets):
+    for k, cells in enumerate(sets):
         row = [0] * n_cols
         for (i, j) in cells:
             row[i * m + j] = 1
@@ -355,11 +339,11 @@ def feasibility_lp(prog: SetMassProgram) -> tuple[Coupling, Scalar]:
         mu.weights, nu.weights, range(n), range(m), mode
     )
     start = [i * m + j for (i, j) in staircase]
-    if prog.sets:
-        masses = [corner.mass(cells) for cells in prog.sets]
+    if sets:
+        masses = [corner.mass(cells) for cells in sets]
         heaviest = masses.index(max(masses))
         start.append(t_col)
-        start += [t_col + 1 + k for k in range(len(prog.sets)) if k != heaviest]
+        start += [t_col + 1 + k for k in range(len(sets)) if k != heaviest]
     costs = [0] * n_cols
     costs[t_col] = 1
     solution = _simplex(rows, rhs, costs, start, mode)
@@ -370,7 +354,7 @@ def feasibility_lp(prog: SetMassProgram) -> tuple[Coupling, Scalar]:
     witness.check_marginals(mu, nu)
     t = solution[t_col]
     # At the optimum t is the largest set mass: no set above it, one at it.
-    masses = [witness.mass(cells) for cells in prog.sets]
+    masses = [witness.mass(cells) for cells in sets]
     if masses and not (
         all(leq(x, t, mode) for x in masses) and any(close(x, t, mode) for x in masses)
     ):
@@ -505,12 +489,10 @@ def transportation_vertices(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple:
         raise SizeLimit(
             f"vertex enumeration caps at {VERTEX_CELL_LIMIT} cells, got {n * m}"
         )
-    from itertools import combinations
-
     cells = [(i, j) for i in range(n) for j in range(m)]
     target = min(n + m - 1, len(cells))
     seen = {}
-    for edges in combinations(cells, target):
+    for edges in itertools.combinations(cells, target):
         matrix = _forest_flows(n, m, edges, mu.weights, nu.weights)
         if matrix is not None and matrix not in seen:
             seen[matrix] = Coupling(matrix, mode)
@@ -547,24 +529,17 @@ def _northwest_corner(mu, nu, row_order, col_order, mode):
 
 
 def enumerate_couplings(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    method: str = "vertices",
-    resolution: int = 4,
+    mu: DiscreteMeasure, nu: DiscreteMeasure, resolution: int = 4
 ) -> tuple:
-    """Finite, deterministic slices of the coupling polytope.
+    """A finite, deterministic mixture lattice in the coupling polytope.
 
-    "vertices" lists the polytope's vertices exactly (small grids only).
-    "grid" is a mixture lattice: corner couplings from the four monotone
-    orders plus the product coupling, blended pairwise with weights
-    k/resolution.  Every emitted matrix satisfies the marginals exactly,
-    in both modes, since the polytope is convex.
+    The anchors are the product coupling and the corner couplings of the
+    four monotone orders.  Each unordered pair of anchors is blended with
+    weights k/resolution for 0 < k < resolution, so the lattice holds the
+    anchors and these blends.  Every emitted matrix satisfies the
+    marginals exactly, in both modes, since the polytope is convex.
     """
     mode = same_mode(mu.mode, nu.mode)
-    if method == "vertices":
-        return transportation_vertices(mu, nu)
-    if method != "grid":
-        raise GdsError(f"unknown enumeration method {method!r}")
     if resolution < 1:
         raise GdsError("grid resolution must be at least 1")
     n, m = mu.n, nu.n
@@ -578,19 +553,17 @@ def enumerate_couplings(
     for ro, co in orders:
         corner, _ = _northwest_corner(mu.weights, nu.weights, list(ro), list(co), mode)
         anchors.append(corner)
-    out = {}
-    for a in range(len(anchors)):
-        for b in range(len(anchors)):
-            for k in range(resolution + 1):
-                lam = k / resolution if mode == FLOAT else Q(k, resolution)
-                matrix = tuple(
-                    tuple(
-                        lam * anchors[a].matrix[i][j]
-                        + (1 - lam) * anchors[b].matrix[i][j]
-                        for j in range(m)
-                    )
-                    for i in range(n)
+    out = {pi.matrix: pi for pi in anchors}
+    for a, b in itertools.combinations(anchors, 2):
+        for k in range(1, resolution):
+            lam = k / resolution if mode == FLOAT else Q(k, resolution)
+            matrix = tuple(
+                tuple(
+                    lam * a.matrix[i][j] + (1 - lam) * b.matrix[i][j]
+                    for j in range(m)
                 )
-                if matrix not in out:
-                    out[matrix] = Coupling(matrix, mode)
+                for i in range(n)
+            )
+            if matrix not in out:
+                out[matrix] = Coupling(matrix, mode)
     return tuple(out[k] for k in sorted(out))

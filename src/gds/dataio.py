@@ -136,6 +136,8 @@ def parse_gds(text: str, mode: str = EXACT) -> GeometricDataSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _fail(f"not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise _fail("JSON nested too deeply") from None
     return doc_to_gds(doc, mode)
 
 

@@ -9,16 +9,18 @@ Edmonds-Karp on this graph is exact for integer (and correct for float)
 capacities and its augmentation count is bounded by the edge structure, not
 the capacity values, so termination never depends on the arithmetic.  For
 the same reason, scaling every capacity by one positive D leaves each
-search, bottleneck and augmenting path as it was.  Exact callers therefore
-pass integer capacities, scaled once at their boundary by
-numerics.scaled_ints, and convert back only the values they return;
-float callers pass floats.
+search, bottleneck and augmenting path as it was.  Every solver reaches
+the kernel through Transport, which scales the weights once with
+numerics.scaled_ints, memoises the value of each cell mask and converts
+back only what it returns; float weights pass through unscaled.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Sequence
+
+from .numerics import scaled_ints, unscaled
 
 
 def max_flow_on_cells(
@@ -92,3 +94,32 @@ def max_flow_on_cells(
                 # Residual on the reverse edge equals the shipped amount.
                 plan[i][j] = cap[n + j][i]
     return flow_value, plan
+
+
+class Transport:
+    """The largest mass a coupling of (mu, nu) puts on a cell mask.
+
+    The weights are scaled to ints once, here.  value(mask) is memoised,
+    since the threshold sweeps revisit masks across levels; plan(mask)
+    solves again and also returns the partial plan, which only witnesses
+    need.  Both hand back rationals (floats in float mode).
+    """
+
+    def __init__(self, mu: Sequence, nu: Sequence):
+        self._weights, self._scale = scaled_ints(mu, nu)
+        self._values: dict = {}
+
+    def value(self, mask: int):
+        hit = self._values.get(mask)
+        if hit is None:
+            hit, _ = max_flow_on_cells(*self._weights, mask)
+            hit = self._values[mask] = unscaled(hit, self._scale)
+        return hit
+
+    def plan(self, mask: int) -> tuple:
+        """(value, plan) of max_flow_on_cells on the unscaled weights."""
+        scale = self._scale
+        value, plan = max_flow_on_cells(*self._weights, mask)
+        return unscaled(value, scale), [
+            [unscaled(x, scale) for x in row] for row in plan
+        ]

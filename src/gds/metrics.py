@@ -9,14 +9,14 @@ sit on top of the same machinery.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import accumulate
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import DiscreteMeasure, GeometricDataSet
 from .errors import GdsError, SizeLimit
-from .flows import max_flow_on_cells
+from .flows import Transport
 from .numerics import Scalar, leq, same_mode, scaled_ints, unscaled
 
 BRUTE_FORCE_POINT_LIMIT = 12
@@ -167,11 +167,15 @@ def sup_pseudometric(f: Sequence, g: Sequence, cells: Iterable) -> Scalar:
 
 
 def hausdorff(items_a: Sequence, items_b: Sequence, dist: Callable) -> Scalar:
-    """Hausdorff distance between two finite nonempty sets under `dist`."""
+    """Hausdorff distance between two finite nonempty sets under `dist`.
+
+    Each dist(a, b) is evaluated once; both directions read one table.
+    """
     if not items_a or not items_b:
         raise GdsError("hausdorff needs two nonempty families")
-    forward = max(min(dist(a, b) for b in items_b) for a in items_a)
-    backward = max(min(dist(a, b) for a in items_a) for b in items_b)
+    table = [[dist(a, b) for b in items_b] for a in items_a]
+    forward = max(min(row) for row in table)
+    backward = max(min(column) for column in zip(*table))
     return forward if forward >= backward else backward
 
 
@@ -181,15 +185,14 @@ class GapTable:
     diff[f][g][c] is the gap on the flat n x m cell grid (c = x * m + y).
     The exact searches walk thresholds h of this table: allowed(f, g, h) is
     the bitmask of cells with gap <= h, and flow(mask) the largest mass a
-    coupling of (mu, nu) puts on a mask.  Both are memoised, since the
-    sweeps revisit them across levels.  The flows run on the weights
-    scaled to ints once, here.
+    coupling of (mu, nu) puts on a mask, read from one Transport.  Both
+    are memoised, since the sweeps revisit them across levels.
     """
 
     def __init__(self, rows_x: Sequence, rows_y: Sequence, mu: Sequence, nu: Sequence):
         self.n, self.m = len(mu), len(nu)
         self.mu, self.nu = mu, nu
-        self._scaled, self._scale = scaled_ints(mu, nu)
+        self.flow = Transport(mu, nu).value
         self.kx, self.ky = len(rows_x), len(rows_y)
         self.full = (1 << (self.n * self.m)) - 1
         self.diff = [
@@ -200,7 +203,6 @@ class GapTable:
             for fr in rows_x
         ]
         self._allowed: dict = {}
-        self._flow: dict = {}
 
     def gaps(self) -> set:
         return {d for per_f in self.diff for cells in per_f for d in cells}
@@ -214,13 +216,6 @@ class GapTable:
                 if d <= h:
                     hit |= 1 << c
             self._allowed[key] = hit
-        return hit
-
-    def flow(self, mask: int) -> Scalar:
-        hit = self._flow.get(mask)
-        if hit is None:
-            hit, _ = max_flow_on_cells(*self._scaled, mask)
-            hit = self._flow[mask] = unscaled(hit, self._scale)
         return hit
 
 
@@ -248,11 +243,15 @@ def prohorov_weights(
         raise GdsError("prohorov needs two weight vectors on one metric space")
     if method == "auto":
         method = "flow"
-    thresholds = sorted({dist[x][y] for x in range(n) for y in range(n)} | {0})
-    # Both routes sum and compare weights only, so they run on ints; a
-    # requirement is converted back before it meets the (unscaled)
-    # thresholds.
-    (mu_int, nu_int), scale = scaled_ints(mu_weights, nu_weights)
+    # The thresholds are 0 and every distance; cells_at[t] is the bitmask
+    # of the cells (x, y), bit x * n + y, with d(x, y) = t.
+    cells_at: dict = {}
+    for x in range(n):
+        for y in range(n):
+            d = dist[x][y]
+            cells_at[d] = cells_at.get(d, 0) | 1 << (x * n + y)
+    cells_at.setdefault(0, 0)
+    thresholds = sorted(cells_at)
 
     def interval_answer(i: int, need) -> Optional[Scalar]:
         lo = thresholds[i]
@@ -268,6 +267,10 @@ def prohorov_weights(
             raise SizeLimit(
                 f"brute-force prohorov caps at {BRUTE_FORCE_POINT_LIMIT} points"
             )
+        # The subset scan sums and compares weights only, so it runs on
+        # ints; a requirement is converted back before it meets the
+        # (unscaled) thresholds.
+        (mu_int, nu_int), scale = scaled_ints(mu_weights, nu_weights)
         req = _prohorov_requirements_brute(mu_int, nu_int, dist, thresholds)
         for i in range(len(thresholds)):
             ans = interval_answer(i, unscaled(req[i], scale))
@@ -278,13 +281,18 @@ def prohorov_weights(
     if method != "flow":
         raise GdsError(f"unknown prohorov method {method!r}")
 
-    # Feasibility of an interval is monotone in its index, so bisect for the
-    # first interval containing a feasible eps, then read off its least one.
-    # The bisection has already solved the interval it lands on.
-    @functools.cache
+    # By transportation duality the requirement at thresholds[i] is the
+    # mass no coupling can keep on within[i], the cells with d(x, y) at
+    # most that threshold.  Feasibility of an interval is monotone in its
+    # index, so bisect for the first interval containing a feasible eps,
+    # then read off its least one.  The bisection has already solved the
+    # interval it lands on.
+    within = list(accumulate((cells_at[t] for t in thresholds), or_))
+    transport = Transport(mu_weights, nu_weights)
+    total = sum(nu_weights)
+
     def requirement(i: int) -> Scalar:
-        need = _prohorov_requirement_flow(mu_int, nu_int, dist, thresholds[i])
-        return unscaled(need, scale)
+        return total - transport.value(within[i])
 
     last = len(thresholds) - 1
     i = first_feasible(lambda k: requirement(k) <= thresholds[k + 1], last)
@@ -328,20 +336,6 @@ def _prohorov_requirements_brute(mu_weights, nu_weights, dist, thresholds):
             if req[i] is None or need > req[i]:
                 req[i] = need
     return req
-
-
-def _prohorov_requirement_flow(mu_weights, nu_weights, dist, t):
-    """Same requirement via transportation duality: 1 - max coupling mass
-    on the cells with d(x, y) <= t."""
-    n = len(mu_weights)
-    allowed = 0
-    for x in range(n):
-        for y in range(n):
-            if dist[x][y] <= t:
-                allowed |= 1 << (x * n + y)
-    value, _ = max_flow_on_cells(mu_weights, nu_weights, allowed)
-    total = sum(nu_weights)
-    return total - value
 
 
 def prohorov(

@@ -9,8 +9,10 @@ never a silent promotion.
 
 Rationals are fractions.Fraction.  The two hot kernels run on Python
 ints: the exact simplex scales its right-hand sides itself (see
-coupling._simplex), and every max-flow caller scales its weights once
-per instance with scaled_ints and converts back only what it returns.
+coupling._simplex), and flows.Transport, the one way into the max-flow
+kernel, scales the weights of an instance once with scaled_ints,
+memoises each mask's flow value and converts back only what it returns.
+The brute-force Prohorov oracle scales its own weights the same way.
 """
 
 from __future__ import annotations

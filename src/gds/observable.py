@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 from .core import GeometricDataSet
 from .coupling import (
     Coupling,
-    SetMassProgram,
     enumerate_couplings,
     feasibility_lp,
     max_mass_on_set,
@@ -155,7 +154,7 @@ class _DconcSearch:
                 hit = (1 - value, pi)
             else:
                 cells = tuple(CellSet.from_mask(n, m, s) for s in live)
-                pi, t = feasibility_lp(SetMassProgram(mu, nu, cells))
+                pi, t = feasibility_lp(mu, nu, cells)
                 hit = (t, pi)
             self._lp_cache[sets] = hit
         return hit
@@ -299,7 +298,7 @@ def dconc_heuristic(
     search = _DconcSearch(X, Y)
     rng = random.Random(seed)
 
-    anchors = list(enumerate_couplings(X.measure, Y.measure, "grid", 2))
+    anchors = list(enumerate_couplings(X.measure, Y.measure, 2))
     rng.shuffle(anchors)
     anchors = [product_coupling(X.measure, Y.measure)] + anchors[: max(1, budget // 2)]
 

@@ -174,7 +174,7 @@ def _raw_weights(rng, n: int) -> list:
 
 
 def _rand_coupling(rng, mu: DiscreteMeasure, nu: DiscreteMeasure):
-    options = enumerate_couplings(mu, nu, "grid", resolution=3)
+    options = enumerate_couplings(mu, nu, resolution=3)
     return options[rng.randrange(len(options))]
 
 
@@ -381,9 +381,7 @@ def prop_enumerated_couplings_have_marginals(rng, t):
     mu = _measure(rng, rng.randint(2, 3))
     nu = _measure(rng, rng.randint(2, 3))
     full = CellSet.full(mu.n, nu.n)
-    pis = (product_coupling(mu, nu),) + enumerate_couplings(
-        mu, nu, "grid", resolution=2
-    )
+    pis = (product_coupling(mu, nu),) + enumerate_couplings(mu, nu, resolution=2)
     for pi in pis:
         pi.check_marginals(mu, nu)
         assert pi.mass(full) == 1
@@ -468,7 +466,7 @@ def prop_dconc_coupling_upper_bound(rng, t):
     X = _space(rng, 3, 2)
     Y = _space(rng, 3, 2)
     res = dconc_exact(X, Y)
-    for pi in enumerate_couplings(X.measure, Y.measure, "grid", resolution=2):
+    for pi in enumerate_couplings(X.measure, Y.measure, resolution=2):
         assert res.value <= dconc_at_coupling(X, Y, pi)
 
 

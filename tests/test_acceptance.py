@@ -166,7 +166,7 @@ def test_criterion_06_distortion_and_witness_transport():
     for trial in range(30):
         X = random_gds(rng.randint(2, 3), rng.randint(1, 2), seed=rng.getrandbits(30))
         Y = random_gds(rng.randint(2, 3), rng.randint(1, 2), seed=rng.getrandbits(30))
-        pis = enumerate_couplings(X.measure, Y.measure, method="grid", resolution=3)
+        pis = enumerate_couplings(X.measure, Y.measure, resolution=3)
         pi = pis[rng.randrange(len(pis))]
         if dis_coupling(pi, X.dist, Y.dist)[0] > box_fixed_coupling(X, Y, pi)[0]:
             violations += 1
@@ -215,7 +215,7 @@ def test_criterion_07_coupling_continuity():
         X = random_gds(rng.randint(2, 3), rng.randint(1, 2), seed=rng.getrandbits(30))
         Y = random_gds(rng.randint(2, 3), rng.randint(1, 2), seed=rng.getrandbits(30))
         pis = list(
-            enumerate_couplings(X.measure, Y.measure, method="grid", resolution=3)
+            enumerate_couplings(X.measure, Y.measure, resolution=3)
         )
         pi, rho = (rng.sample(pis, 2) if len(pis) >= 2 else (pis[0], pis[0]))
         gap = coupling_prohorov(pi, rho, X.dist, Y.dist)

@@ -139,7 +139,7 @@ class TestBruteForceAgreement:
         for seed in range(8):
             X = random_gds(2 + seed % 2, 2, seed=seed)
             Y = random_gds(2, 2, seed=300 + seed)
-            for pi in enumerate_couplings(X.measure, Y.measure, method="grid", resolution=3):
+            for pi in enumerate_couplings(X.measure, Y.measure, resolution=3):
                 want = dis_coupling_brute(pi, X.dist, Y.dist)
                 got, cells = dis_coupling(pi, X.dist, Y.dist)
                 assert got == want
@@ -172,7 +172,7 @@ class TestOrderingBounds:
         X = random_gds(3, 2, seed=91)
         Y = random_gds(2, 2, seed=92)
         best = box_exact(X, Y).value
-        for pi in enumerate_couplings(X.measure, Y.measure, method="grid", resolution=3):
+        for pi in enumerate_couplings(X.measure, Y.measure, resolution=3):
             val, _ = box_fixed_coupling(X, Y, pi)
             assert val >= best
 

@@ -527,6 +527,10 @@ class TestArbitraryInputs:
               "--n", "4"], 3),
             (["gen", "levy", "--family", "product_power", "--base", "@tmp/a.json",
               "--n", "3"], 0),
+            (["od", "@tmp/latin1.json"], 2),
+            (["od", "@tmp/deep.json"], 2),
+            (["gen", "discrete", "--n", "2", "-o", "@tmp/missing/x.json"], 2),
+            (["gen", "discrete", "--n", "2", "-o", "@tmp"], 2),
         ],
     )
     def test_found_by_the_property(self, tmp_path, argv, code):
@@ -536,11 +540,16 @@ class TestArbitraryInputs:
         # died on an empty family, or printed a table with no rows; a
         # singleton constant that is no number (or divides by zero) died
         # in Fraction; --mode and -o before the gen kind were overwritten
-        # by the kind's defaults; gen levy built members of any size.
+        # by the kind's defaults; gen levy built members of any size; a
+        # file that is not UTF-8, JSON nested past the recursion limit and
+        # an -o path that cannot be opened each ended in a traceback.
         a = write_dataset(tmp_path, "a.json", random_gds(3, 2, seed=1))
         b = write_dataset(tmp_path, "b.json", random_gds(3, 2, seed=2))
+        (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{}")
+        (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+        names_input = argv[0] != "gen" and any("@tmp" in word for word in argv)
         argv = [word.replace("@tmp", str(tmp_path)) for word in argv]
-        if argv[0] == "gen":
+        if argv[0] == "gen" or names_input:
             inputs = []
         elif argv[0] == "od" or "--other" in argv:
             inputs = [a]
@@ -554,6 +563,8 @@ class TestArbitraryInputs:
         if code == 2 and argv[:2] in (["gen", "--mode"], ["gen", "-o"]):
             # gen itself takes no options: only its kinds do.
             assert err.startswith("usage: gds gen"), err
+        elif code == 2 and "-o" in argv:
+            assert err.startswith(f"gds: cannot write {argv[-1]}: "), err
         elif code == 2:
             # Refused by the program, not by argparse's usage check.
             assert err.startswith("gds: "), err

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from gds import CellSet, DiscreteMeasure, product_coupling
 from gds.coupling import (
     Coupling,
-    SetMassProgram,
     coupling_prohorov,
     enumerate_couplings,
     feasibility_lp,
@@ -14,7 +13,7 @@ from gds.coupling import (
     max_mass_on_set,
     transportation_vertices,
 )
-from gds.errors import MarginalMismatch
+from gds.errors import GdsError, MarginalMismatch
 from gds.numerics import Q
 from gds.spaces import random_gds
 
@@ -108,10 +107,29 @@ class TestVertices:
             v.check_marginals(mu, nu)
             assert len(v.support()) <= mu.n + nu.n - 1
 
+    @given(measure_pairs, st.integers(1, 4))
+    def test_grid_holds_every_blend_of_two_anchors(self, pair, resolution):
+        # Resolution 1 lists the anchors alone.  Blending each unordered
+        # pair once loses no blend of an ordered pair: lam * a + (1 - lam) * b
+        # is the blend of (b, a) at 1 - lam.
+        mu, nu = pair
+        anchors = [pi.matrix for pi in enumerate_couplings(mu, nu, 1)]
+        want = set()
+        for a in anchors:
+            for b in anchors:
+                for k in range(resolution + 1):
+                    lam = Q(k, resolution)
+                    want.add(tuple(
+                        tuple(lam * x + (1 - lam) * y for x, y in zip(ra, rb))
+                        for ra, rb in zip(a, b)
+                    ))
+        got = [pi.matrix for pi in enumerate_couplings(mu, nu, resolution)]
+        assert got == sorted(want)
+
     def test_enumerate_grid_mode_gives_valid_couplings(self):
         mu = DiscreteMeasure.uniform(2)
         nu = DiscreteMeasure.from_weights([Q(1, 4), Q(3, 4)])
-        for pi in enumerate_couplings(mu, nu, method="grid", resolution=3):
+        for pi in enumerate_couplings(mu, nu, resolution=3):
             pi.check_marginals(mu, nu)
 
 
@@ -176,7 +194,7 @@ class TestSetMassProgram:
         mu = DiscreteMeasure.uniform(2)
         diag = CellSet.from_pairs(2, 2, [(0, 0), (1, 1)])
         anti = CellSet.from_pairs(2, 2, [(0, 1), (1, 0)])
-        pi, t = feasibility_lp(SetMassProgram(mu, mu, (diag, anti)))
+        pi, t = feasibility_lp(mu, mu, (diag, anti))
         assert t == Q(1, 2)
         assert pi.mass(diag) <= t
         assert pi.mass(anti) <= t
@@ -192,7 +210,7 @@ class TestSetMassProgram:
             CellSet.from_pairs(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1)]),
             CellSet.from_pairs(3, 3, [(1, 1), (1, 2), (2, 1), (2, 2)]),
         )
-        pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
+        pi, t = feasibility_lp(mu, nu, sets)
         assert t == Q(7, 12)
         assert pi.matrix == (
             (0, Q(1, 6), 0),
@@ -209,7 +227,7 @@ class TestSetMassProgram:
             CellSet.from_pairs(4, 4, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]),
             CellSet.from_pairs(4, 4, [(2, 0), (3, 1), (2, 3), (1, 3), (3, 3)]),
         )
-        pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
+        pi, t = feasibility_lp(mu, nu, sets)
         assert t == Q(11, 60)
         assert pi.matrix == (
             (0, 0, 0, Q(1, 10)),
@@ -223,8 +241,8 @@ class TestSetMassProgram:
         nu = DiscreteMeasure.uniform(2)
         diag = CellSet.from_pairs(2, 2, [(0, 0), (1, 1)])
         anti = CellSet.from_pairs(2, 2, [(0, 1), (1, 0)])
-        once = feasibility_lp(SetMassProgram(mu, nu, (diag, anti)))
-        twice = feasibility_lp(SetMassProgram(mu, nu, (diag, anti, diag, anti)))
+        once = feasibility_lp(mu, nu, (diag, anti))
+        twice = feasibility_lp(mu, nu, (diag, anti, diag, anti))
         assert once[1] == twice[1] == Q(1, 2)
         twice[0].check_marginals(mu, nu)
 
@@ -235,9 +253,14 @@ class TestSetMassProgram:
             CellSet.full(2, 3),
             CellSet.from_pairs(2, 3, [(0, 0), (1, 1)]),
         )
-        pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
+        pi, t = feasibility_lp(mu, nu, sets)
         assert t == 1
         pi.check_marginals(mu, nu)
+
+    def test_set_on_another_grid_is_refused(self):
+        mu = DiscreteMeasure.uniform(2)
+        with pytest.raises(GdsError, match="disagrees with the marginals"):
+            feasibility_lp(mu, mu, (CellSet.full(2, 3),))
 
 
 def rational_weights(rnd, n):
@@ -263,7 +286,7 @@ def test_common_cap_lp_against_float_mode_and_flow_oracle(rnd, n, m, k):
     )
     mu = DiscreteMeasure.from_weights(ws_mu)
     nu = DiscreteMeasure.from_weights(ws_nu)
-    pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
+    pi, t = feasibility_lp(mu, nu, sets)
     pi.check_marginals(mu, nu)
     masses = [pi.mass(cells) for cells in sets]
     assert max(masses, default=0) == t
@@ -273,7 +296,7 @@ def test_common_cap_lp_against_float_mode_and_flow_oracle(rnd, n, m, k):
 
     fmu = DiscreteMeasure.from_weights([float(w) for w in ws_mu], mode="float")
     fnu = DiscreteMeasure.from_weights([float(w) for w in ws_nu], mode="float")
-    _, ft = feasibility_lp(SetMassProgram(fmu, fnu, sets))
+    _, ft = feasibility_lp(fmu, fnu, sets)
     assert abs(ft - float(t)) <= 1e-9
 
 
@@ -333,11 +356,11 @@ def test_frozen_common_caps(seed, n, m, k, extras, want):
     sets = tuple(sets)
     mu = DiscreteMeasure.from_weights(ws_mu)
     nu = DiscreteMeasure.from_weights(ws_nu)
-    pi, t = feasibility_lp(SetMassProgram(mu, nu, sets))
+    pi, t = feasibility_lp(mu, nu, sets)
     assert t == Q(want)
     assert max((pi.mass(cells) for cells in sets), default=0) == t
 
     fmu = DiscreteMeasure.from_weights([float(w) for w in ws_mu], mode="float")
     fnu = DiscreteMeasure.from_weights([float(w) for w in ws_nu], mode="float")
-    _, ft = feasibility_lp(SetMassProgram(fmu, fnu, sets))
+    _, ft = feasibility_lp(fmu, fnu, sets)
     assert abs(ft - float(Q(want))) <= 1e-9

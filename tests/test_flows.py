@@ -1,15 +1,16 @@
 """The bipartite max-flow kernel and the solvers built on it.
 
-Exact callers scale their weights to ints once and hand the kernel int
-capacities.  The property below checks that this changes nothing: the
-value and the plan equal those of the kernel run on the rationals
-themselves, which stays here as the oracle.  The frozen values pin what
-the flow-backed solvers return, witnesses included: `box_exact`
-completes a max-flow plan into its coupling, so a change in the plan the
-kernel finds would change the matrix below.  The threshold sweeps of
-`dis_coupling`, `box_fixed_coupling` and `box_heuristic` are frozen the
-same way, in both modes, cells included: on ties the sweep keeps the
-first best set it meets, so a reordered sweep would show there.
+Every solver reaches the kernel through flows.Transport, which scales
+the weights to ints once and hands the kernel int capacities.  The
+properties below check that this changes nothing: the value and the plan
+equal those of the kernel run on the rationals themselves, which stays
+here as the oracle.  The frozen values pin what the flow-backed solvers
+return, witnesses included: `box_exact` completes a max-flow plan into
+its coupling, so a change in the plan the kernel finds would change the
+matrix below.  The threshold sweeps of `dis_coupling`,
+`box_fixed_coupling` and `box_heuristic` are frozen the same way, in
+both modes, cells included: on ties the sweep keeps the first best set
+it meets, so a reordered sweep would show there.
 """
 
 import pytest
@@ -26,9 +27,9 @@ from gds import (
     gds_to_mm,
     prohorov,
 )
-from gds import metrics
+from gds import flows
 from gds.coupling import product_coupling
-from gds.flows import max_flow_on_cells
+from gds.flows import Transport, max_flow_on_cells
 from gds.metrics import GapTable
 from gds.numerics import Q, close, scaled_ints, unscaled
 from gds.spaces import random_gds
@@ -59,6 +60,29 @@ class TestKernel:
         assert [[unscaled(x, scale) for x in row] for row in plan] == want_plan
 
     @given(instances())
+    def test_transport_gives_the_rational_flow_and_plan(self, instance):
+        mu, nu, mask = instance
+        want_value, want_plan = max_flow_on_cells(mu, nu, mask)
+        transport = Transport(mu, nu)
+        assert transport.plan(mask) == (want_value, want_plan)
+        assert transport.value(mask) == want_value
+        float_transport = Transport([float(w) for w in mu], [float(w) for w in nu])
+        assert abs(float_transport.value(mask) - float(want_value)) <= 1e-9
+
+    def test_transport_solves_each_value_mask_once(self, monkeypatch):
+        masks = []
+
+        def recording(mu, nu, allowed):
+            masks.append(allowed)
+            return max_flow_on_cells(mu, nu, allowed)
+
+        monkeypatch.setattr(flows, "max_flow_on_cells", recording)
+        transport = Transport([Q(1, 3), Q(2, 3)], [Q(1, 2), Q(1, 2)])
+        assert transport.value(0b1001) == transport.value(0b1001) == Q(5, 6)
+        assert transport.plan(0b1001)[0] == Q(5, 6)
+        assert masks == [0b1001, 0b1001]
+
+    @given(instances())
     def test_float_value_matches(self, instance):
         mu, nu, mask = instance
         want, _ = max_flow_on_cells(mu, nu, mask)
@@ -83,7 +107,7 @@ class TestKernel:
             seen.append(tuple(mu) + tuple(nu))
             return max_flow_on_cells(mu, nu, allowed)
 
-        monkeypatch.setattr(metrics, "max_flow_on_cells", recording)
+        monkeypatch.setattr(flows, "max_flow_on_cells", recording)
         X, Y = random_gds(4, 2, seed=11), random_gds(4, 2, seed=12)
         table = GapTable(
             X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
@@ -102,7 +126,7 @@ class TestKernel:
             masks.append(allowed)
             return max_flow_on_cells(mu, nu, allowed)
 
-        monkeypatch.setattr(metrics, "max_flow_on_cells", recording)
+        monkeypatch.setattr(flows, "max_flow_on_cells", recording)
         X = random_gds(30, 2, seed=55, scale=32)
         nu = random_gds(30, 2, seed=56, scale=32).measure
         prohorov(X.measure, nu, X.dist, "flow")

@@ -165,6 +165,16 @@ class TestSupPseudometricAndHausdorff:
         # every a has a near b but not conversely
         assert hausdorff([0], [0, 10], dist) == 10
 
+    def test_hausdorff_evaluates_each_pair_once(self):
+        calls = []
+
+        def dist(a, b):
+            calls.append((a, b))
+            return abs(a - b)
+
+        assert hausdorff([0, 4, 7], [1, 5], dist) == 2
+        assert sorted(calls) == [(a, b) for a in (0, 4, 7) for b in (1, 5)]
+
 
 class TestProhorov:
     def test_identical_measures(self):

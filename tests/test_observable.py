@@ -161,7 +161,7 @@ class TestExactStructure:
         X = random_gds(3, 2, seed=31)
         Y = random_gds(2, 1, seed=32)
         best = dconc_exact(X, Y).value
-        for pi in enumerate_couplings(X.measure, Y.measure, method="grid"):
+        for pi in enumerate_couplings(X.measure, Y.measure):
             assert dconc_at_coupling(X, Y, pi) >= best
 
     def test_transfer_maps_pick_argmin_features(self):
