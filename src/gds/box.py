@@ -10,9 +10,8 @@ The solvers below never enumerate all 2^(n*m) cell sets.  Both objective
 terms are monotone along the threshold grid of the instance (the first
 increases, the second decreases), so the minimum sits where they cross,
 and each threshold level needs only the best mass among the cell sets
-that the level permits.  One driver, _v_crossing, bisects for that
-crossing and memoises the best set of each level it probes; two sweeps
-feed it:
+that the level permits.  metrics.crossing bisects for that crossing
+and solves each level it probes once; two sweeps feed it:
 
   * _feature_sweep (box_exact, box_fixed_coupling): a set has Hausdorff
     radius <= h exactly when it fits inside a rectangle-intersection
@@ -44,7 +43,7 @@ from .metrics import (
     ASSIGNMENT_BUDGET,
     CellSet,
     GapTable,
-    first_feasible,
+    crossing,
     hausdorff,
     sup_pseudometric,
 )
@@ -113,34 +112,6 @@ def box_objective(pi: Coupling, S: CellSet, FX: FeatureFamily, FY: FeatureFamily
     return a if a > b else b
 
 
-def _v_crossing(levels, rise, best_at):
-    """Minimise max(rise(h), 1 - kept(h)) over the sorted levels h.
-
-    best_at(h) returns (kept, mask): the largest mass a set permitted at
-    level h keeps, and that set.  rise grows with h and the kept mass
-    too, so only the crossing level and its predecessor can attain the
-    minimum, and a bisection for the first level with rise >= 1 - kept
-    settles it with O(log) calls of the expensive best_at.  Returns
-    (value, mask) for the first level attaining the minimum.
-    """
-    memo = {}
-
-    def fall(i):
-        if i not in memo:
-            kept, mask = best_at(levels[i])
-            memo[i] = (1 - kept, mask)
-        return memo[i][0]
-
-    lo = first_feasible(lambda i: rise(levels[i]) >= fall(i), len(levels) - 1)
-    best = None
-    for i in ([lo - 1] if lo else []) + [lo]:
-        a, b = rise(levels[i]), fall(i)
-        v = a if a > b else b
-        if best is None or v < best[0]:
-            best = (v, memo[i][1])
-    return best
-
-
 def _mask_sum(values, mask):
     """Sum of values[c] over the set bits c of mask, lowest bit first."""
     total = 0
@@ -195,16 +166,16 @@ def _distortion_sweep(cells, dX, dY, kept) -> tuple:
     gaps = [[abs(dX[a[0]][b[0]] - dY[a[1]][b[1]]) for b in cells] for a in cells]
     levels = sorted({0} | {gaps[a][b] for a in range(count) for b in range(a + 1, count)})
 
-    def best_at(t):
+    def best_at(i):
         adj = [0] * count
         for a in range(count):
             for b in range(count):
-                if a != b and gaps[a][b] <= t:
+                if a != b and gaps[a][b] <= levels[i]:
                     adj[a] |= 1 << b
         mask = max(sorted(_maximal_cliques(count, adj)), key=kept)
-        return kept(mask), mask
+        return 1 - kept(mask), mask
 
-    return _v_crossing(levels, lambda t: t, best_at)
+    return crossing(len(levels), levels.__getitem__, best_at)
 
 
 def dis_coupling(pi: Coupling, dX, dY, cell_budget: int = CELL_BUDGET) -> tuple:
@@ -302,9 +273,12 @@ def _feature_sweep(
         )
     table, levels = _table(X, Y)
     value_of = kept or table.flow
-    value, mask = _v_crossing(
-        levels, lambda h: 2 * h, lambda h: _best_pair_mass(table, h, value_of)
-    )
+
+    def best_at(i):
+        most, mask = _best_pair_mass(table, levels[i], value_of)
+        return 1 - most, mask
+
+    value, mask = crossing(len(levels), lambda i: 2 * levels[i], best_at)
     return value, CellSet.from_mask(X.n, Y.n, mask)
 
 
@@ -398,13 +372,11 @@ def box_heuristic(
     def radius(mask):
         """Hausdorff distance of the families over the masked cells."""
         cells = [c for c in range(nm) if mask >> c & 1]
-        sup = [
-            [max([gaps[c] for c in cells], default=0) for gaps in per_f]
-            for per_f in table.diff
-        ]
-        forward = max(min(row) for row in sup)
-        backward = max(min(column) for column in zip(*sup))
-        return forward if forward > backward else backward
+        return hausdorff(
+            range(table.kx),
+            range(table.ky),
+            lambda f, g: max([table.diff[f][g][c] for c in cells], default=0),
+        )
 
     evals = {}
     spent = 0

@@ -9,11 +9,11 @@ input inline, so generators pipe into computations:
 Scalar results are printed as JSON with a 12-significant-digit decimal,
 plus the exact rational string in exact mode.  Tables are CSV with a
 header row.  Exit codes: 2 for schema violations or otherwise unusable
-inputs, a dataset file that cannot be read or is not UTF-8 included, and
-for an -o path that cannot be written; 3 when an exact search refuses
-its budget and no --heuristic fallback was offered, when a --step grid
-would exceed GRID_BUDGET values or a gen levy family LEVY_POINTS points;
-1 when the verification suite fails.
+inputs, a dataset file that cannot be read or is not UTF-8 included, for
+an -o path that cannot be written and for verify --trials below 0; 3 when
+an exact search refuses its budget and no --heuristic fallback was
+offered, when a --step grid would exceed GRID_BUDGET values or a gen levy
+family LEVY_POINTS points; 1 when the verification suite fails.
 
 Environment: GDS_MODE picks exact or float arithmetic (flag --mode wins);
 GDS_BUDGET_CELLS caps the exact box search grid (default 16).
@@ -275,6 +275,11 @@ def _cmd_pd(args) -> int:
     return 0
 
 
+def _budget(args, keyword: str) -> dict:
+    """--budget as the named keyword; absent, the callee's default holds."""
+    return {} if args.budget is None else {keyword: args.budget}
+
+
 def _cmd_dconc(args) -> int:
     mode = _resolve_mode(args)
     X, Y = _pair(args, mode)
@@ -290,9 +295,7 @@ def _cmd_dconc(args) -> int:
                 default=0,
             ),
         )
-        upper, _ = dconc_heuristic(
-            X, Y, budget=args.budget or 12, seed=args.seed
-        )
+        upper, _ = dconc_heuristic(X, Y, seed=args.seed, **_budget(args, "budget"))
         payload["method"] = "bounds"
         payload["lower"] = _num(lower, mode)
         payload["upper"] = _num(upper, mode)
@@ -300,10 +303,7 @@ def _cmd_dconc(args) -> int:
         return 0
     if not args.heuristic or args.exact:
         try:
-            kwargs = {}
-            if args.budget is not None:
-                kwargs["assignment_budget"] = args.budget
-            result = dconc_exact(X, Y, **kwargs)
+            result = dconc_exact(X, Y, **_budget(args, "assignment_budget"))
             payload["method"] = "exact"
             payload.update(_num(result.value, mode))
             _print_json(payload)
@@ -312,7 +312,7 @@ def _cmd_dconc(args) -> int:
             if not args.heuristic:
                 raise
             payload["note"] = f"exact search declined: {exc}"
-    value, _ = dconc_heuristic(X, Y, budget=args.budget or 12, seed=args.seed)
+    value, _ = dconc_heuristic(X, Y, seed=args.seed, **_budget(args, "budget"))
     payload["method"] = "heuristic"
     payload["seed"] = args.seed
     payload.update(_num(value, mode))
@@ -333,10 +333,9 @@ def _cmd_box(args) -> int:
         return 0
     if not args.heuristic or args.exact:
         try:
-            kwargs = {"cell_budget": cells}
-            if args.budget is not None:
-                kwargs["assignment_budget"] = args.budget
-            result = box_exact(X, Y, **kwargs)
+            result = box_exact(
+                X, Y, cell_budget=cells, **_budget(args, "assignment_budget")
+            )
             payload["method"] = "exact"
             payload["cells"] = [list(c) for c in result.cells.sorted_cells]
             payload.update(_num(result.value, mode))
@@ -346,8 +345,7 @@ def _cmd_box(args) -> int:
             if not args.heuristic:
                 raise
             payload["note"] = f"exact search declined: {exc}"
-            payload.pop("cells", None)
-    value = box_heuristic(X, Y, budget=args.budget or 400, seed=args.seed)
+    value = box_heuristic(X, Y, seed=args.seed, **_budget(args, "budget"))
     payload["method"] = "heuristic"
     payload["seed"] = args.seed
     payload.update(_num(value, mode))
@@ -443,9 +441,7 @@ def _cmd_gen(args) -> int:
 def _cmd_check(args) -> int:
     mode = _resolve_mode(args)
     X, Y = _pair(args, mode)
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["map_budget"] = args.budget
+    kwargs = _budget(args, "map_budget")
     if args.relation == "domination":
         verdict, witness = check_domination(X, Y, **kwargs)
     else:

@@ -2,17 +2,21 @@
 
 The Ky Fan metric measures how far two functions are apart in probability;
 the Prohorov metric compares two measures on a shared finite metric space.
-Both are computed exactly by scanning the finite grid of thresholds where
-their defining step functions can change.  Partial and observable diameter
-sit on top of the same machinery.
+Both are computed exactly on the finite grid of thresholds where their
+defining step functions can change: the value is the minimum over
+thresholds t of max(t, the mass still required at t), for Prohorov
+possibly an unattained infimum.  crossing finds such a minimum by
+bisection, here and in the box and dconc sweeps.  Partial and observable
+diameter sit on top of the same machinery.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import DiscreteMeasure, GeometricDataSet
 from .errors import GdsError, SizeLimit
@@ -37,6 +41,27 @@ def first_feasible(pred: Callable[[int], bool], hi: int, lo: int = 0) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def crossing(count: int, rise: Callable, fall: Callable) -> tuple:
+    """Minimise max(rise(i), fall(i)) over the indices of a level grid.
+
+    rise(i) grows with i and the value of fall(i) -> (value, witness)
+    never does, so the minimum is attained at the first index where rise
+    reaches fall or at its predecessor; an earlier index can only tie the
+    predecessor's fall.  A bisection finds that index with about
+    log2(count) calls of fall, none at one index twice; rise is taken to
+    reach fall at the last index.  Returns the minimum and the witness of
+    the first of the two indices to attain it.
+    """
+    at = functools.cache(fall)
+
+    def candidate(i: int) -> tuple:
+        a, (b, witness) = rise(i), at(i)
+        return (a if a > b else b), witness
+
+    c = first_feasible(lambda i: rise(i) >= at(i)[0], count - 1)
+    return min(map(candidate, range(max(c - 1, 0), c + 1)), key=itemgetter(0))
 
 
 @dataclass(frozen=True)
@@ -253,15 +278,6 @@ def prohorov_weights(
     cells_at.setdefault(0, 0)
     thresholds = sorted(cells_at)
 
-    def interval_answer(i: int, need) -> Optional[Scalar]:
-        lo = thresholds[i]
-        hi = thresholds[i + 1] if i + 1 < len(thresholds) else None
-        if need <= lo:
-            return lo
-        if hi is None or need <= hi:
-            return need
-        return None
-
     if method == "brute":
         if n > BRUTE_FORCE_POINT_LIMIT:
             raise SizeLimit(
@@ -272,34 +288,26 @@ def prohorov_weights(
         # (unscaled) thresholds.
         (mu_int, nu_int), scale = scaled_ints(mu_weights, nu_weights)
         req = _prohorov_requirements_brute(mu_int, nu_int, dist, thresholds)
-        for i in range(len(thresholds)):
-            ans = interval_answer(i, unscaled(req[i], scale))
-            if ans is not None:
-                return ans
-        raise AssertionError("final prohorov interval is always feasible")
+        return min(
+            max(t, unscaled(need, scale)) for t, need in zip(thresholds, req)
+        )
 
     if method != "flow":
         raise GdsError(f"unknown prohorov method {method!r}")
 
     # By transportation duality the requirement at thresholds[i] is the
     # mass no coupling can keep on within[i], the cells with d(x, y) at
-    # most that threshold.  Feasibility of an interval is monotone in its
-    # index, so bisect for the first interval containing a feasible eps,
-    # then read off its least one.  The bisection has already solved the
-    # interval it lands on.
+    # most that threshold.  It falls as the threshold rises, so the
+    # crossing search reads it at about log2 of the thresholds.
     within = list(accumulate((cells_at[t] for t in thresholds), or_))
     transport = Transport(mu_weights, nu_weights)
     total = sum(nu_weights)
-
-    def requirement(i: int) -> Scalar:
-        return total - transport.value(within[i])
-
-    last = len(thresholds) - 1
-    i = first_feasible(lambda k: requirement(k) <= thresholds[k + 1], last)
-    ans = interval_answer(i, requirement(i))
-    if ans is None:
-        raise AssertionError("bisection landed on an infeasible interval")
-    return ans
+    value, _ = crossing(
+        len(thresholds),
+        thresholds.__getitem__,
+        lambda i: (total - transport.value(within[i]), None),
+    )
+    return value
 
 
 def _neighborhood_mass_table(dist, weights, member_mask: int, thresholds):
@@ -347,10 +355,12 @@ def prohorov(
     """Prohorov distance of two measures on one finite metric space.
 
     Defined through open neighborhoods: the least eps such that every set A
-    satisfies mu({d(., A) < eps}) >= nu(A) - eps.  The requirement is
-    piecewise constant on the half-open intervals between distance values,
-    so the infimum is found exactly; it can sit at an interval's open left
-    end, in which case it is a genuine unattained infimum.
+    satisfies mu({d(., A) < eps}) >= nu(A) - eps.  The requirement, the
+    most any A forces, is constant on each interval (t, t'] between
+    consecutive thresholds (0 and every distance), so the value is the
+    minimum over thresholds t of max(t, requirement just above t).  When
+    the requirement is at most t that minimum is t itself, the open left
+    end of the interval: a genuine unattained infimum.
 
     method: "flow" (or "auto") evaluates the requirement through max-flow
     duality, the fastest route at every size; "brute" enumerates all

@@ -34,6 +34,7 @@ from .metrics import (
     ASSIGNMENT_BUDGET,
     CellSet,
     GapTable,
+    crossing,
     first_feasible,
     hausdorff,
     ky_fan_coupling,
@@ -89,19 +90,6 @@ def _unit_levels(gaps) -> list:
 
 def _bits(mask: int) -> list:
     return [c for c in range(mask.bit_length()) if mask >> c & 1]
-
-
-def _least_eps(levels: Sequence, need) -> tuple:
-    """(least feasible eps, its level index) for a Ky Fan-type bound.
-
-    need(i) is the least mass bound forced on the interval starting at
-    levels[i]; it never grows with i, and the last interval is always
-    feasible.  The first interval with need < its right end holds the
-    optimum, which is need or the interval start, whichever is larger.
-    """
-    idx = first_feasible(lambda i: need(i) < levels[i + 1], len(levels) - 1)
-    cap = need(idx)
-    return (cap if cap > levels[idx] else levels[idx]), idx
 
 
 class _DconcSearch:
@@ -262,6 +250,10 @@ def dconc_exact(
     # holding the optimum can never lie above the one holding the bound.
     # A float bound can round to just below the level it sits on, which
     # would cut that level off, so it gets the float tolerance.
+    # The bisection asks only whether a level's interval holds a feasible
+    # eps, which the first assignment pair under the cutoff settles;
+    # metrics.crossing would need the least cap of every level it probes,
+    # a full scan of the assignment pairs each, and so more LPs.
     ub = dconc_at_coupling(X, Y, product_coupling(X.measure, Y.measure))
     tol = tolerance(mode)
     hi = bisect_right(search.levels, ub + tol) - 1
@@ -304,11 +296,11 @@ def dconc_heuristic(
 
     def pair_value(u, v):
         """Exact optimum over couplings for one fixed assignment pair."""
-        value, idx = _least_eps(
-            search.levels,
-            lambda i: search.joint_min_cap(search.pair_sets(u, v, i))[0],
+        return crossing(
+            len(search.levels),
+            search.levels.__getitem__,
+            lambda i: search.joint_min_cap(search.pair_sets(u, v, i)),
         )
-        return value, search.joint_min_cap(search.pair_sets(u, v, idx))[1]
 
     best_val, best_pi = None, None
     for pi in anchors:
@@ -357,8 +349,10 @@ def dconc_lower_witness(
     best = None
     for g in range(Y.k):
         levels = _unit_levels(table.diff[0][g])
-        val, _ = _least_eps(
-            levels, lambda i: 1 - table.flow(table.allowed(0, g, levels[i]))
+        val, _ = crossing(
+            len(levels),
+            levels.__getitem__,
+            lambda i: (1 - table.flow(table.allowed(0, g, levels[i])), None),
         )
         if best is None or val < best:
             best = val

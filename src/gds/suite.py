@@ -47,6 +47,7 @@ from .coupling import (
     product_coupling,
     transportation_vertices,
 )
+from .errors import GdsError
 from .metrics import (
     CellSet,
     hausdorff,
@@ -940,8 +941,14 @@ def _run_observation(name, run, seed: int, trials: int) -> PropertyOutcome:
     return PropertyOutcome(name, False, trials, 0, note)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise GdsError(f"trials must be at least 0, not {trials}")
+
+
 def run_property(name: str, seed: int = 0, trials: int = 25) -> PropertyOutcome:
     """Run a single named property; useful for bisecting a failure."""
+    _check_trials(trials)
     for known, check in _CHECKS:
         if known == name:
             return _run_check(name, check, seed, trials)
@@ -956,8 +963,9 @@ def verify_theorem_suite(seed: int = 0, trials: int = 25) -> SuiteReport:
 
     The same (seed, trials) pair always exercises the same instances, so a
     reported failure can be replayed with run_property.  trials=0 yields
-    an empty passing report.
+    an empty passing report; a negative count is refused.
     """
+    _check_trials(trials)
     outcomes = [
         _run_check(name, check, seed, trials) for name, check in _CHECKS
     ]

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gds
-from gds import emit_gds, n_point_discrete, parse_gds, random_gds, singleton_gds
+from gds import (
+    box_heuristic,
+    dconc_heuristic,
+    emit_gds,
+    n_point_discrete,
+    parse_gds,
+    random_gds,
+    singleton_gds,
+)
 from gds.cli import main
 from gds.numerics import Q
 
@@ -78,8 +86,32 @@ class TestDconc:
         assert "note" in payload
         assert payload["value"] >= 0
 
+    @pytest.mark.parametrize("budget", [0, 1, 5])
+    def test_heuristic_budget_is_passed_as_given(self, capsys, tmp_path, budget):
+        X, Y = random_gds(3, 2, seed=1), random_gds(3, 2, seed=2)
+        a = write_dataset(tmp_path, "a.json", X)
+        b = write_dataset(tmp_path, "b.json", Y)
+        value, _ = dconc_heuristic(X, Y, budget=budget)
+        argv = ["--budget", str(budget), a, b]
+        payload = run_json(capsys, ["dconc", "--heuristic"] + argv)
+        assert payload["exact"] == str(value)
+        payload = run_json(capsys, ["dconc", "--bounds"] + argv)
+        assert payload["upper"]["exact"] == str(value)
+
 
 class TestBox:
+    @pytest.mark.parametrize("budget", [0, 1, 5])
+    def test_heuristic_budget_is_passed_as_given(self, capsys, tmp_path, budget):
+        # --budget 0 used to be read as "no budget" and ran 400 evaluations:
+        # on this pair that printed 3/4 where budget 0 scores 1.
+        X, Y = random_gds(3, 2, seed=1), random_gds(3, 2, seed=2)
+        a = write_dataset(tmp_path, "a.json", X)
+        b = write_dataset(tmp_path, "b.json", Y)
+        payload = run_json(capsys, ["box", "--heuristic", "--budget", str(budget), a, b])
+        assert payload["exact"] == str(box_heuristic(X, Y, budget=budget))
+        if budget == 0:
+            assert payload["exact"] == "1"
+
     def test_exact_payload_includes_cells(self, capsys, tmp_path):
         a = write_dataset(tmp_path, "a.json", random_gds(2, 2, seed=7))
         b = write_dataset(tmp_path, "b.json", random_gds(2, 2, seed=8))
@@ -298,6 +330,12 @@ class TestErrorsAndModes:
         assert captured.out == ""
         assert captured.err.startswith(f"gds: {argv[-2]}:")
 
+    def test_verify_refuses_negative_trials(self, capsys):
+        assert main(["verify", "--trials", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gds: invalid input: trials")
+
     def test_verify_smoke(self, capsys):
         assert main(["verify", "--trials", "2", "--seed", "0"]) == 0
         out = capsys.readouterr().out
@@ -425,10 +463,14 @@ COMMAND_OPTIONS = {
         _modes, _flag("--budget", int_values),
     ),
     "gen": st.tuples(GEN_OPTIONS.map(lambda parts: [w for p in parts for w in p]), _modes),
+    # --trials is always given, and small, so each example stays cheap.
+    "verify": st.tuples(
+        st.integers(-2, 1).map(lambda t: ["--trials", str(t)]), _flag("--seed", small_ints)
+    ),
 }
 # Commands that read one dataset, and those that read none.
 ONE_INPUT = {"od", "pd", "kyfan", "quotient"}
-NO_INPUT = {"gen"}
+NO_INPUT = {"gen", "verify"}
 # The largest value a command's JSON payload may report: distances lie in
 # [0, 1], diameters are only bounded below.  od and pd print a CSV table
 # unless the flag named here asks for one value.

@@ -16,7 +16,7 @@ from gds import (
     prohorov,
     sup_pseudometric,
 )
-from gds.metrics import first_feasible, prohorov_weights
+from gds.metrics import crossing, first_feasible, prohorov_weights
 from gds.coupling import product_coupling
 from gds.errors import SupportError
 from gds.numerics import EXACT, FLOAT_TOL, Q
@@ -300,3 +300,48 @@ class TestFirstFeasible:
     def test_lower_bound_above_zero(self):
         assert first_feasible(lambda i: True, 9, lo=3) == 3
         assert first_feasible(lambda i: i >= 6, 9, lo=3) == 6
+
+
+class TestCrossing:
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda count: st.tuples(
+                st.integers(-3, 3),
+                st.lists(st.integers(0, 2), min_size=count, max_size=count),
+                st.integers(-3, 9),
+                st.lists(st.integers(0, 2), min_size=count, max_size=count),
+            )
+        )
+    )
+    def test_matches_linear_scan(self, drawn):
+        # Small steps make ties common: between rise and fall at one
+        # index, and between the values of neighbouring indices.
+        rise_start, rise_steps, fall_start, fall_steps = drawn
+        rise = [rise_start + sum(rise_steps[:i]) for i in range(len(rise_steps))]
+        fall = [fall_start - sum(fall_steps[:i]) for i in range(len(fall_steps))]
+        fall[-1] = min(fall[-1], rise[-1])  # rise reaches fall at the last index
+        count = len(rise)
+        calls = []
+
+        def fall_at(i):
+            calls.append(i)
+            return fall[i], ("witness", i)
+
+        value, witness = crossing(count, rise.__getitem__, fall_at)
+        values = [max(r, f) for r, f in zip(rise, fall)]
+        # Only the crossing and its predecessor are read; an earlier index
+        # can tie the minimum only through a fall equal to the predecessor's.
+        cross = next(i for i in range(count) if rise[i] >= fall[i])
+        first = next(
+            i for i in range(max(cross - 1, 0), count) if values[i] == min(values)
+        )
+        assert value == min(values)
+        assert witness == ("witness", first)
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= (count - 1).bit_length() + 2
+
+    def test_predecessor_wins_a_tie(self):
+        # rise 1, 3 against fall 3, 1: both indices attain 3.
+        rise, fall = [1, 3], [3, 1]
+        got = crossing(2, rise.__getitem__, lambda i: (fall[i], i))
+        assert got == (3, 0)

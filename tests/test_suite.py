@@ -1,6 +1,7 @@
 import pytest
 
 from gds import property_names, run_property, verify_theorem_suite
+from gds.errors import GdsError
 
 
 class TestSuite:
@@ -19,6 +20,14 @@ class TestSuite:
         assert report.ok
         assert len(report.outcomes) == len(property_names())
         assert all(o.trials == 0 for o in report.outcomes if o.asserted)
+
+    @pytest.mark.parametrize("trials", [-1, -5])
+    def test_negative_trials_are_refused(self, trials):
+        # A negative count used to report PASS for every property.
+        with pytest.raises(GdsError):
+            verify_theorem_suite(seed=0, trials=trials)
+        with pytest.raises(GdsError):
+            run_property(property_names()[0], seed=0, trials=trials)
 
     def test_single_property(self):
         name = property_names()[0]
