@@ -36,6 +36,7 @@ from .numerics import (
     EXACT,
     FLOAT,
     Q,
+    ZERO,
     Scalar,
     check_mode,
     close,
@@ -94,7 +95,8 @@ class Coupling:
         )
 
     def mass(self, cells) -> Scalar:
-        return sum((self.matrix[i][j] for (i, j) in cells), start=0)
+        zero = ZERO if self.mode == EXACT else 0.0
+        return sum((self.matrix[i][j] for (i, j) in cells), start=zero)
 
     def support(self) -> tuple:
         return tuple(

@@ -13,6 +13,13 @@ search, bottleneck and augmenting path as it was.  Every solver reaches
 the kernel through Transport, which scales the weights once with
 numerics.scaled_ints, memoises the value of each cell mask and converts
 back only what it returns; float weights pass through unscaled.
+
+A value call starts the kernel from a greedy feasible plan instead of
+the empty flow: the maximum value is unique and Edmonds-Karp from any
+feasible flow ends at a maximum, so the value is the same and most
+augmentations are skipped (reoptimization, as in Gallo, Grigoriadis &
+Tarjan, SIAM J. Comput. 1989).  A witness plan starts cold, so the plan
+a witness is built from never depends on the start.
 """
 
 from __future__ import annotations
@@ -27,12 +34,15 @@ def max_flow_on_cells(
     mu: Sequence,
     nu: Sequence,
     allowed: int,
+    start=None,
 ) -> tuple:
     """Max coupling mass on a cell bitmask, plus a realising partial plan.
 
     `allowed` is a bitmask over cells (i, j) -> bit i*m + j.  Returns
     (value, plan) where plan[i][j] is the transported mass, supported on
-    allowed cells, with row sums <= mu and column sums <= nu.
+    allowed cells, with row sums <= mu and column sums <= nu.  `start`,
+    a partial plan of that kind, is the flow the augmentations begin
+    from; None begins from the empty flow.
     """
     n, m = len(mu), len(nu)
     size = n + m + 2
@@ -56,6 +66,18 @@ def max_flow_on_cells(
                 cap[n + j][i] = zero
 
     flow_value = zero
+    if start is not None:
+        for i, row in enumerate(start):
+            for j, x in enumerate(row):
+                if x:
+                    cap[source][i] -= x
+                    cap[i][source] += x
+                    cap[i][n + j] -= x
+                    cap[n + j][i] += x
+                    cap[n + j][sink] -= x
+                    cap[sink][n + j] += x
+                    flow_value += x
+
     while True:
         parent = [-1] * size
         parent[source] = source
@@ -96,12 +118,40 @@ def max_flow_on_cells(
     return flow_value, plan
 
 
+def greedy_plan(mu: Sequence, nu: Sequence, allowed: int) -> list:
+    """A feasible partial plan on a cell bitmask, in one pass.
+
+    Row by row, each allowed cell (i, j) takes the smaller of what is
+    left of mu[i] and of nu[j].  Each step subtracts an amount from two
+    remainders that are each at least as large, so no remainder goes
+    below zero, in float arithmetic too.
+    """
+    m = len(nu)
+    rest = list(nu)
+    zero = mu[0] - mu[0]
+    plan = []
+    for i, left in enumerate(mu):
+        row = [zero] * m
+        cells = allowed >> (i * m)
+        for j in range(m):
+            if not left:
+                break
+            if cells >> j & 1 and rest[j]:
+                x = left if left < rest[j] else rest[j]
+                row[j] = x
+                left -= x
+                rest[j] -= x
+        plan.append(row)
+    return plan
+
+
 class Transport:
     """The largest mass a coupling of (mu, nu) puts on a cell mask.
 
     The weights are scaled to ints once, here.  value(mask) is memoised,
-    since the threshold sweeps revisit masks across levels; plan(mask)
-    solves again and also returns the partial plan, which only witnesses
+    since the threshold sweeps revisit masks across levels, and its
+    max-flow starts from greedy_plan; plan(mask) solves again from the
+    empty flow and also returns the partial plan, which only witnesses
     need.  Both hand back rationals (floats in float mode).
     """
 
@@ -112,7 +162,8 @@ class Transport:
     def value(self, mask: int):
         hit = self._values.get(mask)
         if hit is None:
-            hit, _ = max_flow_on_cells(*self._weights, mask)
+            start = greedy_plan(*self._weights, mask)
+            hit, _ = max_flow_on_cells(*self._weights, mask, start)
             hit = self._values[mask] = unscaled(hit, self._scale)
         return hit
 

@@ -146,7 +146,7 @@ def _ky_fan_from_pairs(pairs: Sequence) -> Scalar:
         above += w
     else:
         if lo is None:
-            return 0
+            return pairs[0][1] - pairs[0][1]  # the mode's zero
         if above < lo:
             lo, tail = 0, above
     return tail if tail > lo else lo
@@ -183,7 +183,7 @@ def ky_fan_coupling(pi, f: Sequence, g: Sequence) -> Scalar:
 
 def sup_pseudometric(f: Sequence, g: Sequence, cells: Iterable) -> Scalar:
     """sup over the cell set of |f(x) - g(y)|; zero on the empty set."""
-    best = 0
+    best = f[0] - f[0]  # the mode's zero
     for (i, j) in cells:
         d = abs(f[i] - g[j])
         if d > best:

@@ -11,7 +11,9 @@ Rationals are fractions.Fraction.  The two hot kernels run on Python
 ints: the exact simplex scales its right-hand sides itself (see
 coupling._simplex), and flows.Transport, the one way into the max-flow
 kernel, scales the weights of an instance once with scaled_ints,
-memoises each mask's flow value and converts back only what it returns.
+memoises each mask's flow value, starts a value's max-flow from a greedy
+plan and a witness plan's from the empty flow, and converts back only
+what it returns.
 The brute-force Prohorov oracle scales its own weights the same way.
 """
 

@@ -39,7 +39,7 @@ from .metrics import (
     hausdorff,
     ky_fan_coupling,
 )
-from .numerics import Scalar, same_mode, tolerance
+from .numerics import Scalar, same_mode, to_scalar, tolerance
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,13 @@ def feature_transfer(X: GeometricDataSet, Y: GeometricDataSet, pi) -> tuple:
     return tuple(out)
 
 
-def _unit_levels(gaps) -> list:
-    """Ky Fan threshold grid: 0, 1 and every gap strictly between them."""
-    return sorted({0, 1} | {d for d in gaps if 0 < d < 1})
+def _unit_levels(gaps, mode: str) -> list:
+    """Ky Fan threshold grid: 0, 1 and every gap strictly between them.
+
+    0 and 1 are the mode's scalars, since dconc_exact may return a level.
+    """
+    ends = {to_scalar(0, mode), to_scalar(1, mode)}
+    return sorted(ends | {d for d in gaps if 0 < d < 1})
 
 
 def _bits(mask: int) -> list:
@@ -105,7 +109,7 @@ class _DconcSearch:
             X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
         )
         self.kx, self.ky = X.k, Y.k
-        self.levels = _unit_levels(self.table.gaps())
+        self.levels = _unit_levels(self.table.gaps(), X.mode)
         self._minmass_cache: dict = {}
         self._lp_cache: dict = {}
 
@@ -348,7 +352,7 @@ def dconc_lower_witness(
     table = GapTable([witness], Y.features.rows, X.measure.weights, Y.measure.weights)
     best = None
     for g in range(Y.k):
-        levels = _unit_levels(table.diff[0][g])
+        levels = _unit_levels(table.diff[0][g], mode)
         val, _ = crossing(
             len(levels),
             levels.__getitem__,

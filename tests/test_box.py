@@ -187,6 +187,14 @@ class TestOrderingBounds:
             matches += approx == exact
         assert matches >= 3
 
+    @pytest.mark.parametrize("mode, scalar", [("exact", Q), ("float", float)])
+    def test_heuristic_on_the_empty_set_returns_the_mode_scalar(self, mode, scalar):
+        # Budget 0 scores only the empty set, whose objective is 1.
+        X = random_gds(3, 2, seed=1, mode=mode)
+        Y = random_gds(3, 2, seed=2, mode=mode)
+        value = box_heuristic(X, Y, budget=0)
+        assert type(value) is scalar and value == 1
+
 
 class TestLip1Witness:
     def test_postconditions(self):

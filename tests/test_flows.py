@@ -4,7 +4,9 @@ Every solver reaches the kernel through flows.Transport, which scales
 the weights to ints once and hands the kernel int capacities.  The
 properties below check that this changes nothing: the value and the plan
 equal those of the kernel run on the rationals themselves, which stays
-here as the oracle.  The frozen values pin what the flow-backed solvers
+here as the oracle.  Value calls start the kernel from a greedy plan;
+the warm-start property checks that the plan is feasible and that the
+value equals the cold one.  The frozen values pin what the flow-backed solvers
 return, witnesses included: `box_exact` completes a max-flow plan into
 its coupling, so a change in the plan the kernel finds would change the
 matrix below.  The threshold sweeps of `dis_coupling`,
@@ -29,7 +31,7 @@ from gds import (
 )
 from gds import flows
 from gds.coupling import product_coupling
-from gds.flows import Transport, max_flow_on_cells
+from gds.flows import Transport, greedy_plan, max_flow_on_cells
 from gds.metrics import GapTable
 from gds.numerics import Q, close, scaled_ints, unscaled
 from gds.spaces import random_gds
@@ -70,17 +72,20 @@ class TestKernel:
         assert abs(float_transport.value(mask) - float(want_value)) <= 1e-9
 
     def test_transport_solves_each_value_mask_once(self, monkeypatch):
-        masks = []
+        masks, starts = [], []
 
-        def recording(mu, nu, allowed):
+        def recording(mu, nu, allowed, start=None):
             masks.append(allowed)
-            return max_flow_on_cells(mu, nu, allowed)
+            starts.append(start)
+            return max_flow_on_cells(mu, nu, allowed, start)
 
         monkeypatch.setattr(flows, "max_flow_on_cells", recording)
         transport = Transport([Q(1, 3), Q(2, 3)], [Q(1, 2), Q(1, 2)])
         assert transport.value(0b1001) == transport.value(0b1001) == Q(5, 6)
         assert transport.plan(0b1001)[0] == Q(5, 6)
         assert masks == [0b1001, 0b1001]
+        # The value call starts warm; the witness plan starts cold.
+        assert starts[0] is not None and starts[1] is None
 
     @given(instances())
     def test_float_value_matches(self, instance):
@@ -103,9 +108,9 @@ class TestKernel:
     def test_gap_table_hands_the_kernel_ints(self, monkeypatch):
         seen = []
 
-        def recording(mu, nu, allowed):
+        def recording(mu, nu, allowed, start=None):
             seen.append(tuple(mu) + tuple(nu))
-            return max_flow_on_cells(mu, nu, allowed)
+            return max_flow_on_cells(mu, nu, allowed, start)
 
         monkeypatch.setattr(flows, "max_flow_on_cells", recording)
         X, Y = random_gds(4, 2, seed=11), random_gds(4, 2, seed=12)
@@ -122,15 +127,65 @@ class TestKernel:
     def test_prohorov_flow_solves_each_mask_once(self, monkeypatch):
         masks = []
 
-        def recording(mu, nu, allowed):
+        def recording(mu, nu, allowed, start=None):
             masks.append(allowed)
-            return max_flow_on_cells(mu, nu, allowed)
+            return max_flow_on_cells(mu, nu, allowed, start)
 
         monkeypatch.setattr(flows, "max_flow_on_cells", recording)
         X = random_gds(30, 2, seed=55, scale=32)
         nu = random_gds(30, 2, seed=56, scale=32).measure
         prohorov(X.measure, nu, X.dist, "flow")
         assert masks and len(masks) == len(set(masks))
+
+
+@st.composite
+def warm_instances(draw):
+    """Like instances(), with the empty and the full mask drawn often."""
+    mu, nu = draw(weight_vectors), draw(weight_vectors)
+    full = (1 << (len(mu) * len(nu))) - 1
+    mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    return mu, nu, mask
+
+
+def remainders(mu, nu, start):
+    """What start leaves of each weight, subtracted in the kernel's order."""
+    rows, cols = list(mu), list(nu)
+    for i, row in enumerate(start):
+        for j, x in enumerate(row):
+            if x:
+                rows[i] -= x
+                cols[j] -= x
+    return rows, cols
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @given(instance=warm_instances())
+    def test_greedy_start_is_feasible_and_keeps_the_value(self, mode, instance):
+        mu, nu, mask = instance
+        if mode == "float":
+            mu, nu = [float(w) for w in mu], [float(w) for w in nu]
+        n, m = len(mu), len(nu)
+        (mu_s, nu_s), scale = scaled_ints(mu, nu)
+        start = greedy_plan(mu_s, nu_s, mask)
+        assert len(start) == n and all(len(row) == m for row in start)
+        for i, row in enumerate(start):
+            for j, x in enumerate(row):
+                assert x >= 0
+                assert not x or mask >> (i * m + j) & 1
+        # Row sums <= mu and column sums <= nu; in float mode, no
+        # residual capacity the kernel sets from the start is negative.
+        rows, cols = remainders(mu_s, nu_s, start)
+        assert min(rows) >= 0 and min(cols) >= 0
+        cold, _ = max_flow_on_cells(mu, nu, mask)
+        warm, plan = max_flow_on_cells(mu_s, nu_s, mask, start)
+        rows, cols = remainders(mu_s, nu_s, plan)
+        assert min(rows) >= -1e-12 and min(cols) >= -1e-12
+        value = Transport(mu, nu).value(mask)
+        if mode == "exact":
+            assert value == unscaled(warm, scale) == cold
+        else:
+            assert abs(value - cold) <= 1e-9 and value == warm
 
 
 class TestFrozenWitnesses:

@@ -210,6 +210,16 @@ class TestExactStructure:
         Yf = GeometricDataSet.build(y_rows, y_weights, mode="float")
         assert abs(dconc_exact(Xf, Yf).value - 0.5) <= 1e-9
 
+    @pytest.mark.parametrize("mode, scalar", [("exact", Q), ("float", float)])
+    def test_zero_value_is_the_mode_scalar(self, mode, scalar):
+        # A forced coupling with every Ky Fan deviation 0, and a search
+        # that ends on the grid level 0.
+        X = random_gds(1, 1, seed=288, mode=mode)
+        Y = random_gds(1, 1, seed=295, mode=mode)
+        Z = random_gds(3, 2, seed=1, mode=mode)
+        for value in (dconc_exact(X, Y).value, dconc_exact(Z, Z).value):
+            assert type(value) is scalar and value == 0
+
     def test_budget_gate(self):
         X = random_gds(3, 3, seed=51)
         Y = random_gds(3, 3, seed=52)
