@@ -6,8 +6,8 @@ properties below check that this changes nothing: the value and the plan
 equal those of the kernel run on the rationals themselves, which stays
 here as the oracle.  Value calls start the kernel from a greedy plan;
 the warm-start property checks that the plan is feasible and that the
-value equals the cold one.  The frozen values pin what the flow-backed solvers
-return, witnesses included: `box_exact` completes a max-flow plan into
+value equals the cold one.  The frozen values pin what the flow-backed
+solvers return, witnesses included: `box_exact` completes a max-flow plan into
 its coupling, so a change in the plan the kernel finds would change the
 matrix below.  The threshold sweeps of `dis_coupling`,
 `box_fixed_coupling` and `box_heuristic` are frozen the same way, in
