@@ -47,7 +47,7 @@ from .metrics import (
     hausdorff,
     sup_pseudometric,
 )
-from .numerics import FLOAT_TOL, Scalar, close, same_mode
+from .numerics import FLOAT_TOL, Scalar, close, same_mode, scaled_ints, unscaled
 
 CELL_BUDGET = 16
 
@@ -64,9 +64,10 @@ class BoxResult:
 def distortion(S, dX, dY) -> Scalar:
     """Worst additive disagreement of the two metrics over pairs from S.
 
-    Zero for empty and singleton sets; self-pairs never contribute.
+    The metrics' zero for empty and singleton sets; self-pairs never
+    contribute.
     """
-    best = 0
+    best = dX[0][0] - dX[0][0]  # the mode's zero
     cells = list(S)
     for a in range(len(cells)):
         x1, y1 = cells[a]
@@ -159,11 +160,15 @@ def _distortion_sweep(cells, dX, dY, kept) -> tuple:
     on by at most t.  kept(mask) is the mass kept on a set of positions in
     cells, monotone under inclusion, so every clique lies in a maximal one
     that keeps at least as much: each level scans the maximal cliques once
-    and keeps the first heaviest in sorted order.  Returns (value, mask
-    over positions in cells).
+    and keeps the first heaviest in sorted order.  The two metrics are
+    scaled to ints jointly, so the gaps and levels compare as ints and a
+    level is unscaled only where the crossing search probes it.  Returns
+    (value, mask over positions in cells).
     """
     count = len(cells)
-    gaps = [[abs(dX[a[0]][b[0]] - dY[a[1]][b[1]]) for b in cells] for a in cells]
+    rows, scale = scaled_ints(*dX, *dY)
+    sx, sy = rows[: len(dX)], rows[len(dX) :]
+    gaps = [[abs(sx[a[0]][b[0]] - sy[a[1]][b[1]]) for b in cells] for a in cells]
     levels = sorted({0} | {gaps[a][b] for a in range(count) for b in range(a + 1, count)})
 
     def best_at(i):
@@ -175,7 +180,7 @@ def _distortion_sweep(cells, dX, dY, kept) -> tuple:
         mask = max(sorted(_maximal_cliques(count, adj)), key=kept)
         return 1 - kept(mask), mask
 
-    return crossing(len(levels), levels.__getitem__, best_at)
+    return crossing(len(levels), lambda i: unscaled(levels[i], scale), best_at)
 
 
 def dis_coupling(pi: Coupling, dX, dY, cell_budget: int = CELL_BUDGET) -> tuple:
@@ -205,7 +210,10 @@ def dis_coupling(pi: Coupling, dX, dY, cell_budget: int = CELL_BUDGET) -> tuple:
 
 
 def _table(X: GeometricDataSet, Y: GeometricDataSet) -> tuple:
-    """Gap table of the two families and its levels: 0 and every gap."""
+    """Gap table of the two families and its levels: 0 and every gap.
+
+    The levels are the table's scaled ints (floats in float mode).
+    """
     table = GapTable(
         X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
     )
@@ -278,7 +286,9 @@ def _feature_sweep(
         most, mask = _best_pair_mass(table, levels[i], value_of)
         return 1 - most, mask
 
-    value, mask = crossing(len(levels), lambda i: 2 * levels[i], best_at)
+    value, mask = crossing(
+        len(levels), lambda i: 2 * unscaled(levels[i], table.scale), best_at
+    )
     return value, CellSet.from_mask(X.n, Y.n, mask)
 
 
@@ -372,11 +382,12 @@ def box_heuristic(
     def radius(mask):
         """Hausdorff distance of the families over the masked cells."""
         cells = [c for c in range(nm) if mask >> c & 1]
-        return hausdorff(
+        scaled = hausdorff(
             range(table.kx),
             range(table.ky),
             lambda f, g: max([table.diff[f][g][c] for c in cells], default=0),
         )
+        return unscaled(scaled, table.scale)
 
     evals = {}
     spent = 0

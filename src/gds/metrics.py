@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 from .core import DiscreteMeasure, GeometricDataSet
 from .errors import GdsError, SizeLimit
 from .flows import Transport
-from .numerics import Scalar, leq, same_mode, scaled_ints, unscaled
+from .numerics import Scalar, leq, same_mode, scaled_ints, to_scalar, unscaled
 
 BRUTE_FORCE_POINT_LIMIT = 12
 ASSIGNMENT_BUDGET = 70000
@@ -205,13 +205,19 @@ def hausdorff(items_a: Sequence, items_b: Sequence, dist: Callable) -> Scalar:
 
 
 class GapTable:
-    """Lifted gaps |f(x) - g(y)| between two feature families.
+    """Lifted gaps |f(x) - g(y)| between two feature families, scaled.
 
-    diff[f][g][c] is the gap on the flat n x m cell grid (c = x * m + y).
-    The exact searches walk thresholds h of this table: allowed(f, g, h) is
-    the bitmask of cells with gap <= h, and flow(mask) the largest mass a
-    coupling of (mu, nu) puts on a mask, read from one Transport.  Both
-    are memoised, since the sweeps revisit them across levels.
+    The rows of both families are scaled to ints once, jointly, with
+    numerics.scaled_ints, so diff[f][g][c] is the gap on the flat n x m
+    cell grid (c = x * m + y) times `scale`, and every gap and level the
+    searches compare is an int; unscaled(h, scale) gives back the
+    rational a level stands for, which the searches do only where a
+    level meets a mass or is returned.  In float mode the rows pass
+    through unchanged and scale is None.  The exact searches walk
+    thresholds h of this table: allowed(f, g, h) is the bitmask of cells
+    with scaled gap <= h, and flow(mask) the largest mass a coupling of
+    (mu, nu) puts on a mask, read from one Transport.  Both are memoised,
+    since the sweeps revisit them across levels.
     """
 
     def __init__(self, rows_x: Sequence, rows_y: Sequence, mu: Sequence, nu: Sequence):
@@ -220,19 +226,22 @@ class GapTable:
         self.flow = Transport(mu, nu).value
         self.kx, self.ky = len(rows_x), len(rows_y)
         self.full = (1 << (self.n * self.m)) - 1
+        rows, self.scale = scaled_ints(*rows_x, *rows_y)
         self.diff = [
             [
                 [abs(fr[i] - gr[j]) for i in range(self.n) for j in range(self.m)]
-                for gr in rows_y
+                for gr in rows[self.kx :]
             ]
-            for fr in rows_x
+            for fr in rows[: self.kx]
         ]
         self._allowed: dict = {}
 
     def gaps(self) -> set:
+        """Every scaled gap of the table."""
         return {d for per_f in self.diff for cells in per_f for d in cells}
 
     def allowed(self, f: int, g: int, h) -> int:
+        """Cells whose scaled gap between rows f and g is at most h."""
         key = (f, g, h)
         hit = self._allowed.get(key)
         if hit is None:
@@ -268,15 +277,6 @@ def prohorov_weights(
         raise GdsError("prohorov needs two weight vectors on one metric space")
     if method == "auto":
         method = "flow"
-    # The thresholds are 0 and every distance; cells_at[t] is the bitmask
-    # of the cells (x, y), bit x * n + y, with d(x, y) = t.
-    cells_at: dict = {}
-    for x in range(n):
-        for y in range(n):
-            d = dist[x][y]
-            cells_at[d] = cells_at.get(d, 0) | 1 << (x * n + y)
-    cells_at.setdefault(0, 0)
-    thresholds = sorted(cells_at)
 
     if method == "brute":
         if n > BRUTE_FORCE_POINT_LIMIT:
@@ -285,7 +285,8 @@ def prohorov_weights(
             )
         # The subset scan sums and compares weights only, so it runs on
         # ints; a requirement is converted back before it meets the
-        # (unscaled) thresholds.
+        # thresholds, which stay the raw distances.
+        thresholds = sorted(_cells_at(dist))
         (mu_int, nu_int), scale = scaled_ints(mu_weights, nu_weights)
         req = _prohorov_requirements_brute(mu_int, nu_int, dist, thresholds)
         return min(
@@ -298,16 +299,37 @@ def prohorov_weights(
     # By transportation duality the requirement at thresholds[i] is the
     # mass no coupling can keep on within[i], the cells with d(x, y) at
     # most that threshold.  It falls as the threshold rises, so the
-    # crossing search reads it at about log2 of the thresholds.
+    # crossing search reads it at about log2 of the thresholds.  The
+    # distances are scaled to ints once; a threshold is unscaled only
+    # where the search probes it against a requirement.
+    rows, scale = scaled_ints(*dist)
+    cells_at = _cells_at(rows)
+    thresholds = sorted(cells_at)
     within = list(accumulate((cells_at[t] for t in thresholds), or_))
     transport = Transport(mu_weights, nu_weights)
     total = sum(nu_weights)
     value, _ = crossing(
         len(thresholds),
-        thresholds.__getitem__,
+        lambda i: unscaled(thresholds[i], scale),
         lambda i: (total - transport.value(within[i]), None),
     )
     return value
+
+
+def _cells_at(dist) -> dict:
+    """Prohorov thresholds, 0 and every distance, each with its cells.
+
+    cells_at[t] is the bitmask of the cells (x, y), bit x * n + y, with
+    d(x, y) = t.
+    """
+    n = len(dist)
+    cells_at: dict = {}
+    for x in range(n):
+        for y in range(n):
+            d = dist[x][y]
+            cells_at[d] = cells_at.get(d, 0) | 1 << (x * n + y)
+    cells_at.setdefault(0, 0)
+    return cells_at
 
 
 def _neighborhood_mass_table(dist, weights, member_mask: int, thresholds):
@@ -390,14 +412,15 @@ def partial_diameter(values: Sequence, mu: DiscreteMeasure, alpha) -> Scalar:
     """Least diameter of a closed interval catching mass at least alpha.
 
     Computed on the pushforward of mu under the value row.  alpha <= 0
-    returns 0 (the empty interval suffices); alpha > 1 is out of range.
+    returns the mode's 0 (the empty interval suffices); alpha > 1 is out
+    of range.
     """
     if len(values) != mu.n:
         raise GdsError("value row disagrees with the measure's point count")
     if alpha > 1:
         raise GdsError("partial diameter is undefined for alpha > 1")
     if alpha <= 0:
-        return 0
+        return to_scalar(0, mu.mode)
     vs, ws = _atoms(values, mu.weights)
     mode = mu.mode
     best = None
@@ -426,7 +449,7 @@ def observable_diameter(X: GeometricDataSet, kappa) -> Scalar:
     """Largest partial diameter, at level 1 - kappa, over the features."""
     alpha = 1 - kappa
     if alpha <= 0:
-        return 0
+        return to_scalar(0, X.mode)
     return max(
         partial_diameter(row, X.measure, alpha) for row in X.features.rows
     )

@@ -14,7 +14,21 @@ kernel, scales the weights of an instance once with scaled_ints,
 memoises each mask's flow value, starts a value's max-flow from a greedy
 plan and a witness plan's from the empty flow, and converts back only
 what it returns.
-The brute-force Prohorov oracle scales its own weights the same way.
+The threshold grids are scaled the same way, once per instance, so the
+sweeps build, sort and compare their levels as ints:
+  * the feature gaps |f(x) - g(y)| of metrics.GapTable, whose rows are
+    scaled jointly; box_exact's sweep unscales a level where the crossing
+    search probes it, box_heuristic its radius once per mask, and the
+    dconc searches keep an unscaled twin of their Ky Fan grid;
+  * the distortion gaps |dX - dY| of box._distortion_sweep, whose two
+    metrics are scaled jointly and whose levels are unscaled where
+    probed;
+  * the Prohorov thresholds of the flow route of
+    metrics.prohorov_weights, the scaled distances, unscaled where
+    probed.
+The brute-force Prohorov oracle scales its own weights the same way,
+but keeps the raw distances as thresholds; it and every witness
+re-evaluation read the unscaled inputs.
 """
 
 from __future__ import annotations
@@ -119,14 +133,14 @@ def to_scalar(value, mode: str) -> Scalar:
 
 
 def scaled_ints(*vectors) -> tuple:
-    """Exact weight vectors as ints over one common denominator.
+    """Exact vectors as ints over one common denominator.
 
     Returns (scaled vectors, D), where D is the lcm of every entry's
-    denominator and each entry is multiplied by D.  Sums, differences
-    and minima of the scaled entries are those of the rationals times D,
-    and every comparison comes out the same, so a max-flow or a mass
-    scan runs on ints and unscaled(x, D) recovers each rational it
-    returns.  Vectors holding a float (float mode) come back unchanged,
+    denominator and each entry is multiplied by D.  Sums, differences,
+    absolute gaps and minima of the scaled entries are those of the
+    rationals times D, and every comparison comes out the same, so a
+    max-flow, a mass scan or a threshold sweep runs on ints and
+    unscaled(x, D) recovers each rational it returns.  Vectors holding a float (float mode) come back unchanged,
     with D = None.
     """
     if any(isinstance(x, float) for v in vectors for x in v):

@@ -39,7 +39,7 @@ from .metrics import (
     hausdorff,
     ky_fan_coupling,
 )
-from .numerics import Scalar, same_mode, to_scalar, tolerance
+from .numerics import Scalar, same_mode, to_scalar, tolerance, unscaled
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,17 @@ def feature_transfer(X: GeometricDataSet, Y: GeometricDataSet, pi) -> tuple:
     return tuple(out)
 
 
-def _unit_levels(gaps, mode: str) -> list:
+def _unit_levels(gaps, mode: str, scale) -> tuple:
     """Ky Fan threshold grid: 0, 1 and every gap strictly between them.
 
-    0 and 1 are the mode's scalars, since dconc_exact may return a level.
+    The gaps are scaled by `scale`, a GapTable's (None in float mode).
+    Returns the grid twice, as scaled levels, which read the gap table,
+    and unscaled, which meet masses; the unscaled 0 and 1 are the mode's
+    scalars, since dconc_exact may return a level.
     """
-    ends = {to_scalar(0, mode), to_scalar(1, mode)}
-    return sorted(ends | {d for d in gaps if 0 < d < 1})
+    one = to_scalar(1, mode) if scale is None else scale
+    grid = sorted({one - one, one} | {d for d in gaps if 0 < d < one})
+    return grid, [unscaled(d, scale) for d in grid]
 
 
 def _bits(mask: int) -> list:
@@ -101,6 +105,8 @@ class _DconcSearch:
 
     Cell sets are bitmasks over the flat n x m grid.  exceed(idx)[f][g] is
     where |f - g| exceeds level idx: the set whose mass a Ky Fan bound caps.
+    levels holds the grid as rationals (floats in float mode), grid the
+    same levels scaled as the gap table's; exceed reads grid.
     """
 
     def __init__(self, X: GeometricDataSet, Y: GeometricDataSet):
@@ -109,13 +115,15 @@ class _DconcSearch:
             X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
         )
         self.kx, self.ky = X.k, Y.k
-        self.levels = _unit_levels(self.table.gaps(), X.mode)
+        self.grid, self.levels = _unit_levels(
+            self.table.gaps(), X.mode, self.table.scale
+        )
         self._minmass_cache: dict = {}
         self._lp_cache: dict = {}
 
     def exceed(self, level_idx: int) -> list:
         """exceed[f][g]: cells where |f - g| is above the level."""
-        h, table = self.levels[level_idx], self.table
+        h, table = self.grid[level_idx], self.table
         return [
             [table.full ^ table.allowed(f, g, h) for g in range(self.ky)]
             for f in range(self.kx)
@@ -352,11 +360,11 @@ def dconc_lower_witness(
     table = GapTable([witness], Y.features.rows, X.measure.weights, Y.measure.weights)
     best = None
     for g in range(Y.k):
-        levels = _unit_levels(table.diff[0][g], mode)
+        grid, levels = _unit_levels(table.diff[0][g], mode, table.scale)
         val, _ = crossing(
             len(levels),
             levels.__getitem__,
-            lambda i: (1 - table.flow(table.allowed(0, g, levels[i])), None),
+            lambda i: (1 - table.flow(table.allowed(0, g, grid[i])), None),
         )
         if best is None or val < best:
             best = val

@@ -23,11 +23,13 @@ from gds import (
     lip1_witness,
     mm_lip1_generators,
     n_point_discrete,
+    product_coupling,
+    prohorov,
     singleton_gds,
 )
 from gds.coupling import enumerate_couplings, max_mass_on_set
 from gds.errors import EmptyCellSet, SizeLimit, WitnessNotLipschitz
-from gds.numerics import Q
+from gds.numerics import FLOAT_TOL, Q
 from gds.spaces import random_gds
 
 
@@ -159,6 +161,57 @@ class TestBruteForceAgreement:
             ),
         )
         assert attained == res.value
+
+
+# Hand-built instances off the one lattice random_gds draws from: X on the
+# 1/3 lattice, Y on the 1/7 lattice, metrics with denominators 5 and 9,
+# and non-uniform weights with other denominators again.
+MIXED_X = ([["0", "1/3", "2/3"], ["1/3", "1", "0"]], ["1/6", "1/2", "1/3"])
+MIXED_Y = ([["1/7", "4/7", "6/7"], ["5/7", "0", "3/7"]], ["2/7", "1/7", "4/7"])
+MIXED_DX = ([["0", "2/5", "3/5"], ["2/5", "0", "4/5"], ["3/5", "4/5", "0"]], MIXED_X[1])
+MIXED_DY = ([["0", "1/9", "5/9"], ["1/9", "0", "4/9"], ["5/9", "4/9", "0"]], MIXED_Y[1])
+
+
+def mixed_pair(mode):
+    X, Y = (GeometricDataSet.build(*spec, mode=mode) for spec in (MIXED_X, MIXED_Y))
+    MX, MY = (MmSpace.build(*spec, mode=mode) for spec in (MIXED_DX, MIXED_DY))
+    return X, Y, MX, MY
+
+
+class TestMixedDenominators:
+    """Exact values against the oracles when no two inputs share a lattice;
+    float values within FLOAT_TOL of them."""
+
+    def values(self, mode):
+        X, Y, MX, MY = mixed_pair(mode)
+        pi = product_coupling(MX.measure, MY.measure)
+        return {
+            "box": box_exact(X, Y).value,
+            "mm": box_mm_exact(MX, MY),
+            "dis": dis_coupling(pi, MX.dist, MY.dist)[0],
+            "prohorov X": prohorov(MX.measure, MY.measure, MX.dist, "flow"),
+            "prohorov Y": prohorov(MX.measure, MY.measure, MY.dist, "flow"),
+        }
+
+    def test_exact_matches_the_oracles(self):
+        X, Y, MX, MY = mixed_pair("exact")
+        pi = product_coupling(MX.measure, MY.measure)
+        got = self.values("exact")
+        assert got["box"] == box_brute(X, Y)
+        assert got["mm"] == box_mm_brute(MX, MY)
+        assert got["dis"] == dis_coupling_brute(pi, MX.dist, MY.dist)
+        for name, dist in (("prohorov X", MX.dist), ("prohorov Y", MY.dist)):
+            assert got[name] == prohorov(MX.measure, MY.measure, dist, "brute")
+        assert all(type(v) is Q for v in got.values())
+        # The distortion value is a gap |dX - dY| between the two metrics'
+        # lattices, so it lies on neither of them.
+        assert got["mm"].denominator == 45
+
+    def test_float_within_tolerance_of_exact(self):
+        exact, approx = self.values("exact"), self.values("float")
+        for name, value in approx.items():
+            assert type(value) is float
+            assert abs(value - exact[name]) <= FLOAT_TOL, name
 
 
 class TestOrderingBounds:

@@ -117,11 +117,12 @@ class TestKernel:
         table = GapTable(
             X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
         )
-        value = table.flow(table.allowed(0, 0, Q(1, 4)))
+        mask = table.allowed(0, 0, Q(1, 4) * table.scale)  # gaps <= 1/4
+        value = table.flow(mask)
         assert seen and all(type(c) is int for caps in seen for c in caps)
         assert type(value) is Q
         assert value == max_flow_on_cells(
-            X.measure.weights, Y.measure.weights, table.allowed(0, 0, Q(1, 4))
+            X.measure.weights, Y.measure.weights, mask
         )[0]
 
     def test_prohorov_flow_solves_each_mask_once(self, monkeypatch):

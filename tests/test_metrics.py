@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from gds import (
     CellSet,
     DiscreteMeasure,
+    distortion,
     hausdorff,
     ky_fan,
     ky_fan_coupling,
@@ -16,10 +17,10 @@ from gds import (
     prohorov,
     sup_pseudometric,
 )
-from gds.metrics import crossing, first_feasible, prohorov_weights
+from gds.metrics import GapTable, crossing, first_feasible, prohorov_weights
 from gds.coupling import product_coupling
 from gds.errors import SupportError
-from gds.numerics import EXACT, FLOAT_TOL, Q
+from gds.numerics import EXACT, FLOAT_TOL, Q, unscaled
 from gds.spaces import n_point_discrete, random_gds
 
 
@@ -345,3 +346,53 @@ class TestCrossing:
         rise, fall = [1, 3], [3, 1]
         got = crossing(2, rise.__getitem__, lambda i: (fall[i], i))
         assert got == (3, 0)
+
+
+class TestGapTable:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_allowed_matches_the_raw_gaps(self, mode, seed):
+        # X and Y on different lattices, so the joint scale is not either's.
+        X = random_gds(2 + seed % 3, 1 + seed % 2, seed=seed, scale=6, mode=mode)
+        Y = random_gds(3, 2, seed=100 + seed, scale=5, mode=mode)
+        table = GapTable(
+            X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
+        )
+        levels = sorted({0} | table.gaps())
+        raw = {
+            abs(f[x] - g[y])
+            for f in X.features.rows
+            for g in Y.features.rows
+            for x in range(X.n)
+            for y in range(Y.n)
+        }
+        assert {unscaled(h, table.scale) for h in levels} == {0} | raw
+        for h in levels:
+            level = unscaled(h, table.scale)
+            for i, f in enumerate(X.features.rows):
+                for j, g in enumerate(Y.features.rows):
+                    want = sum(
+                        1 << (x * Y.n + y)
+                        for x in range(X.n)
+                        for y in range(Y.n)
+                        if abs(f[x] - g[y]) <= level
+                    )
+                    assert table.allowed(i, j, h) == want
+
+
+class TestModeScalars:
+    @pytest.mark.parametrize("mode, scalar", [("exact", Q), ("float", float)])
+    def test_zero_values_are_the_mode_scalar(self, mode, scalar):
+        # alpha <= 0 needs no interval, and a set of fewer than two cells
+        # has no pair to disagree on.
+        X = random_gds(3, 2, seed=1, mode=mode)
+        row = X.features.rows[0]
+        values = [
+            partial_diameter(row, X.measure, 0),
+            partial_diameter(row, X.measure, -1),
+            observable_diameter(X, 1),
+            distortion([], X.dist, X.dist),
+            distortion([(1, 2)], X.dist, X.dist),
+        ]
+        for value in values:
+            assert type(value) is scalar and value == 0
