@@ -179,8 +179,8 @@ def mixed_pair(mode):
 
 
 class TestMixedDenominators:
-    """Exact values against the oracles when no two inputs share a lattice;
-    float values within FLOAT_TOL of them."""
+    """Exact values against the oracles on inputs that share no one
+    lattice; float values within FLOAT_TOL of them."""
 
     def values(self, mode):
         X, Y, MX, MY = mixed_pair(mode)
