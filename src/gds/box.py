@@ -183,7 +183,7 @@ def _distortion_sweep(cells, dX, dY, kept) -> tuple:
     return crossing(len(levels), lambda i: unscaled(levels[i], scale), best_at)
 
 
-def dis_coupling(pi: Coupling, dX, dY, cell_budget: int = CELL_BUDGET) -> tuple:
+def dis_coupling(pi: Coupling, dX, dY) -> tuple:
     """Distortion of a coupling: best trade-off of discarded mass vs spread.
 
     Minimises max(1 - pi(S), distortion(S)) over cell sets.  Cells outside
@@ -192,9 +192,9 @@ def dis_coupling(pi: Coupling, dX, dY, cell_budget: int = CELL_BUDGET) -> tuple:
     number of maximal cliques grows exponentially with it.
     """
     support = pi.support()
-    if len(support) > cell_budget:
+    if len(support) > CELL_BUDGET:
         raise SizeLimit(
-            f"{len(support)} support cells exceed the exact budget {cell_budget}"
+            f"{len(support)} support cells exceed the exact budget {CELL_BUDGET}"
         )
     weights = [pi.matrix[i][j] for i, j in support]
     value, mask = _distortion_sweep(
@@ -221,7 +221,7 @@ def _table(X: GeometricDataSet, Y: GeometricDataSet) -> tuple:
 
 
 def _side_masks(table: GapTable, h) -> tuple:
-    """Deduplicated cell masks cut out by each total assignment at level h."""
+    """Sets of the cell masks cut out by each total assignment at level h."""
     allowed = [
         [table.allowed(f, g, h) for g in range(table.ky)] for f in range(table.kx)
     ]
@@ -237,7 +237,7 @@ def _side_masks(table: GapTable, h) -> tuple:
         for g, f in enumerate(v):
             mask &= allowed[f][g]
         v_masks.add(mask)
-    return sorted(u_masks), sorted(v_masks)
+    return u_masks, v_masks
 
 
 def _best_pair_mass(table: GapTable, h, value_of) -> tuple:

@@ -4,8 +4,8 @@ A coupling is a nonnegative matrix with prescribed row and column sums.
 Three search routes live here and deliberately stay independent of each
 other so they can cross-validate:
 
-  * max_mass_on_set: bipartite max-flow (flows.Transport), specialised
-    and fast;
+  * max_mass_on_set: bipartite max-flow, specialised and fast;
+    flows.Transport solves it and completes the witness coupling;
   * feasibility_lp: a dense simplex with Bland's rule, started from the
     northwest-corner coupling, capping the mass on several cell sets at
     once; exact mode pivots a fraction-free integer tableau (Bareiss
@@ -127,44 +127,22 @@ def product_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     return Coupling(rows, mode)
 
 
-def _completed_plan(mu, nu, plan, mode):
-    """Extend a partial transport plan to a full coupling.
-
-    Residual row and column masses are matched with their product
-    completion, which is again a valid filling because both residual
-    vectors carry the same total.
-    """
-    n, m = mu.n, nu.n
-    res_mu = [mu.weights[i] - sum(plan[i]) for i in range(n)]
-    res_nu = [nu.weights[j] - sum(plan[i][j] for i in range(n)) for j in range(m)]
-    leftover = sum(res_mu)
-    rows = [list(plan[i]) for i in range(n)]
-    if leftover > 0:
-        for i in range(n):
-            if res_mu[i] == 0:
-                continue
-            for j in range(m):
-                if res_nu[j] == 0:
-                    continue
-                rows[i][j] += res_mu[i] * res_nu[j] / leftover
-    return Coupling(tuple(tuple(r) for r in rows), mode)
-
-
 def max_mass_on_set(
     mu: DiscreteMeasure, nu: DiscreteMeasure, cells: CellSet
 ) -> tuple[Scalar, Coupling]:
     """Largest coupling mass placeable on a cell set, with a witness.
 
-    Solved by bipartite max-flow; the witness is the flow plan completed to
-    a genuine coupling by product-filling the residual marginals.  The
-    filled mass cannot land on the target set (that would beat the
-    maximum), so the witness attains exactly the returned value.
+    Solved by bipartite max-flow; Transport.coupling completes the flow
+    plan to a genuine coupling by product-filling the residual marginals,
+    on the scaled ints.  The filled mass cannot land on the target set
+    (that would beat the maximum), so the witness attains exactly the
+    returned value; its marginals are checked on the raw weights.
     """
     mode = same_mode(mu.mode, nu.mode)
     if cells.n != mu.n or cells.m != nu.n:
         raise GdsError("cell set shape disagrees with the marginals")
-    value, plan = Transport(mu.weights, nu.weights).plan(cells.to_mask())
-    coupling = _completed_plan(mu, nu, plan, mode)
+    value, matrix = Transport(mu.weights, nu.weights).coupling(cells.to_mask())
+    coupling = Coupling(matrix, mode)
     coupling.check_marginals(mu, nu)
     return value, coupling
 

@@ -11,8 +11,10 @@ the capacity values, so termination never depends on the arithmetic.  For
 the same reason, scaling every capacity by one positive D leaves each
 search, bottleneck and augmenting path as it was.  Every solver reaches
 the kernel through Transport, which scales the weights once with
-numerics.scaled_ints, memoises the value of each cell mask and converts
-back only what it returns; float weights pass through unscaled.
+numerics.scaled_ints, memoises the value of each cell mask, completes
+a witness plan into a coupling on the same ints and converts back only
+what it returns; float weights pass through unscaled.  Transport's is
+the only memo of flow values in the package.
 
 A value call starts the kernel from a greedy feasible plan instead of
 the empty flow: the maximum value is unique and Edmonds-Karp from any
@@ -27,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .numerics import scaled_ints, unscaled
+from .numerics import Q, scaled_ints, unscaled
 
 
 def max_flow_on_cells(
@@ -148,11 +150,12 @@ def greedy_plan(mu: Sequence, nu: Sequence, allowed: int) -> list:
 class Transport:
     """The largest mass a coupling of (mu, nu) puts on a cell mask.
 
-    The weights are scaled to ints once, here.  value(mask) is memoised,
-    since the threshold sweeps revisit masks across levels, and its
-    max-flow starts from greedy_plan; plan(mask) solves again from the
-    empty flow and also returns the partial plan, which only witnesses
-    need.  Both hand back rationals (floats in float mode).
+    The weights are scaled to ints once, here, and this is the one memo
+    of flow values: value(mask) is memoised, since the threshold sweeps
+    revisit masks across levels, and its max-flow starts from
+    greedy_plan.  coupling(mask) solves again from the empty flow and
+    completes the plan into a full coupling, which only witnesses need.
+    Both hand back rationals (floats in float mode).
     """
 
     def __init__(self, mu: Sequence, nu: Sequence):
@@ -167,10 +170,33 @@ class Transport:
             hit = self._values[mask] = unscaled(hit, self._scale)
         return hit
 
-    def plan(self, mask: int) -> tuple:
-        """(value, plan) of max_flow_on_cells on the unscaled weights."""
+    def coupling(self, mask: int) -> tuple:
+        """(value, matrix): the max-flow value and a coupling attaining it.
+
+        When mu and nu carry one total, the row and column masses a_i and
+        b_j the cold plan leaves both sum to one leftover L, so adding
+        a_i * b_j / L to each cell completes the plan to a coupling (that
+        mass cannot land on the mask: it would beat the maximum).  Exact
+        mode completes the scaled plan p on ints and unscales each entry
+        once, as (p * L + a_i * b_j) / (D * L).
+        """
+        mu, nu = self._weights
         scale = self._scale
-        value, plan = max_flow_on_cells(*self._weights, mask)
-        return unscaled(value, scale), [
-            [unscaled(x, scale) for x in row] for row in plan
-        ]
+        value, plan = max_flow_on_cells(mu, nu, mask)
+        a = [w - sum(row) for w, row in zip(mu, plan)]
+        b = [w - sum(col) for w, col in zip(nu, zip(*plan))]
+        leftover = sum(a)
+        matrix = []
+        for a_i, row in zip(a, plan):
+            out = []
+            for b_j, p in zip(b, row):
+                if leftover > 0 and a_i != 0 and b_j != 0:
+                    if scale is None:
+                        p = p + a_i * b_j / leftover
+                    else:
+                        p = Q(p * leftover + a_i * b_j, scale * leftover)
+                else:
+                    p = unscaled(p, scale)
+                out.append(p)
+            matrix.append(tuple(out))
+        return unscaled(value, scale), tuple(matrix)

@@ -215,9 +215,10 @@ class GapTable:
     level meets a mass or is returned.  In float mode the rows pass
     through unchanged and scale is None.  The exact searches walk
     thresholds h of this table: allowed(f, g, h) is the bitmask of cells
-    with scaled gap <= h, and flow(mask) the largest mass a coupling of
-    (mu, nu) puts on a mask, read from one Transport.  Both are memoised,
-    since the sweeps revisit them across levels.
+    with scaled gap <= h, computed afresh on each call, and flow(mask)
+    the largest mass a coupling of (mu, nu) puts on a mask, read from
+    one Transport, whose memo serves the masks the sweeps revisit
+    across levels.
     """
 
     def __init__(self, rows_x: Sequence, rows_y: Sequence, mu: Sequence, nu: Sequence):
@@ -234,7 +235,6 @@ class GapTable:
             ]
             for fr in rows[: self.kx]
         ]
-        self._allowed: dict = {}
 
     def gaps(self) -> set:
         """Every scaled gap of the table."""
@@ -242,15 +242,11 @@ class GapTable:
 
     def allowed(self, f: int, g: int, h) -> int:
         """Cells whose scaled gap between rows f and g is at most h."""
-        key = (f, g, h)
-        hit = self._allowed.get(key)
-        if hit is None:
-            hit = 0
-            for c, d in enumerate(self.diff[f][g]):
-                if d <= h:
-                    hit |= 1 << c
-            self._allowed[key] = hit
-        return hit
+        mask = 0
+        for c, d in enumerate(self.diff[f][g]):
+            if d <= h:
+                mask |= 1 << c
+        return mask
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ never a silent promotion.
 Rationals are fractions.Fraction.  The two hot kernels run on Python
 ints: the exact simplex scales its right-hand sides itself (see
 coupling._simplex), and flows.Transport, the one way into the max-flow
-kernel, scales the weights of an instance once with scaled_ints,
-memoises each mask's flow value, starts a value's max-flow from a greedy
-plan and a witness plan's from the empty flow, and converts back only
-what it returns.
+kernel and the one memo of its values, scales the weights of an
+instance once with scaled_ints, memoises each mask's flow value, starts
+a value's max-flow from a greedy plan and a witness's from the empty
+flow, completes the witness plan to a coupling on the scaled ints, and
+converts back only what it returns, each witness entry once.
 The threshold grids are scaled the same way, once per instance, so the
 sweeps build, sort and compare their levels as ints:
   * the feature gaps |f(x) - g(y)| of metrics.GapTable, whose rows are
@@ -28,7 +29,7 @@ sweeps build, sort and compare their levels as ints:
     probed.
 The brute-force Prohorov oracle scales its own weights the same way,
 but keeps the raw distances as thresholds; it and every witness
-re-evaluation read the unscaled inputs.
+re-evaluation (check_marginals included) read the unscaled inputs.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import itertools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import GeometricDataSet
 from .coupling import (
@@ -106,7 +106,9 @@ class _DconcSearch:
     Cell sets are bitmasks over the flat n x m grid.  exceed(idx)[f][g] is
     where |f - g| exceeds level idx: the set whose mass a Ky Fan bound caps.
     levels holds the grid as rationals (floats in float mode), grid the
-    same levels scaled as the gap table's; exceed reads grid.
+    same levels scaled as the gap table's; exceed reads grid.  The flow
+    values behind the single-set floors are memoised by the gap table's
+    Transport; the LP caps of set families are memoised here.
     """
 
     def __init__(self, X: GeometricDataSet, Y: GeometricDataSet):
@@ -118,7 +120,6 @@ class _DconcSearch:
         self.grid, self.levels = _unit_levels(
             self.table.gaps(), X.mode, self.table.scale
         )
-        self._minmass_cache: dict = {}
         self._lp_cache: dict = {}
 
     def exceed(self, level_idx: int) -> list:
@@ -128,14 +129,6 @@ class _DconcSearch:
             [table.full ^ table.allowed(f, g, h) for g in range(self.ky)]
             for f in range(self.kx)
         ]
-
-    def min_mass(self, cells: int) -> Scalar:
-        """min over couplings of pi(cells) = 1 - max mass on the complement."""
-        hit = self._minmass_cache.get(cells)
-        if hit is None:
-            hit = 1 - self.table.flow(self.table.full ^ cells)
-            self._minmass_cache[cells] = hit
-        return hit
 
     def joint_min_cap(self, sets: frozenset) -> tuple:
         """min over couplings of max mass over several cell sets, via LP."""
@@ -165,28 +158,6 @@ class _DconcSearch:
             ex[f][g] for g, f in enumerate(v)
         )
 
-    def candidate_lists(self, ex: list, cutoff) -> Optional[tuple]:
-        """Per-feature partner lists that could stay under `cutoff`.
-
-        A chosen pair (f, g) forces at least min_mass(exceed set) onto the
-        common cap, so partners whose single-set bound already reaches the
-        cutoff are pruned.  Returns None when some feature has no partner.
-        """
-        gs_for_f = []
-        for f in range(self.kx):
-            gs_for_f.append(
-                [g for g in range(self.ky) if self.min_mass(ex[f][g]) < cutoff]
-            )
-            if not gs_for_f[-1]:
-                return None
-        fs_for_g = [
-            [f for f in range(self.kx) if self.min_mass(ex[f][g]) < cutoff]
-            for g in range(self.ky)
-        ]
-        if not all(fs_for_g):
-            return None
-        return gs_for_f, fs_for_g
-
     def scan_level(self, level_idx: int, stop_at_first: bool):
         """Best assignment pair at one level of the threshold grid.
 
@@ -199,22 +170,33 @@ class _DconcSearch:
         is_last = level_idx + 1 == len(self.levels)
         cutoff = 2 if is_last else self.levels[level_idx + 1]  # masses are <= 1
         ex = self.exceed(level_idx)
-        lists = self.candidate_lists(ex, cutoff)
-        if lists is None:
+        # floor[f][g], the least mass any coupling puts on ex[f][g], is a
+        # lower bound on the cap of every pair that picks (f, g).  Partners
+        # whose floor reaches the cutoff are pruned, and a feature with no
+        # partner ends the scan before the next feature's flows are solved.
+        flow, full = self.table.flow, self.table.full
+        floor, gs_for_f = [], []
+        for row in ex:
+            floor.append([1 - flow(full ^ s) for s in row])
+            gs_for_f.append([g for g, x in enumerate(floor[-1]) if x < cutoff])
+            if not gs_for_f[-1]:
+                return None
+        fs_for_g = [
+            [f for f in range(self.kx) if floor[f][g] < cutoff]
+            for g in range(self.ky)
+        ]
+        if not all(fs_for_g):
             return None
-        gs_for_f, fs_for_g = lists
         best = None
         for u in itertools.product(*gs_for_f):
             u_sets = frozenset(ex[f][g] for f, g in enumerate(u))
-            u_floor = max(self.min_mass(s) for s in u_sets)
+            u_floor = max(floor[f][g] for f, g in enumerate(u))
             if best is not None and u_floor >= best[0]:
                 continue
             for v in itertools.product(*fs_for_g):
                 sets = u_sets | frozenset(ex[f][g] for g, f in enumerate(v))
-                floor = max(self.min_mass(s) for s in sets)
-                if floor >= cutoff:
-                    continue
-                if best is not None and floor >= best[0]:
+                pair_floor = max(u_floor, *(floor[f][g] for g, f in enumerate(v)))
+                if pair_floor >= cutoff or best is not None and pair_floor >= best[0]:
                     continue
                 cap, pi = self.joint_min_cap(sets)
                 if cap >= cutoff:

@@ -238,6 +238,10 @@ def random_gds(
             [lattice(rng.randrange(0, scale + 1), scale) for _ in range(n)]
             for _ in range(k)
         ]
+        # Two points with the same feature column are never separated, so
+        # such a draw is rejected before its O(n**2 k) metric is built.
+        if len(set(zip(*rows))) < n:
+            continue
         try:
             return GeometricDataSet.build(rows, weights, mode=mode)
         except GdsError:

@@ -2,9 +2,10 @@
 
 Every solver reaches the kernel through flows.Transport, which scales
 the weights to ints once and hands the kernel int capacities.  The
-properties below check that this changes nothing: the value and the plan
-equal those of the kernel run on the rationals themselves, which stays
-here as the oracle.  Value calls start the kernel from a greedy plan;
+properties below check that this changes nothing: the value and the
+witness coupling, which Transport completes on the same ints, equal
+those of the kernel run on the rationals themselves and completed in
+rational arithmetic, which stays here as the oracle.  Value calls start the kernel from a greedy plan;
 the warm-start property checks that the plan is feasible and that the
 value equals the cold one.  The frozen values pin what the flow-backed
 solvers return, witnesses included: `box_exact` completes a max-flow plan into
@@ -50,6 +51,26 @@ def instances(draw):
     return mu, nu, mask
 
 
+def completed_on_rationals(mu, nu, mask):
+    """The kernel's cold plan on the raw rationals, product-completed.
+
+    Residual row masses a_i and column masses b_j add a_i * b_j / L to
+    each cell, L being the total of the a_i; rational arithmetic
+    throughout, as an oracle for Transport.coupling.
+    """
+    value, plan = max_flow_on_cells(mu, nu, mask)
+    a = [mu[i] - sum(plan[i]) for i in range(len(mu))]
+    b = [nu[j] - sum(row[j] for row in plan) for j in range(len(nu))]
+    leftover = sum(a)
+    rows = [list(row) for row in plan]
+    if leftover > 0:
+        for i in range(len(mu)):
+            for j in range(len(nu)):
+                if a[i] and b[j]:
+                    rows[i][j] += a[i] * b[j] / leftover
+    return value, tuple(tuple(row) for row in rows)
+
+
 class TestKernel:
     @given(instances())
     def test_scaled_ints_give_the_rational_flow_and_plan(self, instance):
@@ -64,12 +85,29 @@ class TestKernel:
     @given(instances())
     def test_transport_gives_the_rational_flow_and_plan(self, instance):
         mu, nu, mask = instance
-        want_value, want_plan = max_flow_on_cells(mu, nu, mask)
+        want_value, want_matrix = completed_on_rationals(mu, nu, mask)
         transport = Transport(mu, nu)
-        assert transport.plan(mask) == (want_value, want_plan)
+        value, matrix = transport.coupling(mask)
+        assert (value, matrix) == (want_value, want_matrix)
+        assert type(value) is Q
+        assert all(type(x) is Q for row in matrix for x in row)
         assert transport.value(mask) == want_value
+        if sum(mu) == sum(nu):
+            assert [sum(row) for row in matrix] == mu
+            assert [sum(col) for col in zip(*matrix)] == nu
+            assert sum(
+                x for c, x in enumerate(y for row in matrix for y in row)
+                if mask >> c & 1
+            ) == value
         float_transport = Transport([float(w) for w in mu], [float(w) for w in nu])
         assert abs(float_transport.value(mask) - float(want_value)) <= 1e-9
+        value, matrix = float_transport.coupling(mask)
+        assert abs(value - float(want_value)) <= 1e-9
+        assert all(
+            abs(x - float(y)) <= 1e-9
+            for row, want_row in zip(matrix, want_matrix)
+            for x, y in zip(row, want_row)
+        )
 
     def test_transport_solves_each_value_mask_once(self, monkeypatch):
         masks, starts = [], []
@@ -82,7 +120,9 @@ class TestKernel:
         monkeypatch.setattr(flows, "max_flow_on_cells", recording)
         transport = Transport([Q(1, 3), Q(2, 3)], [Q(1, 2), Q(1, 2)])
         assert transport.value(0b1001) == transport.value(0b1001) == Q(5, 6)
-        assert transport.plan(0b1001)[0] == Q(5, 6)
+        value, matrix = transport.coupling(0b1001)
+        assert value == Q(5, 6)
+        assert matrix == ((Q(1, 3), 0), (Q(1, 6), Q(1, 2)))
         assert masks == [0b1001, 0b1001]
         # The value call starts warm; the witness plan starts cold.
         assert starts[0] is not None and starts[1] is None

@@ -205,3 +205,20 @@ class TestRandom:
         X = random_gds(3, 2, seed=5, mode=FLOAT)
         assert X.mode == FLOAT
         assert abs(sum(X.measure.weights) - 1) < 1e-9
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_unseparable_draws_are_never_built(self, mode, monkeypatch):
+        # Two lattice values cannot separate three points, so each of the
+        # 64 draws repeats a feature column and only the ramp is built.
+        calls = []
+        build = GeometricDataSet.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(GeometricDataSet, "build", classmethod(counting))
+        X = random_gds(3, 1, seed=4, scale=1, mode=mode)
+        assert len(calls) == 1
+        assert X.mode == mode
+        assert all(X.dist[x][y] > 0 for x in range(3) for y in range(x + 1, 3))
