@@ -42,7 +42,9 @@ from .numerics import (
     close,
     leq,
     same_mode,
+    scaled_ints,
     tolerance,
+    unscaled,
 )
 
 VERTEX_CELL_LIMIT = 9
@@ -90,9 +92,7 @@ class Coupling:
         return tuple(sum(row) for row in self.matrix)
 
     def col_sums(self) -> tuple:
-        return tuple(
-            sum(self.matrix[i][j] for i in range(self.n)) for j in range(self.m)
-        )
+        return tuple(sum(col) for col in zip(*self.matrix))
 
     def mass(self, cells) -> Scalar:
         zero = ZERO if self.mode == EXACT else 0.0
@@ -107,13 +107,25 @@ class Coupling:
         )
 
     def check_marginals(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+        """Raise MarginalMismatch unless the rows sum to mu and the columns to nu.
+
+        Exact mode compares on ints: the entries and the weights are
+        scaled over one common denominator, so the sums are exact and no
+        rational is added; a failing sum is built as a rational for the
+        message only.  Float mode allows FLOAT_TOL per sum.
+        """
         same_mode(self.mode, mu.mode, nu.mode)
         tol = tolerance(self.mode)
-        for i, s in enumerate(self.row_sums()):
-            if abs(s - mu.weights[i]) > tol:
+        rows, mu_w, nu_w = self.matrix, mu.weights, nu.weights
+        if self.mode == EXACT:
+            (*rows, mu_w, nu_w), _ = scaled_ints(*rows, mu_w, nu_w)
+        for i, row in enumerate(rows):
+            if abs(sum(row) - mu_w[i]) > tol:
+                s = sum(self.matrix[i])
                 raise MarginalMismatch(f"row {i} sums to {s}, expected {mu.weights[i]}")
-        for j, s in enumerate(self.col_sums()):
-            if abs(s - nu.weights[j]) > tol:
+        for j, col in enumerate(zip(*rows)):
+            if abs(sum(col) - nu_w[j]) > tol:
+                s = self.col_sums()[j]
                 raise MarginalMismatch(f"col {j} sums to {s}, expected {nu.weights[j]}")
 
 
@@ -518,12 +530,26 @@ def enumerate_couplings(
     weights k/resolution for 0 < k < resolution, so the lattice holds the
     anchors and these blends.  Every emitted matrix satisfies the
     marginals exactly, in both modes, since the polytope is convex.
+
+    Exact mode builds the lattice on ints: with the weights scaled by D
+    (numerics.scaled_ints), the product anchor is over D * D, a corner
+    anchor over D is brought to D * D, and the blend
+    k * a + (resolution - k) * b of two anchors is over
+    D * D * resolution, as are the anchors times resolution.  Scaling by
+    a positive constant keeps equality and order, so the matrices are
+    deduplicated and sorted as int tuples and each entry is unscaled
+    once.
     """
     mode = same_mode(mu.mode, nu.mode)
     if resolution < 1:
         raise GdsError("grid resolution must be at least 1")
     n, m = mu.n, nu.n
-    anchors = [product_coupling(mu, nu)]
+
+    def times(matrix, c):
+        return tuple(tuple(x * c for x in row) for row in matrix)
+
+    (mu_w, nu_w), D = scaled_ints(mu.weights, nu.weights)
+    anchors = [tuple(tuple(a * b for b in nu_w) for a in mu_w)]
     orders = [
         (range(n), range(m)),
         (range(n), reversed(range(m))),
@@ -531,19 +557,24 @@ def enumerate_couplings(
         (reversed(range(n)), reversed(range(m))),
     ]
     for ro, co in orders:
-        corner, _ = _northwest_corner(mu.weights, nu.weights, list(ro), list(co), mode)
-        anchors.append(corner)
-    out = {pi.matrix: pi for pi in anchors}
+        corner, _ = _northwest_corner(mu_w, nu_w, list(ro), list(co), mode)
+        anchors.append(corner.matrix if D is None else times(corner.matrix, D))
+    out = dict.fromkeys(
+        anchors if D is None else (times(a, resolution) for a in anchors)
+    )
     for a, b in itertools.combinations(anchors, 2):
         for k in range(1, resolution):
-            lam = k / resolution if mode == FLOAT else Q(k, resolution)
+            if D is None:
+                lam, rest = k / resolution, 1 - k / resolution
+            else:
+                lam, rest = k, resolution - k
             matrix = tuple(
-                tuple(
-                    lam * a.matrix[i][j] + (1 - lam) * b.matrix[i][j]
-                    for j in range(m)
-                )
-                for i in range(n)
+                tuple(lam * x + rest * y for x, y in zip(row_a, row_b))
+                for row_a, row_b in zip(a, b)
             )
-            if matrix not in out:
-                out[matrix] = Coupling(matrix, mode)
-    return tuple(out[k] for k in sorted(out))
+            out.setdefault(matrix)
+    scale = None if D is None else D * D * resolution
+    return tuple(
+        Coupling(tuple(tuple(unscaled(x, scale) for x in row) for row in matrix), mode)
+        for matrix in sorted(out)
+    )

@@ -5,16 +5,27 @@ the mu weights, left -> right across an allowed cell set with unbounded
 capacity, right -> sink with the nu weights.  The maximum flow is then the
 largest mass a coupling of (mu, nu) can place on the allowed cells.
 
-Edmonds-Karp on this graph is exact for integer (and correct for float)
-capacities and its augmentation count is bounded by the edge structure, not
-the capacity values, so termination never depends on the arithmetic.  For
-the same reason, scaling every capacity by one positive D leaves each
-search, bottleneck and augmenting path as it was.  Every solver reaches
-the kernel through Transport, which scales the weights once with
-numerics.scaled_ints, memoises the value of each cell mask, completes
-a witness plan into a coupling on the same ints and converts back only
-what it returns; float weights pass through unscaled.  Transport's is
-the only memo of flow values in the package.
+The kernel is Edmonds-Karp (Edmonds & Karp, J. ACM 1972) with the
+residual graph held as int bitsets rather than as a graph of capacity
+dicts.  An allowed cell edge never saturates, so a row's forward edges
+are its row of the cell mask; a column's open reverse edges are the mask
+of the rows that ship to it; the source and sink edges are the
+remaining weights.  The breadth-first search opens the rows, columns
+and sink in the order of the adjacency-list search over that graph (the
+sink first at a column, everything else by increasing index) and stops
+at the sink, so it finds the same shortest augmenting path, and the
+path's bottleneck and updates are the same additions and subtractions:
+value and plan are the same numbers, in int, rational or float
+arithmetic.  Edmonds-Karp is exact for integer (and correct for float)
+capacities and its augmentation count is bounded by the edge structure,
+not the capacity values, so termination never depends on the
+arithmetic.  For the same reason, scaling every capacity by one
+positive D leaves each search, bottleneck and augmenting path as it
+was.  Every solver reaches the kernel through Transport, which scales
+the weights once with numerics.scaled_ints, memoises the value of each
+cell mask, completes a witness plan into a coupling on the same ints
+and converts back only what it returns; float weights pass through
+unscaled.  Transport's is the only memo of flow values in the package.
 
 A value call starts the kernel from a greedy feasible plan instead of
 the empty flow: the maximum value is unique and Edmonds-Karp from any
@@ -26,7 +37,6 @@ a witness is built from never depends on the start.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 from .numerics import Q, scaled_ints, unscaled
@@ -45,78 +55,130 @@ def max_flow_on_cells(
     allowed cells, with row sums <= mu and column sums <= nu.  `start`,
     a partial plan of that kind, is the flow the augmentations begin
     from; None begins from the empty flow.
+
+    Edmonds-Karp with the residual graph held as bitsets.  A cell edge
+    (i, j) is always open forward, so row i's forward edges are its row
+    of `allowed`; its reverse edge is open while plan[i][j] > 0, and
+    column j keeps the mask of those rows.  The source and sink edges
+    are the remainders rest_mu and rest_nu.
+
+    The result is the one an adjacency-list Edmonds-Karp returns when a
+    row lists its columns by increasing j and a column lists the sink
+    first, then its rows by increasing i (the capacity-dict kernel kept
+    as an oracle in tests/test_flows.py).  The search meets vertices in
+    that search's first-in first-out order: the source opens its rows
+    with rest_mu > 0 by increasing i, a row its unseen columns by
+    increasing j, a column its unseen rows with positive flow by
+    increasing i.  Columns leave the queue in the order they enter it,
+    so the first column met with rest_nu > 0 is the one whose sink edge
+    that search takes; the path is fixed then, and the search stops.
+    The bottleneck is read from the sink back, keeping the first
+    smallest residual, and each remainder and plan entry takes the same
+    += b or -= b, so value and plan are the same numbers of the same
+    types in int, rational and float arithmetic.  That search gives a
+    cell edge the capacity sum(mu) + sum(nu), and its residual never
+    falls below rest_mu of the path's first row plus rest_nu of its last
+    column, so a cell edge is never the bottleneck and needs no
+    residual here.
     """
     n, m = len(mu), len(nu)
-    size = n + m + 2
-    source, sink = n + m, n + m + 1
     zero = mu[0] - mu[0]
-
-    cap = [dict() for _ in range(size)]
-    for i in range(n):
-        cap[source][i] = mu[i]
-        cap[i][source] = zero
-    for j in range(m):
-        cap[n + j][sink] = nu[j]
-        cap[sink][n + j] = zero
-    total = sum(mu) + sum(nu)
-    for i in range(n):
-        base = i * m
-        for j in range(m):
-            if allowed >> (base + j) & 1:
-                # Effectively infinite: no s-t path can carry more than this.
-                cap[i][n + j] = total
-                cap[n + j][i] = zero
-
+    full = (1 << m) - 1
+    row_cols = [allowed >> (i * m) & full for i in range(n)]
+    plan = [[zero] * m for _ in range(n)]
+    rest_mu, rest_nu = list(mu), list(nu)
+    col_rows = [0] * m
     flow_value = zero
     if start is not None:
         for i, row in enumerate(start):
             for j, x in enumerate(row):
                 if x:
-                    cap[source][i] -= x
-                    cap[i][source] += x
-                    cap[i][n + j] -= x
-                    cap[n + j][i] += x
-                    cap[n + j][sink] -= x
-                    cap[sink][n + j] += x
+                    rest_mu[i] -= x
+                    plan[i][j] += x
+                    rest_nu[j] -= x
                     flow_value += x
+                    if plan[i][j] > 0:
+                        col_rows[j] |= 1 << i
+    sinks = 0
+    for j in range(m):
+        if rest_nu[j] > 0:
+            sinks |= 1 << j
+    row_parent = [-1] * n
+    col_parent = [0] * m
 
-    while True:
-        parent = [-1] * size
-        parent[source] = source
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if u == sink:
-                break
-            for v, c in cap[u].items():
-                if parent[v] == -1 and c > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[sink] == -1:
+    # col_parent[j] is the row that met column j; row_parent[i] the
+    # column that met row i, or -1 for the source.
+    while sinks:
+        # One level of rows, then the columns they meet, then the rows
+        # those columns meet: first-in first-out order, level by level.
+        rows = [i for i in range(n) if rest_mu[i] > 0]
+        seen_rows = 0
+        for i in rows:
+            seen_rows |= 1 << i
+            row_parent[i] = -1
+        seen_cols = 0
+        end = -1
+        while rows and end < 0:
+            cols = []
+            for i in rows:
+                new = row_cols[i] & ~seen_cols
+                if not new:
+                    continue
+                hit = new & sinks
+                if hit:  # the first column met that still takes mass
+                    end = (hit & -hit).bit_length() - 1
+                    col_parent[end] = i
+                    break
+                seen_cols |= new
+                while new:
+                    low = new & -new
+                    j = low.bit_length() - 1
+                    col_parent[j] = i
+                    cols.append(j)
+                    new ^= low
+            else:  # no sink at this level: the columns meet the next rows
+                rows = []
+                for j in cols:
+                    new = col_rows[j] & ~seen_rows
+                    seen_rows |= new
+                    while new:
+                        low = new & -new
+                        i = low.bit_length() - 1
+                        row_parent[i] = j
+                        rows.append(i)
+                        new ^= low
+        if end < 0:
             break
-        bottleneck = None
-        v = sink
-        while v != source:
-            u = parent[v]
-            c = cap[u][v]
-            if bottleneck is None or c < bottleneck:
+        bottleneck = rest_nu[end]
+        j = end
+        while True:
+            i = col_parent[j]
+            back = row_parent[i]
+            if back < 0:
+                break
+            c = plan[i][back]
+            if c < bottleneck:
                 bottleneck = c
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            cap[u][v] -= bottleneck
-            cap[v][u] += bottleneck
-            v = u
+            j = back
+        if rest_mu[i] < bottleneck:
+            bottleneck = rest_mu[i]
+        rest_nu[end] -= bottleneck
+        if not rest_nu[end] > 0:
+            sinks &= ~(1 << end)
+        j = end
+        while True:
+            i = col_parent[j]
+            plan[i][j] += bottleneck
+            col_rows[j] |= 1 << i
+            back = row_parent[i]
+            if back < 0:
+                break
+            plan[i][back] -= bottleneck
+            if not plan[i][back] > 0:
+                col_rows[back] &= ~(1 << i)
+            j = back
+        rest_mu[i] -= bottleneck
         flow_value = flow_value + bottleneck
-
-    plan = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        base = i * m
-        for j in range(m):
-            if allowed >> (base + j) & 1:
-                # Residual on the reverse edge equals the shipped amount.
-                plan[i][j] = cap[n + j][i]
     return flow_value, plan
 
 

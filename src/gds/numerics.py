@@ -29,7 +29,10 @@ sweeps build, sort and compare their levels as ints:
     probed.
 The brute-force Prohorov oracle scales its own weights the same way,
 but keeps the raw distances as thresholds; it and every witness
-re-evaluation (check_marginals included) read the unscaled inputs.
+re-evaluation read the unscaled inputs.  Coupling.check_marginals
+scales a witness and the raw weights it is checked against over one
+denominator itself, and coupling.enumerate_couplings builds its
+mixture lattice on the scaled weights and unscales each entry once.
 """
 
 from __future__ import annotations

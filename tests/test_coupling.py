@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from gds import CellSet, DiscreteMeasure, product_coupling
 from gds.coupling import (
     Coupling,
+    _northwest_corner,
     coupling_prohorov,
     enumerate_couplings,
     feasibility_lp,
@@ -22,6 +24,41 @@ def rand_measure(rnd, n):
     raw = [rnd.randrange(1, 5) for _ in range(n)]
     tot = sum(raw)
     return DiscreteMeasure.from_weights([Q(r, tot) for r in raw])
+
+
+def rational_lattice(mu, nu, resolution):
+    """enumerate_couplings as it was built before the int lattice.
+
+    Every anchor and blend is a matrix of the mode's scalars (rationals
+    in exact mode), blended as lam * a + (1 - lam) * b; the oracle of
+    the int lattice, which must return the same tuple by repr.
+    """
+    mode = mu.mode
+    n, m = mu.n, nu.n
+    anchors = [product_coupling(mu, nu)]
+    orders = [
+        (range(n), range(m)),
+        (range(n), reversed(range(m))),
+        (reversed(range(n)), range(m)),
+        (reversed(range(n)), reversed(range(m))),
+    ]
+    for ro, co in orders:
+        corner, _ = _northwest_corner(mu.weights, nu.weights, list(ro), list(co), mode)
+        anchors.append(corner)
+    out = {pi.matrix: pi for pi in anchors}
+    for a, b in itertools.combinations(anchors, 2):
+        for k in range(1, resolution):
+            lam = k / resolution if mode == "float" else Q(k, resolution)
+            matrix = tuple(
+                tuple(
+                    lam * a.matrix[i][j] + (1 - lam) * b.matrix[i][j]
+                    for j in range(m)
+                )
+                for i in range(n)
+            )
+            if matrix not in out:
+                out[matrix] = Coupling(matrix, mode)
+    return tuple(out[k] for k in sorted(out))
 
 
 measure_pairs = st.builds(
@@ -47,6 +84,33 @@ class TestCoupling:
         pi = product_coupling(mu, mu)
         with pytest.raises(MarginalMismatch):
             pi.check_marginals(mu, nu)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize(
+        "to, message",
+        [
+            ((1, 0), "row 0 sums to 1/6, expected 1/4"),
+            ((0, 1), "col 0 sums to 1/4, expected 1/3"),
+        ],
+    )
+    def test_marginal_off_by_one_unit_is_detected(self, mode, to, message):
+        # Over the common denominator D = 12, move one unit 1/D of mass
+        # from cell (0, 0) to cell `to`: one row (or one column) sum is
+        # then off by 1/D while the other marginal still holds.
+        mu = DiscreteMeasure.from_weights(["1/4", "3/4"], mode)
+        nu = DiscreteMeasure.from_weights(["1/3", "2/3"], mode)
+        rows = [list(row) for row in product_coupling(mu, nu).matrix]
+        unit = Q(1, 12) if mode == "exact" else 1 / 12
+        rows[0][0] -= unit
+        rows[to[0]][to[1]] += unit
+        pi = Coupling.build(rows, mode)
+        # Float mode renders the sums as floats.
+        match = message if mode == "exact" else message[:len("row 0 sums to")]
+        with pytest.raises(MarginalMismatch, match=match):
+            pi.check_marginals(mu, nu)
+        swapped = Coupling.build(list(zip(*rows)), mode)
+        with pytest.raises(MarginalMismatch):
+            swapped.check_marginals(nu, mu)
 
     def test_mass_and_support(self):
         pi = product_coupling(DiscreteMeasure.uniform(2), DiscreteMeasure.uniform(2))
@@ -125,6 +189,24 @@ class TestVertices:
                     ))
         got = [pi.matrix for pi in enumerate_couplings(mu, nu, resolution)]
         assert got == sorted(want)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_lattice_matches_the_rational_oracle(self, mode):
+        rnd = random.Random(7)
+        for _ in range(40):
+            n, m = rnd.randint(1, 5), rnd.randint(1, 5)
+            mu = rand_measure(rnd, n)
+            nu = rand_measure(rnd, m)
+            if mode == "float":
+                mu = DiscreteMeasure.from_weights(map(float, mu.weights), mode)
+                nu = DiscreteMeasure.from_weights(map(float, nu.weights), mode)
+            for resolution in range(1, 5):
+                got = enumerate_couplings(mu, nu, resolution)
+                want = rational_lattice(mu, nu, resolution)
+                assert repr(got) == repr(want)
+                assert [type(x) for pi in got for row in pi.matrix for x in row] == [
+                    type(x) for pi in want for row in pi.matrix for x in row
+                ]
 
     def test_enumerate_grid_mode_gives_valid_couplings(self):
         mu = DiscreteMeasure.uniform(2)

@@ -1,5 +1,10 @@
 """The bipartite max-flow kernel and the solvers built on it.
 
+The bitset kernel must return what the capacity-dict Edmonds-Karp it
+replaced returns, value and plan equal by repr with types, in rational,
+scaled-int and float arithmetic, from the empty flow and from a greedy
+start; that kernel stays here as the oracle dict_edmonds_karp.
+
 Every solver reaches the kernel through flows.Transport, which scales
 the weights to ints once and hands the kernel int capacities.  The
 properties below check that this changes nothing: the value and the
@@ -15,6 +20,9 @@ matrix below.  The threshold sweeps of `dis_coupling`,
 both modes, cells included: on ties the sweep keeps the first best set
 it meets, so a reordered sweep would show there.
 """
+
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -197,6 +205,127 @@ def remainders(mu, nu, start):
                 rows[i] -= x
                 cols[j] -= x
     return rows, cols
+
+
+def dict_edmonds_karp(mu, nu, allowed, start=None):
+    """The capacity-dict Edmonds-Karp, as max_flow_on_cells was before bitsets.
+
+    Kept as the oracle of the bitset kernel, which must return the same
+    value and plan, equal by repr with types.  Each vertex holds a dict
+    of residual capacities: a row lists the source, then its allowed
+    columns by increasing j with capacity sum(mu) + sum(nu); a column
+    lists the sink, then its rows by increasing i.  The search scans
+    the dicts in that order and stops when it takes the sink off the
+    queue.
+    """
+    n, m = len(mu), len(nu)
+    size = n + m + 2
+    source, sink = n + m, n + m + 1
+    zero = mu[0] - mu[0]
+
+    cap = [dict() for _ in range(size)]
+    for i in range(n):
+        cap[source][i] = mu[i]
+        cap[i][source] = zero
+    for j in range(m):
+        cap[n + j][sink] = nu[j]
+        cap[sink][n + j] = zero
+    total = sum(mu) + sum(nu)
+    for i in range(n):
+        for j in range(m):
+            if allowed >> (i * m + j) & 1:
+                cap[i][n + j] = total
+                cap[n + j][i] = zero
+
+    flow_value = zero
+    if start is not None:
+        for i, row in enumerate(start):
+            for j, x in enumerate(row):
+                if x:
+                    cap[source][i] -= x
+                    cap[i][source] += x
+                    cap[i][n + j] -= x
+                    cap[n + j][i] += x
+                    cap[n + j][sink] -= x
+                    cap[sink][n + j] += x
+                    flow_value += x
+
+    while True:
+        parent = [-1] * size
+        parent[source] = source
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            if u == sink:
+                break
+            for v, c in cap[u].items():
+                if parent[v] == -1 and c > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if parent[sink] == -1:
+            break
+        bottleneck = None
+        v = sink
+        while v != source:
+            u = parent[v]
+            c = cap[u][v]
+            if bottleneck is None or c < bottleneck:
+                bottleneck = c
+            v = u
+        v = sink
+        while v != source:
+            u = parent[v]
+            cap[u][v] -= bottleneck
+            cap[v][u] += bottleneck
+            v = u
+        flow_value = flow_value + bottleneck
+
+    plan = [[zero] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            if allowed >> (i * m + j) & 1:
+                plan[i][j] = cap[n + j][i]
+    return flow_value, plan
+
+
+def typed(result):
+    """(value, plan) as a repr that also spells out every type."""
+    value, plan = result
+    return repr(result), type(value), [[type(x) for x in row] for row in plan]
+
+
+def arithmetics(mu, nu):
+    """The weights as rationals, as scaled ints and as floats."""
+    return [
+        (list(mu), list(nu)),
+        scaled_ints(mu, nu)[0],
+        ([float(w) for w in mu], [float(w) for w in nu]),
+    ]
+
+
+def assert_kernel_matches_oracle(mu, nu, mask):
+    for weights in arithmetics(mu, nu):
+        for start in (None, greedy_plan(*weights, mask)):
+            want = dict_edmonds_karp(*weights, mask, start)
+            assert typed(max_flow_on_cells(*weights, mask, start)) == typed(want)
+
+
+class TestBitsetKernel:
+    @given(warm_instances())
+    def test_same_value_and_plan_as_the_dict_kernel(self, instance):
+        assert_kernel_matches_oracle(*instance)
+
+    @pytest.mark.parametrize("n, m", [(10, 10), (10, 40), (40, 10), (23, 17), (40, 40)])
+    @pytest.mark.parametrize("density", [0.05, 0.2, 0.5, 0.9])
+    def test_same_value_and_plan_on_large_grids(self, n, m, density):
+        rng = random.Random(f"{n}x{m}@{density}")
+
+        def weight():
+            return Q(rng.randint(0, 12), rng.randint(1, 12))
+
+        mu, nu = [weight() for _ in range(n)], [weight() for _ in range(m)]
+        mask = sum(1 << c for c in range(n * m) if rng.random() < density)
+        assert_kernel_matches_oracle(mu, nu, mask)
 
 
 class TestWarmStart:
