@@ -6,17 +6,14 @@ capacity, right -> sink with the nu weights.  The maximum flow is then the
 largest mass a coupling of (mu, nu) can place on the allowed cells.
 
 The kernel is Edmonds-Karp (Edmonds & Karp, J. ACM 1972) with the
-residual graph held as int bitsets rather than as a graph of capacity
-dicts.  An allowed cell edge never saturates, so a row's forward edges
-are its row of the cell mask; a column's open reverse edges are the mask
-of the rows that ship to it; the source and sink edges are the
-remaining weights.  The breadth-first search opens the rows, columns
-and sink in the order of the adjacency-list search over that graph (the
-sink first at a column, everything else by increasing index) and stops
-at the sink, so it finds the same shortest augmenting path, and the
-path's bottleneck and updates are the same additions and subtractions:
-value and plan are the same numbers, in int, rational or float
-arithmetic.  Edmonds-Karp is exact for integer (and correct for float)
+residual graph held as int bitsets: an allowed cell edge never
+saturates, so a row's forward edges are its row of the cell mask, and a
+column's open reverse edges are the mask of the rows that ship to it.
+Its search meets vertices in the order of the capacity-dict search it
+replaced and stops at the sink, so it takes the same augmenting paths
+with the same additions and subtractions, and returns the same value
+and plan in int, rational or float arithmetic (max_flow_on_cells says
+why).  Edmonds-Karp is exact for integer (and correct for float)
 capacities and its augmentation count is bounded by the edge structure,
 not the capacity values, so termination never depends on the
 arithmetic.  For the same reason, scaling every capacity by one
