@@ -108,9 +108,6 @@ class TestCoupling:
         match = message if mode == "exact" else message[:len("row 0 sums to")]
         with pytest.raises(MarginalMismatch, match=match):
             pi.check_marginals(mu, nu)
-        swapped = Coupling.build(list(zip(*rows)), mode)
-        with pytest.raises(MarginalMismatch):
-            swapped.check_marginals(nu, mu)
 
     def test_mass_and_support(self):
         pi = product_coupling(DiscreteMeasure.uniform(2), DiscreteMeasure.uniform(2))
@@ -201,12 +198,9 @@ class TestVertices:
                 mu = DiscreteMeasure.from_weights(map(float, mu.weights), mode)
                 nu = DiscreteMeasure.from_weights(map(float, nu.weights), mode)
             for resolution in range(1, 5):
+                # repr tells Fraction, int and float entries apart.
                 got = enumerate_couplings(mu, nu, resolution)
-                want = rational_lattice(mu, nu, resolution)
-                assert repr(got) == repr(want)
-                assert [type(x) for pi in got for row in pi.matrix for x in row] == [
-                    type(x) for pi in want for row in pi.matrix for x in row
-                ]
+                assert repr(got) == repr(rational_lattice(mu, nu, resolution))
 
     def test_enumerate_grid_mode_gives_valid_couplings(self):
         mu = DiscreteMeasure.uniform(2)
