@@ -10,7 +10,8 @@ other so they can cross-validate:
     northwest-corner coupling, capping the mass on several cell sets at
     once; exact mode pivots a fraction-free integer tableau (Bareiss
     updates), so it takes the same pivots as a rational tableau without
-    the rational arithmetic;
+    the rational arithmetic, and builds the start and checks the cap on
+    scaled ints too;
   * transportation_vertices and enumerate_couplings: explicit vertex
     enumeration of the transportation polytope on tiny grids, and a
     deterministic mixture lattice.
@@ -291,16 +292,25 @@ def feasibility_lp(
     coupling, t).  Once the two totals agree the program is always
     feasible: the simplex starts from the northwest-corner coupling, with
     t at the mass it puts on the first heaviest set and every other set's
-    slack basic.
+    slack basic.  The totals, the corner's staircase and the heaviest
+    set are read off the weights scaled with numerics.scaled_ints, since
+    a positive scale changes none of them.
+
+    The witness is certified: its marginals by check_marginals on the
+    raw weights, and its cap by no set mass above t and one at t, that
+    is max(set masses) == t.  Exact mode sums the set masses on the
+    witness's own entries, and compares them with t, scaled to ints
+    with scaled_ints; float mode compares within the float tolerance.
     """
     mode = same_mode(mu.mode, nu.mode)
     n, m = mu.n, nu.n
     for cells in sets:
         if cells.n != n or cells.m != m:
             raise GdsError("constraint cell set disagrees with the marginals")
-    tol = tolerance(mode)
-    if abs(sum(mu.weights) - sum(nu.weights)) > tol:
+    (mu_w, nu_w), _ = scaled_ints(mu.weights, nu.weights)
+    if abs(sum(mu_w) - sum(nu_w)) > tolerance(mode):
         raise InfeasibleMarginals("marginals carry different total mass")
+    cell_lists = [cells.sorted_cells for cells in sets]
     t_col = n * m
     n_cols = t_col + 1 + len(sets)
 
@@ -318,7 +328,7 @@ def feasibility_lp(
             row[i * m + j] = 1
         rows.append(row)
         rhs.append(nu.weights[j])
-    for k, cells in enumerate(sets):
+    for k, cells in enumerate(cell_lists):
         row = [0] * n_cols
         for (i, j) in cells:
             row[i * m + j] = 1
@@ -327,12 +337,12 @@ def feasibility_lp(
         rows.append(row)
         rhs.append(0)
 
-    corner, staircase = _northwest_corner(
-        mu.weights, nu.weights, range(n), range(m), mode
-    )
+    # A positive scale keeps the corner's staircase and the order of the
+    # set masses, so both are read off the scaled weights.
+    corner, staircase = _northwest_corner(mu_w, nu_w, range(n), range(m), mode)
     start = [i * m + j for (i, j) in staircase]
     if sets:
-        masses = [corner.mass(cells) for cells in sets]
+        masses = [_mass(corner.matrix, cells) for cells in cell_lists]
         heaviest = masses.index(max(masses))
         start.append(t_col)
         start += [t_col + 1 + k for k in range(len(sets)) if k != heaviest]
@@ -346,12 +356,21 @@ def feasibility_lp(
     witness.check_marginals(mu, nu)
     t = solution[t_col]
     # At the optimum t is the largest set mass: no set above it, one at it.
-    masses = [witness.mass(cells) for cells in sets]
+    # Exact mode sums the witness's own entries, and t, over one denominator.
+    entries, cap = witness.matrix, t
+    if mode == EXACT:
+        (*entries, (cap,)), _ = scaled_ints(*entries, (t,))
+    masses = [_mass(entries, cells) for cells in cell_lists]
     if masses and not (
-        all(leq(x, t, mode) for x in masses) and any(close(x, t, mode) for x in masses)
+        all(leq(x, cap, mode) for x in masses) and any(close(x, cap, mode) for x in masses)
     ):
         raise AssertionError("LP witness does not attain its common cap")
     return witness, t
+
+
+def _mass(matrix, cells) -> Scalar:
+    """Sum of the matrix entries on a cell list, in the list's order."""
+    return sum(matrix[i][j] for (i, j) in cells)
 
 
 # ---------------------------------------------------------------------------

@@ -182,22 +182,25 @@ def max_flow_on_cells(
 def greedy_plan(mu: Sequence, nu: Sequence, allowed: int) -> list:
     """A feasible partial plan on a cell bitmask, in one pass.
 
-    Row by row, each allowed cell (i, j) takes the smaller of what is
-    left of mu[i] and of nu[j].  Each step subtracts an amount from two
+    Row by row, each allowed cell (i, j), by increasing j over the set
+    bits of the row's mask, takes the smaller of what is left of mu[i]
+    and of nu[j].  Each step subtracts an amount from two
     remainders that are each at least as large, so no remainder goes
     below zero, in float arithmetic too.
     """
     m = len(nu)
+    full = (1 << m) - 1
     rest = list(nu)
     zero = mu[0] - mu[0]
     plan = []
     for i, left in enumerate(mu):
         row = [zero] * m
-        cells = allowed >> (i * m)
-        for j in range(m):
-            if not left:
-                break
-            if cells >> j & 1 and rest[j]:
+        cells = allowed >> (i * m) & full
+        while cells and left:
+            low = cells & -cells
+            j = low.bit_length() - 1
+            cells ^= low
+            if rest[j]:
                 x = left if left < rest[j] else rest[j]
                 row[j] = x
                 left -= x
@@ -209,24 +212,26 @@ def greedy_plan(mu: Sequence, nu: Sequence, allowed: int) -> list:
 class Transport:
     """The largest mass a coupling of (mu, nu) puts on a cell mask.
 
-    The weights are scaled to ints once, here, and this is the one memo
-    of flow values: value(mask) is memoised, since the threshold sweeps
-    revisit masks across levels, and its max-flow starts from
-    greedy_plan.  coupling(mask) solves again from the empty flow and
-    completes the plan into a full coupling, which only witnesses need.
-    Both hand back rationals (floats in float mode).
+    The weights are scaled to ints once, here: `weights` holds the two
+    scaled vectors and `scale` their D (the raw floats and None in float
+    mode).  This is the one memo of flow values: value(mask) is
+    memoised, since the threshold sweeps revisit masks across levels,
+    and its max-flow starts from greedy_plan.  coupling(mask) solves
+    again from the empty flow and completes the plan into a full
+    coupling, which only witnesses need.  Both hand back rationals
+    (floats in float mode).
     """
 
     def __init__(self, mu: Sequence, nu: Sequence):
-        self._weights, self._scale = scaled_ints(mu, nu)
+        self.weights, self.scale = scaled_ints(mu, nu)
         self._values: dict = {}
 
     def value(self, mask: int):
         hit = self._values.get(mask)
         if hit is None:
-            start = greedy_plan(*self._weights, mask)
-            hit, _ = max_flow_on_cells(*self._weights, mask, start)
-            hit = self._values[mask] = unscaled(hit, self._scale)
+            start = greedy_plan(*self.weights, mask)
+            hit, _ = max_flow_on_cells(*self.weights, mask, start)
+            hit = self._values[mask] = unscaled(hit, self.scale)
         return hit
 
     def coupling(self, mask: int) -> tuple:
@@ -239,8 +244,8 @@ class Transport:
         mode completes the scaled plan p on ints and unscales each entry
         once, as (p * L + a_i * b_j) / (D * L).
         """
-        mu, nu = self._weights
-        scale = self._scale
+        mu, nu = self.weights
+        scale = self.scale
         value, plan = max_flow_on_cells(mu, nu, mask)
         a = [w - sum(row) for w, row in zip(mu, plan)]
         b = [w - sum(col) for w, col in zip(nu, zip(*plan))]

@@ -121,8 +121,10 @@ class CellSet:
 
 
 def _ky_fan_from_pairs(pairs: Sequence) -> Scalar:
-    """Ky Fan value from (weight, deviation) pairs with total weight 1.
+    """Ky Fan value from (weight, deviation) pairs.
 
+    Weights and deviations share one positive unit, and may be ints: a
+    caller that scales both by one constant gets the value scaled by it.
     Finds min eps with mass{deviation > eps} <= eps.  Between consecutive
     deviation values the tail mass T is constant, so an interval [lo, hi)
     admits a feasible point iff T < hi, and its least one is max(lo, T).
@@ -146,7 +148,7 @@ def _ky_fan_from_pairs(pairs: Sequence) -> Scalar:
         above += w
     else:
         if lo is None:
-            return pairs[0][1] - pairs[0][1]  # the mode's zero
+            return pairs[0][1] - pairs[0][1]  # the deviations' zero
         if above < lo:
             lo, tail = 0, above
     return tail if tail > lo else lo
@@ -217,14 +219,15 @@ class GapTable:
     thresholds h of this table: allowed(f, g, h) is the bitmask of cells
     with scaled gap <= h, computed afresh on each call, and flow(mask)
     the largest mass a coupling of (mu, nu) puts on a mask, read from
-    one Transport, whose memo serves the masks the sweeps revisit
-    across levels.
+    one Transport, `transport`, whose memo serves the masks the sweeps
+    revisit across levels and whose scaled weights the searches may read.
     """
 
     def __init__(self, rows_x: Sequence, rows_y: Sequence, mu: Sequence, nu: Sequence):
         self.n, self.m = len(mu), len(nu)
         self.mu, self.nu = mu, nu
-        self.flow = Transport(mu, nu).value
+        self.transport = Transport(mu, nu)
+        self.flow = self.transport.value
         self.kx, self.ky = len(rows_x), len(rows_y)
         self.full = (1 << (self.n * self.m)) - 1
         rows, self.scale = scaled_ints(*rows_x, *rows_y)

@@ -33,6 +33,10 @@ re-evaluation read the unscaled inputs.  Coupling.check_marginals
 scales a witness and the raw weights it is checked against over one
 denominator itself, and coupling.enumerate_couplings builds its
 mixture lattice on the scaled weights and unscales each entry once.
+coupling.feasibility_lp builds its northwest-corner start on the scaled
+weights and checks its witness's cap on the witness scaled the same
+way, and dconc_exact's product-coupling bound pairs the scaled gaps
+with the Transport's scaled weights and unscales the bound once.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from .metrics import (
     ASSIGNMENT_BUDGET,
     CellSet,
     GapTable,
+    _ky_fan_from_pairs,
     crossing,
     first_feasible,
     hausdorff,
@@ -109,6 +110,8 @@ class _DconcSearch:
     same levels scaled as the gap table's; exceed reads grid.  The flow
     values behind the single-set floors are memoised by the gap table's
     Transport; the LP caps of set families are memoised here.
+    product_bound, the search's upper bound, runs on the table's scaled
+    gaps and the Transport's scaled weights.
     """
 
     def __init__(self, X: GeometricDataSet, Y: GeometricDataSet):
@@ -129,6 +132,34 @@ class _DconcSearch:
             [table.full ^ table.allowed(f, g, h) for g in range(self.ky)]
             for f in range(self.kx)
         ]
+
+    def product_bound(self) -> Scalar:
+        """dconc_at_coupling at the product coupling, on the scaled ints.
+
+        A gap is d over the table's scale S and a product cell weighs
+        a_i * b_j over D * D, with a, b and D the Transport's scaled
+        weights.  So the pairs (a_i * b_j * S, d * D * D) share the unit
+        1 / (S * D * D), which keeps every comparison of the Ky Fan scans
+        and of the Hausdorff max/min, and the result is unscaled once.
+        Float mode has no scale and pairs the very floats that
+        dconc_at_coupling does.
+        """
+        table = self.table
+        (a, b), D = table.transport.weights, table.transport.scale
+        weights = [x * y for x in a for y in b]
+        gap_unit = scale = None
+        if D is not None:
+            gap_unit = D * D
+            scale = table.scale * gap_unit
+            weights = [w * table.scale for w in weights]
+
+        def ky_fan(f, g):
+            gaps = table.diff[f][g]
+            if gap_unit is not None:
+                gaps = [d * gap_unit for d in gaps]
+            return _ky_fan_from_pairs(list(zip(weights, gaps)))
+
+        return unscaled(hausdorff(range(self.kx), range(self.ky), ky_fan), scale)
 
     def joint_min_cap(self, sets: frozenset) -> tuple:
         """min over couplings of max mass over several cell sets, via LP."""
@@ -248,7 +279,7 @@ def dconc_exact(
     # eps, which the first assignment pair under the cutoff settles;
     # metrics.crossing would need the least cap of every level it probes,
     # a full scan of the assignment pairs each, and so more LPs.
-    ub = dconc_at_coupling(X, Y, product_coupling(X.measure, Y.measure))
+    ub = search.product_bound()
     tol = tolerance(mode)
     hi = bisect_right(search.levels, ub + tol) - 1
     lo = first_feasible(

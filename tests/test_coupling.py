@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gds import CellSet, DiscreteMeasure, product_coupling
+from gds import CellSet, DiscreteMeasure, coupling, product_coupling
 from gds.coupling import (
     Coupling,
+    _mass,
     _northwest_corner,
     coupling_prohorov,
     enumerate_couplings,
@@ -16,7 +17,7 @@ from gds.coupling import (
     transportation_vertices,
 )
 from gds.errors import GdsError, MarginalMismatch
-from gds.numerics import Q
+from gds.numerics import Q, scaled_ints
 from gds.spaces import random_gds
 
 
@@ -312,6 +313,30 @@ class TestSetMassProgram:
             (Q(7, 40), 0, Q(9, 40), 0),
         )
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("shift", [Q(1, 7), -Q(1, 7)])
+    def test_cap_certificate_refuses_a_cap_off_the_heaviest_set(
+        self, mode, shift, monkeypatch
+    ):
+        # A cap above every set mass, or below the heaviest, must fail the
+        # check; the marginals are untouched, so only the cap check can.
+        solve = coupling._simplex
+
+        def shifted(rows, rhs, costs, start, mode):
+            solution = solve(rows, rhs, costs, start, mode)
+            solution[costs.index(1)] += shift if mode == "exact" else float(shift)
+            return solution
+
+        monkeypatch.setattr(coupling, "_simplex", shifted)
+        mu = DiscreteMeasure.from_weights(["1/6", "1/3", "1/2"], mode)
+        nu = DiscreteMeasure.from_weights(["1/4", "1/4", "1/2"], mode)
+        sets = (
+            CellSet.from_pairs(3, 3, [(0, 0), (1, 1), (2, 2)]),
+            CellSet.from_pairs(3, 3, [(1, 1), (1, 2), (2, 1), (2, 2)]),
+        )
+        with pytest.raises(AssertionError, match="common cap"):
+            feasibility_lp(mu, nu, sets)
+
     def test_duplicate_sets(self):
         mu = DiscreteMeasure.from_weights([Q(1, 3), Q(2, 3)])
         nu = DiscreteMeasure.uniform(2)
@@ -337,6 +362,52 @@ class TestSetMassProgram:
         mu = DiscreteMeasure.uniform(2)
         with pytest.raises(GdsError, match="disagrees with the marginals"):
             feasibility_lp(mu, mu, (CellSet.full(2, 3),))
+
+
+def weights_with_zeros(rnd, n):
+    raw = [rnd.choice([0, 0, 1, 2, 3, 5, 7, 11]) for _ in range(n)]
+    if not any(raw):
+        raw[rnd.randrange(n)] = 1
+    return [Q(r, sum(raw)) for r in raw]
+
+
+class TestNorthwestCorner:
+    def test_scaled_ints_keep_the_staircase_and_the_heaviest_set(self):
+        # feasibility_lp starts from the corner of the scaled weights and
+        # caps the first heaviest set at it; the rational corner is the
+        # oracle.  Each family gets a set that ties with its heaviest one
+        # (a copy, plus a cell the corner leaves empty where there is one),
+        # inserted anywhere, so the first of two tied sets must win.
+        rnd = random.Random(12)
+        for _ in range(200):
+            n, m = rnd.randint(1, 5), rnd.randint(1, 5)
+            mu, nu = weights_with_zeros(rnd, n), weights_with_zeros(rnd, m)
+            (mu_s, nu_s), D = scaled_ints(mu, nu)
+            rows, cols = list(range(n)), list(range(m))
+            rnd.shuffle(rows)
+            rnd.shuffle(cols)
+            corner, stairs = _northwest_corner(mu, nu, rows, cols, "exact")
+            scaled, scaled_stairs = _northwest_corner(mu_s, nu_s, rows, cols, "exact")
+            assert scaled_stairs == stairs
+            assert scaled.matrix == tuple(
+                tuple(x * D for x in row) for row in corner.matrix
+            )
+            cells = [(i, j) for i in range(n) for j in range(m)]
+            sets = [
+                CellSet.from_pairs(n, m, [c for c in cells if rnd.random() < 0.5])
+                for _ in range(rnd.randint(1, 4))
+            ]
+            masses = [corner.mass(s) for s in sets]
+            heaviest = sets[masses.index(max(masses))]
+            empty = [
+                c for c in cells if c not in heaviest and corner.matrix[c[0]][c[1]] == 0
+            ]
+            tie = heaviest.cells | ({rnd.choice(empty)} if empty else set())
+            sets.insert(rnd.randint(0, len(sets)), CellSet(n, m, frozenset(tie)))
+            want = [corner.mass(s) for s in sets]
+            got = [_mass(scaled.matrix, s.sorted_cells) for s in sets]
+            assert got == [w * D for w in want]
+            assert got.index(max(got)) == want.index(max(want))
 
 
 def rational_weights(rnd, n):

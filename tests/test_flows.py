@@ -328,7 +328,36 @@ class TestBitsetKernel:
         assert_kernel_matches_oracle(mu, nu, mask)
 
 
+def greedy_by_cell_scan(mu, nu, allowed):
+    """greedy_plan as it was, testing every cell of a row against the mask."""
+    m = len(nu)
+    rest = list(nu)
+    zero = mu[0] - mu[0]
+    plan = []
+    for i, left in enumerate(mu):
+        row = [zero] * m
+        cells = allowed >> (i * m)
+        for j in range(m):
+            if not left:
+                break
+            if cells >> j & 1 and rest[j]:
+                x = left if left < rest[j] else rest[j]
+                row[j] = x
+                left -= x
+                rest[j] -= x
+        plan.append(row)
+    return plan
+
+
 class TestWarmStart:
+    @given(warm_instances())
+    def test_greedy_plan_matches_the_cell_scan(self, instance):
+        mu, nu, mask = instance
+        for weights in arithmetics(mu, nu):
+            plan = greedy_plan(*weights, mask)
+            want = greedy_by_cell_scan(*weights, mask)
+            assert typed((0, plan)) == typed((0, want))
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @given(instance=warm_instances())
     def test_greedy_start_is_feasible_and_keeps_the_value(self, mode, instance):

@@ -6,6 +6,8 @@ the free parameter, so scanning every crossing of the participating
 linear pieces finds the exact minimum.
 """
 
+import random
+
 import pytest
 
 from gds import (
@@ -22,6 +24,7 @@ from gds import (
 from gds.coupling import Coupling, enumerate_couplings
 from gds.errors import BudgetExceeded, WitnessNotLipschitz
 from gds.numerics import Q
+from gds.observable import _DconcSearch
 from gds.spaces import random_gds
 
 
@@ -225,6 +228,36 @@ class TestExactStructure:
         Y = random_gds(3, 3, seed=52)
         with pytest.raises(BudgetExceeded):
             dconc_exact(X, Y, assignment_budget=10)
+
+
+MODES = [("exact", Q), ("float", float)]
+
+
+class TestProductBound:
+    """The search's upper bound runs on scaled ints; dconc_at_coupling at
+    the product coupling, on the rationals, is its oracle."""
+
+    @pytest.mark.parametrize("mode, scalar", MODES)
+    def test_equals_dconc_at_the_product_coupling(self, mode, scalar):
+        rng = random.Random(14)
+        for trial in range(120):
+            n, m = rng.randint(2, 5), rng.randint(2, 5)
+            scale = rng.choice([4, 8, 12, 30])
+            X = random_gds(n, rng.randint(1, 3), seed=2 * trial, scale=scale, mode=mode)
+            Y = random_gds(m, rng.randint(1, 3), seed=2 * trial + 1, scale=scale, mode=mode)
+            want = dconc_at_coupling(X, Y, product_coupling(X.measure, Y.measure))
+            got = _DconcSearch(X, Y).product_bound()
+            assert type(got) is scalar and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("mode, scalar", MODES)
+    def test_zero_bound_is_the_mode_scalar(self, mode, scalar):
+        # One point on each side, the same feature values: every gap is 0.
+        for rows in (["0"], ["3/8"], ["1", "1/4"]):
+            X = GeometricDataSet.build([[v] for v in rows], ["1"], mode=mode)
+            Y = GeometricDataSet.build([[v] for v in reversed(rows)], ["1"], mode=mode)
+            want = dconc_at_coupling(X, Y, product_coupling(X.measure, Y.measure))
+            got = _DconcSearch(X, Y).product_bound()
+            assert type(got) is scalar and got == want == 0
 
 
 class TestHeuristic:
