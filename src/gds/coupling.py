@@ -337,8 +337,6 @@ def feasibility_lp(
         rows.append(row)
         rhs.append(0)
 
-    # A positive scale keeps the corner's staircase and the order of the
-    # set masses, so both are read off the scaled weights.
     corner, staircase = _northwest_corner(mu_w, nu_w, range(n), range(m), mode)
     start = [i * m + j for (i, j) in staircase]
     if sets:

@@ -184,9 +184,9 @@ def greedy_plan(mu: Sequence, nu: Sequence, allowed: int) -> list:
 
     Row by row, each allowed cell (i, j), by increasing j over the set
     bits of the row's mask, takes the smaller of what is left of mu[i]
-    and of nu[j].  Each step subtracts an amount from two
-    remainders that are each at least as large, so no remainder goes
-    below zero, in float arithmetic too.
+    and of nu[j].  Each step subtracts an amount from two remainders
+    that are each at least as large, so no remainder goes below zero,
+    in float arithmetic too.
     """
     m = len(nu)
     full = (1 << m) - 1
