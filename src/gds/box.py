@@ -376,7 +376,7 @@ def box_heuristic(
     n, m = X.n, Y.n
     nm = n * m
     full = table.full
-    pm = [table.mu[i] * table.nu[j] for i in range(n) for j in range(m)]
+    pm = [a * b for a, b in itertools.product(*table.transport.weights)]
     weight = functools.partial(_mask_sum, pm)
 
     def radius(mask):

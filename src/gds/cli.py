@@ -16,7 +16,8 @@ offered, when a --step grid would exceed GRID_BUDGET values or a gen levy
 family LEVY_POINTS points; 1 when the verification suite fails.
 
 Environment: GDS_MODE picks exact or float arithmetic (flag --mode wins);
-GDS_BUDGET_CELLS caps the exact box search grid (default 16).
+GDS_BUDGET_CELLS caps the exact box search grid (default
+box.CELL_BUDGET).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 import sys
 from typing import Optional
 
-from .box import box_exact, box_heuristic, box_mm_exact
+from .box import CELL_BUDGET, box_exact, box_heuristic, box_mm_exact
 from .core import GeometricDataSet, gds_to_mm
 from .dataio import csv_text, emit_gds, parse_gds
 from .errors import BudgetExceeded, GdsError, SchemaError, SizeLimit
@@ -82,7 +83,7 @@ def _cell_budget(args) -> int:
     if getattr(args, "cells", None) is not None:
         value = args.cells
     else:
-        raw = os.environ.get("GDS_BUDGET_CELLS", "16")
+        raw = os.environ.get("GDS_BUDGET_CELLS", str(CELL_BUDGET))
         try:
             value = int(raw)
         except ValueError:
@@ -557,7 +558,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget", type=int, default=None, help="search budget")
     p.add_argument(
-        "--cells", type=int, default=None, help="cell cap (default: GDS_BUDGET_CELLS or 16)"
+        "--cells",
+        type=int,
+        default=None,
+        help=f"cell cap (default: GDS_BUDGET_CELLS or {CELL_BUDGET})",
     )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_box)

@@ -8,10 +8,11 @@ other so they can cross-validate:
     flows.Transport solves it and completes the witness coupling;
   * feasibility_lp: a dense simplex with Bland's rule, started from the
     northwest-corner coupling, capping the mass on several cell sets at
-    once; exact mode pivots a fraction-free integer tableau (Bareiss
-    updates), so it takes the same pivots as a rational tableau without
-    the rational arithmetic, and builds the start and checks the cap on
-    scaled ints too;
+    once; exact mode scales the weights to ints once, builds the start
+    on them and pivots a fraction-free integer tableau (Bareiss updates)
+    with them as right-hand sides, so it takes the same pivots as a
+    rational tableau without the rational arithmetic, checks the cap on
+    the tableau's ints and unscales only what it returns;
   * transportation_vertices and enumerate_couplings: explicit vertex
     enumeration of the transportation polytope on tiny grids, and a
     deterministic mixture lattice.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
 from typing import Sequence
 
 from .core import DiscreteMeasure
@@ -36,7 +36,6 @@ from .metrics import CellSet, prohorov_weights
 from .numerics import (
     EXACT,
     FLOAT,
-    Q,
     ZERO,
     Scalar,
     check_mode,
@@ -169,29 +168,30 @@ def _simplex(rows, rhs, costs, start, mode):
     """Dense simplex with Bland's rule, minimising costs . x.
 
     rows/rhs describe equality constraints Ax = b with x >= 0; the entries
-    of A and of costs are integers, b may be rational.  start lists one
-    column per row and must be a feasible basis: B nonsingular and
-    B^-1 b >= 0.  The tableau is pivoted into that basis and Bland's rule
-    runs from there.  Returns an optimal solution list.
+    of A and of costs are integers, and in exact mode so is b (the caller
+    scales it).  start lists one column per row and must be a feasible
+    basis: B nonsingular and B^-1 b >= 0.  The tableau is pivoted into
+    that basis and Bland's rule runs from there.  Returns (solution, d):
+    an optimal solution is solution / d, with 0 in every non-basic entry.
 
     Exact mode runs on a fraction-free integer tableau (Edmonds 1967;
     Bareiss, "Sylvester's identity and multistep integer-preserving
-    Gaussian elimination", Math. Comp. 1968).  The right-hand sides are
-    scaled once by the lcm D of their denominators, so the tableau starts
-    as [A | D b] with d = 1.  A pivot on p = T[r][c] keeps the pivot row,
-    negated first when p < 0, and replaces every other row by
+    Gaussian elimination", Math. Comp. 1968), which starts as [A | b] with
+    d = 1.  A pivot on p = T[r][c] keeps the pivot row, negated first
+    when p < 0, and replaces every other row by
     (row * p - f * prow) // d, where f is the row's entry in column c;
-    then d = |p|.  After any sequence of pivots T = d * B^-1 [A | D b],
+    then d = |p|.  After any sequence of pivots T = d * B^-1 [A | b],
     where B holds the pivoted columns and a unit column for every row not
     yet pivoted, and d = |det B|; the division is exact because every
-    entry is a minor of [A | D b].  The reduced costs are one more row,
+    entry is a minor of [A | b].  The reduced costs are one more row,
     d * (c - c_B B^-1 A), built once the starting basis is in and pivoted
     like the others.  Since d > 0, every sign the method reads is the sign
     of the rational tableau, and the ratio test compares b_r / a_r by
     cross-multiplication, where d cancels.  So Bland picks the same
-    entering and leaving columns as on a rational tableau, and the final
-    basis, solution and witness are the same numbers.  Only basic columns
-    are converted back, as T[r][-1] / (d * D).
+    entering and leaving columns as on a rational tableau, and on b
+    scaled by any positive constant, and the final basis and solution
+    are the same numbers.  Each basic entry of solution is the int
+    T[r][-1].
 
     Float mode runs the same start, pricing and ratio test.  Its pivot
     divides the pivot row by p, so d stays 1, and comparisons use a small
@@ -201,14 +201,8 @@ def _simplex(rows, rhs, costs, start, mode):
     eps = 0 if exact else 1e-12
     n_rows = len(rows)
     n_cols = len(costs)
-    scale = 1
     if exact:
-        for b in rhs:
-            scale = lcm(scale, b.denominator)
-        tab = [
-            list(row) + [b.numerator * (scale // b.denominator)]
-            for row, b in zip(rows, rhs)
-        ]
+        tab = [list(row) + [b] for row, b in zip(rows, rhs)]
     else:
         tab = [[float(v) for v in row] + [float(b)] for row, b in zip(rows, rhs)]
         costs = [float(c) for c in costs]
@@ -275,11 +269,10 @@ def _simplex(rows, rhs, costs, start, mode):
         if leave < 0:
             raise GdsError("unbounded linear program")
         pivot(leave, enter)
-    solution = [0] * n_cols
+    solution = [0 if exact else 0.0] * n_cols
     for r, c in enumerate(basis):
-        b = tab[r][-1]
-        solution[c] = Q(b, d * scale) if exact else b
-    return solution
+        solution[c] = tab[r][-1]
+    return solution, d
 
 
 def feasibility_lp(
@@ -292,42 +285,45 @@ def feasibility_lp(
     coupling, t).  Once the two totals agree the program is always
     feasible: the simplex starts from the northwest-corner coupling, with
     t at the mass it puts on the first heaviest set and every other set's
-    slack basic.  The totals, the corner's staircase and the heaviest
-    set are read off the weights scaled with numerics.scaled_ints, since
-    a positive scale changes none of them.
+    slack basic.
+
+    The weights are scaled to ints once, here, with numerics.scaled_ints,
+    and everything is read off the scaled weights, since a positive scale
+    changes none of it: the totals, the corner's staircase, the heaviest
+    set, and the right-hand sides of the simplex.  Exact mode thus gets
+    back ints over d * D, D the weights' scale and d the tableau's, and
+    unscales each witness entry and t once.
 
     The witness is certified: its marginals by check_marginals on the
     raw weights, and its cap by no set mass above t and one at t, that
     is max(set masses) == t.  Exact mode sums the set masses on the
-    witness's own entries, and compares them with t, scaled to ints
-    with scaled_ints; float mode compares within the float tolerance.
+    simplex's own ints and compares them with t's, all over d * D; float
+    mode compares the witness's masses with t within the float tolerance.
     """
     mode = same_mode(mu.mode, nu.mode)
     n, m = mu.n, nu.n
     for cells in sets:
         if cells.n != n or cells.m != m:
             raise GdsError("constraint cell set disagrees with the marginals")
-    (mu_w, nu_w), _ = scaled_ints(mu.weights, nu.weights)
+    (mu_w, nu_w), D = scaled_ints(mu.weights, nu.weights)
     if abs(sum(mu_w) - sum(nu_w)) > tolerance(mode):
         raise InfeasibleMarginals("marginals carry different total mass")
     cell_lists = [cells.sorted_cells for cells in sets]
     t_col = n * m
     n_cols = t_col + 1 + len(sets)
 
-    rows, rhs = [], []
+    rows = []
     for i in range(n):
         row = [0] * n_cols
         for j in range(m):
             row[i * m + j] = 1
         rows.append(row)
-        rhs.append(mu.weights[i])
     # The last column sum follows from the others and the equal totals.
     for j in range(m - 1):
         row = [0] * n_cols
         for i in range(n):
             row[i * m + j] = 1
         rows.append(row)
-        rhs.append(nu.weights[j])
     for k, cells in enumerate(cell_lists):
         row = [0] * n_cols
         for (i, j) in cells:
@@ -335,29 +331,28 @@ def feasibility_lp(
         row[t_col] = -1
         row[t_col + 1 + k] = 1
         rows.append(row)
-        rhs.append(0)
+    rhs = [*mu_w, *nu_w[:-1]] + [0] * len(sets)
 
-    corner, staircase = _northwest_corner(mu_w, nu_w, range(n), range(m), mode)
+    corner, staircase = _northwest_corner(mu_w, nu_w, range(n), range(m))
     start = [i * m + j for (i, j) in staircase]
     if sets:
-        masses = [_mass(corner.matrix, cells) for cells in cell_lists]
+        masses = [_mass(corner, cells) for cells in cell_lists]
         heaviest = masses.index(max(masses))
         start.append(t_col)
         start += [t_col + 1 + k for k in range(len(sets)) if k != heaviest]
     costs = [0] * n_cols
     costs[t_col] = 1
-    solution = _simplex(rows, rhs, costs, start, mode)
-    matrix = tuple(
-        tuple(solution[i * m + j] for j in range(m)) for i in range(n)
+    solution, d = _simplex(rows, rhs, costs, start, mode)
+    scale = None if D is None else d * D
+    grid = [solution[i * m : (i + 1) * m] for i in range(n)]
+    witness = Coupling.build(
+        [[unscaled(x, scale) for x in row] for row in grid], mode
     )
-    witness = Coupling.build(matrix, mode)
     witness.check_marginals(mu, nu)
-    t = solution[t_col]
+    t = unscaled(solution[t_col], scale)
     # At the optimum t is the largest set mass: no set above it, one at it.
-    # Exact mode sums the witness's own entries, and t, over one denominator.
-    entries, cap = witness.matrix, t
-    if mode == EXACT:
-        (*entries, (cap,)), _ = scaled_ints(*entries, (t,))
+    # Exact mode compares the simplex's own ints, all over d * D.
+    entries, cap = (witness.matrix, t) if D is None else (grid, solution[t_col])
     masses = [_mass(entries, cells) for cells in cell_lists]
     if masses and not (
         all(leq(x, cap, mode) for x in masses) and any(close(x, cap, mode) for x in masses)
@@ -508,13 +503,15 @@ def transportation_vertices(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple:
     return tuple(seen[k] for k in sorted(seen))
 
 
-def _northwest_corner(mu, nu, row_order, col_order, mode):
-    """Northwest-corner coupling along the given orders, and the cells it visits.
+def _northwest_corner(mu, nu, row_order, col_order):
+    """Northwest-corner matrix along the given orders, and the cells it visits.
 
     Each step fills one cell and moves past its row when that row is
     spent, else past its column, so the n + m - 1 visited cells, zero ones
     included, form a spanning tree of the transport graph: a basis of the
-    transportation problem.
+    transportation problem.  The matrix is a tuple of rows in the weights'
+    own arithmetic; on scaled ints it is the corner coupling times the
+    scale, not a coupling of the measures.
     """
     n, m = len(mu), len(nu)
     zero = mu[0] - mu[0]
@@ -534,7 +531,7 @@ def _northwest_corner(mu, nu, row_order, col_order, mode):
             ri += 1
         else:
             ci += 1
-    return Coupling(tuple(tuple(r) for r in matrix), mode), visited
+    return tuple(tuple(r) for r in matrix), visited
 
 
 def enumerate_couplings(
@@ -574,8 +571,8 @@ def enumerate_couplings(
         (reversed(range(n)), reversed(range(m))),
     ]
     for ro, co in orders:
-        corner, _ = _northwest_corner(mu_w, nu_w, list(ro), list(co), mode)
-        anchors.append(corner.matrix if D is None else times(corner.matrix, D))
+        corner, _ = _northwest_corner(mu_w, nu_w, list(ro), list(co))
+        anchors.append(corner if D is None else times(corner, D))
     out = dict.fromkeys(
         anchors if D is None else (times(a, resolution) for a in anchors)
     )

@@ -225,7 +225,6 @@ class GapTable:
 
     def __init__(self, rows_x: Sequence, rows_y: Sequence, mu: Sequence, nu: Sequence):
         self.n, self.m = len(mu), len(nu)
-        self.mu, self.nu = mu, nu
         self.transport = Transport(mu, nu)
         self.flow = self.transport.value
         self.kx, self.ky = len(rows_x), len(rows_y)
@@ -445,7 +444,12 @@ def partial_diameter(values: Sequence, mu: DiscreteMeasure, alpha) -> Scalar:
 
 
 def observable_diameter(X: GeometricDataSet, kappa) -> Scalar:
-    """Largest partial diameter, at level 1 - kappa, over the features."""
+    """Largest partial diameter, at level 1 - kappa, over the features.
+
+    kappa < 0 is out of range; kappa >= 1 returns the mode's 0.
+    """
+    if kappa < 0:
+        raise GdsError(f"observable diameter needs kappa >= 0, got {kappa}")
     alpha = 1 - kappa
     if alpha <= 0:
         return to_scalar(0, X.mode)

@@ -8,13 +8,14 @@ comparison tolerance.  Mixing the two modes in one computation is an error,
 never a silent promotion.
 
 Rationals are fractions.Fraction.  The two hot kernels run on Python
-ints: the exact simplex scales its right-hand sides itself (see
-coupling._simplex), and flows.Transport, the one way into the max-flow
-kernel and the one memo of its values, scales the weights of an
-instance once with scaled_ints, memoises each mask's flow value, starts
-a value's max-flow from a greedy plan and a witness's from the empty
-flow, completes the witness plan to a coupling on the scaled ints, and
-converts back only what it returns, each witness entry once.
+ints: the exact simplex pivots on right-hand sides that its caller,
+coupling.feasibility_lp, has scaled (see coupling._simplex), and
+flows.Transport, the one way into the max-flow kernel and the one memo
+of its values, scales the weights of an instance once with scaled_ints,
+memoises each mask's flow value, starts a value's max-flow from a
+greedy plan and a witness's from the empty flow, completes the witness
+plan to a coupling on the scaled ints, and converts back only what it
+returns, each witness entry once.
 The threshold grids are scaled the same way, once per instance, so the
 sweeps build, sort and compare their levels as ints:
   * the feature gaps |f(x) - g(y)| of metrics.GapTable, whose rows are
@@ -33,10 +34,12 @@ re-evaluation read the unscaled inputs.  Coupling.check_marginals
 scales a witness and the raw weights it is checked against over one
 denominator itself, and coupling.enumerate_couplings builds its
 mixture lattice on the scaled weights and unscales each entry once.
-coupling.feasibility_lp builds its northwest-corner start on the scaled
-weights and checks its witness's cap on the witness scaled the same
-way, and dconc_exact's product-coupling bound pairs the scaled gaps
-with the Transport's scaled weights and unscales the bound once.
+coupling.feasibility_lp scales the weights once and builds its
+northwest-corner start, runs its simplex and checks its witness's cap
+on those ints, unscaling each witness entry and t once; box_heuristic's
+greedy weights are products of the Transport's scaled weights, and
+dconc_exact's product-coupling bound pairs the scaled gaps with them
+too and unscales the bound once.
 """
 
 from __future__ import annotations

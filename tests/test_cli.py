@@ -330,6 +330,14 @@ class TestErrorsAndModes:
         assert captured.out == ""
         assert captured.err.startswith(f"gds: {argv[-2]}:")
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_od_refuses_negative_kappa(self, capsys, tmp_path, mode):
+        path = write_dataset(tmp_path, "x.json", n_point_discrete(2))
+        assert main(["od", "--mode", mode, "--kappa", "-1", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gds: invalid input: observable diameter needs kappa")
+
     def test_verify_refuses_negative_trials(self, capsys):
         assert main(["verify", "--trials", "-1"]) == 2
         captured = capsys.readouterr()

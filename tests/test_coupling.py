@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,8 +45,8 @@ def rational_lattice(mu, nu, resolution):
         (reversed(range(n)), reversed(range(m))),
     ]
     for ro, co in orders:
-        corner, _ = _northwest_corner(mu.weights, nu.weights, list(ro), list(co), mode)
-        anchors.append(corner)
+        corner, _ = _northwest_corner(mu.weights, nu.weights, list(ro), list(co))
+        anchors.append(Coupling(corner, mode))
     out = {pi.matrix: pi for pi in anchors}
     for a, b in itertools.combinations(anchors, 2):
         for k in range(1, resolution):
@@ -320,12 +321,15 @@ class TestSetMassProgram:
     ):
         # A cap above every set mass, or below the heaviest, must fail the
         # check; the marginals are untouched, so only the cap check can.
+        # Float mode moves t by the shift, exact mode by one unit of the
+        # simplex's ints (which are over d * D) in the shift's direction.
         solve = coupling._simplex
 
         def shifted(rows, rhs, costs, start, mode):
-            solution = solve(rows, rhs, costs, start, mode)
-            solution[costs.index(1)] += shift if mode == "exact" else float(shift)
-            return solution
+            solution, d = solve(rows, rhs, costs, start, mode)
+            step = (1 if shift > 0 else -1) if mode == "exact" else float(shift)
+            solution[costs.index(1)] += step
+            return solution, d
 
         monkeypatch.setattr(coupling, "_simplex", shifted)
         mu = DiscreteMeasure.from_weights(["1/6", "1/3", "1/2"], mode)
@@ -336,6 +340,28 @@ class TestSetMassProgram:
         )
         with pytest.raises(AssertionError, match="common cap"):
             feasibility_lp(mu, nu, sets)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize(
+        "mu,nu,pairs",
+        [
+            # FROZEN_CAPS seed 1: one point each and no set, so the optimum
+            # t = 0 is non-basic.
+            (["1"], ["1"], ()),
+            # Non-basic witness cells: (0, 0) holds no mass.
+            (["1/3", "2/3"], ["1/4", "3/4"], ([(0, 0), (1, 1)], [(0, 1)])),
+        ],
+    )
+    def test_witness_and_cap_carry_the_mode_scalar(self, mode, mu, nu, pairs):
+        # Zeros included, every witness cell and t are Fractions in exact
+        # mode and floats in float mode, never the int 0.
+        mu = DiscreteMeasure.from_weights(mu, mode)
+        nu = DiscreteMeasure.from_weights(nu, mode)
+        sets = tuple(CellSet.from_pairs(mu.n, nu.n, cells) for cells in pairs)
+        pi, t = feasibility_lp(mu, nu, sets)
+        values = (t, *itertools.chain(*pi.matrix))
+        assert 0 in values
+        assert {type(x) for x in values} == {Fraction if mode == "exact" else float}
 
     def test_duplicate_sets(self):
         mu = DiscreteMeasure.from_weights([Q(1, 3), Q(2, 3)])
@@ -386,12 +412,11 @@ class TestNorthwestCorner:
             rows, cols = list(range(n)), list(range(m))
             rnd.shuffle(rows)
             rnd.shuffle(cols)
-            corner, stairs = _northwest_corner(mu, nu, rows, cols, "exact")
-            scaled, scaled_stairs = _northwest_corner(mu_s, nu_s, rows, cols, "exact")
+            matrix, stairs = _northwest_corner(mu, nu, rows, cols)
+            scaled, scaled_stairs = _northwest_corner(mu_s, nu_s, rows, cols)
             assert scaled_stairs == stairs
-            assert scaled.matrix == tuple(
-                tuple(x * D for x in row) for row in corner.matrix
-            )
+            assert scaled == tuple(tuple(x * D for x in row) for row in matrix)
+            corner = Coupling(matrix)
             cells = [(i, j) for i in range(n) for j in range(m)]
             sets = [
                 CellSet.from_pairs(n, m, [c for c in cells if rnd.random() < 0.5])
@@ -405,7 +430,7 @@ class TestNorthwestCorner:
             tie = heaviest.cells | ({rnd.choice(empty)} if empty else set())
             sets.insert(rnd.randint(0, len(sets)), CellSet(n, m, frozenset(tie)))
             want = [corner.mass(s) for s in sets]
-            got = [_mass(scaled.matrix, s.sorted_cells) for s in sets]
+            got = [_mass(scaled, s.sorted_cells) for s in sets]
             assert got == [w * D for w in want]
             assert got.index(max(got)) == want.index(max(want))
 

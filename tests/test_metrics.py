@@ -19,8 +19,8 @@ from gds import (
 )
 from gds.metrics import GapTable, crossing, first_feasible, prohorov_weights
 from gds.coupling import product_coupling
-from gds.errors import SupportError
-from gds.numerics import EXACT, FLOAT_TOL, Q, unscaled
+from gds.errors import GdsError, SupportError
+from gds.numerics import EXACT, FLOAT_TOL, Q, to_scalar, unscaled
 from gds.spaces import n_point_discrete, random_gds
 
 
@@ -252,6 +252,12 @@ class TestDiameters:
             assert observable_diameter(X, 0) == 1
             assert observable_diameter(X, Q(1, N) - Q(1, 100)) == 1
             assert observable_diameter(X, Q(1, N)) == 0
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_observable_diameter_refuses_negative_kappa(self, mode):
+        X = n_point_discrete(3, mode=mode)
+        with pytest.raises(GdsError, match="kappa"):
+            observable_diameter(X, to_scalar("-1/8", mode))
 
     def test_breakpoints_contain_zero_and_are_sorted(self):
         X = n_point_discrete(3)
