@@ -24,6 +24,15 @@ and solves each level it probes once; two sweeps feed it:
     that of a heaviest maximal clique; one Bron-Kerbosch scan of the
     maximal cliques serves both callers.
 
+Exact mode runs both sweeps on ints.  The levels are scaled by S (the
+gaps' or the metrics' common denominator) and the kept masses by D (the
+Transport's, or the fixed coupling's, from numerics.scaled_ints), so
+every level, mass and crossing comparison is an int over S * D.  Each
+solver certifies its witness on the same ints, re-evaluating the
+objective from the witness coupling's ints and the scaled gaps or
+metrics, and unscales once, only the value and the witness it returns.
+Float mode computes the same expressions on its floats.
+
 The subset enumeration the sweep replaces is kept alive in the test suite
 as an independent oracle.
 """
@@ -47,7 +56,15 @@ from .metrics import (
     hausdorff,
     sup_pseudometric,
 )
-from .numerics import FLOAT_TOL, Scalar, close, same_mode, scaled_ints, unscaled
+from .numerics import (
+    FLOAT_TOL,
+    Scalar,
+    close,
+    same_mode,
+    scaled_ints,
+    unscaled,
+    unscaled_rows,
+)
 
 CELL_BUDGET = 16
 
@@ -59,6 +76,12 @@ class BoxResult:
     value: Scalar
     coupling: Coupling
     cells: CellSet
+
+
+def check_cell_budget(n: int, m: int, cell_budget: int) -> None:
+    """Raise SizeLimit when the n x m cell grid exceeds the exact budget."""
+    if n * m > cell_budget:
+        raise SizeLimit(f"{n * m} cells exceed the exact budget {cell_budget}")
 
 
 def distortion(S, dX, dY) -> Scalar:
@@ -114,8 +137,12 @@ def box_objective(pi: Coupling, S: CellSet, FX: FeatureFamily, FY: FeatureFamily
 
 
 def _mask_sum(values, mask):
-    """Sum of values[c] over the set bits c of mask, lowest bit first."""
-    total = 0
+    """Sum of values[c] over the set bits c of mask, lowest bit first.
+
+    The sum starts from the values' own zero, so the empty mask gives
+    the mode's scalar.
+    """
+    total = values[0] - values[0]
     while mask:
         c = (mask & -mask).bit_length() - 1
         mask &= mask - 1
@@ -152,24 +179,28 @@ def _maximal_cliques(count, adj):
     return out
 
 
-def _distortion_sweep(cells, dX, dY, kept) -> tuple:
+def _distortion_sweep(cells, dX, dY, kept, D, mode) -> tuple:
     """Minimise max(1 - kept mass, distortion) over sets of the given cells.
 
     The sets of distortion <= t are the cliques of the compatibility graph
     at t, whose edges join two cells that the metrics dX and dY disagree
     on by at most t.  kept(mask) is the mass kept on a set of positions in
-    cells, monotone under inclusion, so every clique lies in a maximal one
-    that keeps at least as much: each level scans the maximal cliques once
-    and keeps the first heaviest in sorted order.  The two metrics are
-    scaled to ints jointly, so the gaps and levels compare as ints and a
-    level is unscaled only where the crossing search probes it.  Returns
-    (value, mask over positions in cells).
+    cells, an int over D, monotone under inclusion, so every clique lies
+    in a maximal one that keeps at least as much: each level scans the
+    maximal cliques once and keeps the first heaviest in sorted order.
+    The two metrics are scaled to ints jointly, by S, so a level t * D and
+    a discarded mass (D - kept) * S are ints over S * D, and the crossing
+    search's minimum is unscaled once.  Float mode (D and S None) keeps
+    its floats.  The witness is certified on the same ints: its kept mass
+    and its distortion, re-read from the scaled metrics, attain the
+    value.  Returns (value, mask over positions in cells).
     """
     count = len(cells)
-    rows, scale = scaled_ints(*dX, *dY)
+    rows, S = scaled_ints(*dX, *dY)
     sx, sy = rows[: len(dX)], rows[len(dX) :]
     gaps = [[abs(sx[a[0]][b[0]] - sy[a[1]][b[1]]) for b in cells] for a in cells]
     levels = sorted({0} | {gaps[a][b] for a in range(count) for b in range(a + 1, count)})
+    s, d = S or 1, D or 1
 
     def best_at(i):
         adj = [0] * count
@@ -178,9 +209,14 @@ def _distortion_sweep(cells, dX, dY, kept) -> tuple:
                 if a != b and gaps[a][b] <= levels[i]:
                     adj[a] |= 1 << b
         mask = max(sorted(_maximal_cliques(count, adj)), key=kept)
-        return 1 - kept(mask), mask
+        return (d - kept(mask)) * s, mask
 
-    return crossing(len(levels), lambda i: unscaled(levels[i], scale), best_at)
+    value, mask = crossing(len(levels), lambda i: levels[i] * d, best_at)
+    witness = [cell for p, cell in enumerate(cells) if mask >> p & 1]
+    a, b = (d - kept(mask)) * s, distortion(witness, sx, sy) * d
+    if not close(a if a > b else b, value, mode):
+        raise AssertionError("clique sweep witness disagrees with its value")
+    return unscaled(value, None if S is None else S * d), mask
 
 
 def dis_coupling(pi: Coupling, dX, dY) -> tuple:
@@ -196,16 +232,13 @@ def dis_coupling(pi: Coupling, dX, dY) -> tuple:
         raise SizeLimit(
             f"{len(support)} support cells exceed the exact budget {CELL_BUDGET}"
         )
-    weights = [pi.matrix[i][j] for i, j in support]
+    (weights,), D = scaled_ints([pi.matrix[i][j] for i, j in support])
     value, mask = _distortion_sweep(
-        support, dX, dY, functools.partial(_mask_sum, weights)
+        support, dX, dY, functools.partial(_mask_sum, weights), D, pi.mode
     )
     cells = CellSet.from_pairs(
         pi.n, pi.m, [cell for p, cell in enumerate(support) if mask >> p & 1]
     )
-    got = max(1 - pi.mass(cells), distortion(cells, dX, dY))
-    if not close(got, value, pi.mode):
-        raise AssertionError("distortion sweep witness disagrees with its value")
     return value, cells
 
 
@@ -240,6 +273,39 @@ def _side_masks(table: GapTable, h) -> tuple:
     return u_masks, v_masks
 
 
+def _radius(table: GapTable, mask: int):
+    """Hausdorff distance of the families over the masked cells, scaled.
+
+    Read from the table's scaled gaps, so it is an int over table.scale
+    (a float in float mode); 0 on the empty mask.
+    """
+    cells = [c for c in range(table.n * table.m) if mask >> c & 1]
+    return hausdorff(
+        range(table.kx),
+        range(table.ky),
+        lambda f, g: max([table.diff[f][g][c] for c in cells], default=0),
+    )
+
+
+def _certified(table: GapTable, mask: int, value, d, mass, unit, mode):
+    """A box sweep's value, checked against its witness on ints, unscaled.
+
+    value is the sweep's minimum over S * d, S the table's scale; the
+    witness coupling puts mass / unit on the cells of mask.  Its
+    objective max(1 - mass / unit, 2 * radius) is re-evaluated over
+    S * unit from the mass and the table's scaled gaps, and compared
+    with value by cross-multiplication.  In float mode S, d and unit are
+    1, the comparison has the float tolerance and value is returned as
+    it is.
+    """
+    S = table.scale
+    s = S or 1
+    a, b = (unit - mass) * s, 2 * _radius(table, mask) * unit
+    if not close((a if a > b else b) * d, value * unit, mode):
+        raise AssertionError("box sweep witness disagrees with its value")
+    return unscaled(value, None if S is None else S * d)
+
+
 def _best_pair_mass(table: GapTable, h, value_of) -> tuple:
     """Largest value_of(u_mask & v_mask) over assignment pairs at level h.
 
@@ -264,15 +330,22 @@ def _best_pair_mass(table: GapTable, h, value_of) -> tuple:
 
 
 def _feature_sweep(
-    X: GeometricDataSet, Y: GeometricDataSet, assignment_budget: int, kept=None
+    X: GeometricDataSet,
+    Y: GeometricDataSet,
+    assignment_budget: int,
+    kept=None,
+    D=None,
 ) -> tuple:
     """Minimise max(1 - kept mass, 2 * Hausdorff radius) over cell sets.
 
-    kept(mask) is the mass kept on a cell mask, monotone under inclusion;
-    by default the largest mass any coupling keeps, the flow of the
-    instance's GapTable.  The assignment pairs behind each level are
-    enumerated, so their count is gated first.  Returns (value, witness
-    cells).
+    kept(mask) is the mass kept on a cell mask as an int over D, monotone
+    under inclusion; by default the largest mass any coupling keeps, the
+    scaled flow of the instance's GapTable's Transport, over its scale.
+    With S the table's scale, a rise 2 * level * D and a fall
+    (D - kept) * S are ints over S * D (floats in float mode), so the
+    crossing search compares ints only.  The assignment pairs behind each
+    level are enumerated, so their count is gated first.  Returns
+    (table, value over S * D, witness mask).
     """
     count = Y.k ** X.k + X.k ** Y.k
     if count > assignment_budget:
@@ -280,16 +353,16 @@ def _feature_sweep(
             f"{count} feature assignments exceed the budget {assignment_budget}"
         )
     table, levels = _table(X, Y)
-    value_of = kept or table.flow
+    if kept is None:
+        kept, D = table.transport.scaled_value, table.transport.scale
+    s, d = table.scale or 1, D or 1
 
     def best_at(i):
-        most, mask = _best_pair_mass(table, levels[i], value_of)
-        return 1 - most, mask
+        most, mask = _best_pair_mass(table, levels[i], kept)
+        return (d - most) * s, mask
 
-    value, mask = crossing(
-        len(levels), lambda i: 2 * unscaled(levels[i], table.scale), best_at
-    )
-    return value, CellSet.from_mask(X.n, Y.n, mask)
+    value, mask = crossing(len(levels), lambda i: 2 * levels[i] * d, best_at)
+    return table, value, mask
 
 
 def box_fixed_coupling(
@@ -298,16 +371,19 @@ def box_fixed_coupling(
     pi: Coupling,
     assignment_budget: int = ASSIGNMENT_BUDGET,
 ) -> tuple:
-    """Best cell set for one fixed coupling: (objective value, witness S)."""
+    """Best cell set for one fixed coupling: (objective value, witness S).
+
+    The coupling's entries are scaled to ints once, by D, so the sweep
+    and the certificate read its masses as ints over D.
+    """
     mode = same_mode(same_mode(X.mode, Y.mode), pi.mode)
     pi.check_marginals(X.measure, Y.measure)
-    flat = [pi.matrix[i][j] for i in range(X.n) for j in range(Y.n)]
+    (flat,), D = scaled_ints([x for row in pi.matrix for x in row])
     mass = functools.cache(functools.partial(_mask_sum, flat))
-    value, cells = _feature_sweep(X, Y, assignment_budget, mass)
-    got = box_objective(pi, cells, X.features, Y.features)
-    if not close(got, value, mode):
-        raise AssertionError("fixed-coupling sweep witness disagrees with its value")
-    return value, cells
+    table, value, mask = _feature_sweep(X, Y, assignment_budget, mass, D)
+    d = D or 1
+    value = _certified(table, mask, value, d, _mask_sum(flat, mask), d, mode)
+    return value, CellSet.from_mask(X.n, Y.n, mask)
 
 
 def box_exact(
@@ -321,18 +397,26 @@ def box_exact(
     The coupling only enters through the mass it puts on the candidate set,
     so at each threshold level the inner problem is one max-flow per
     assignment-pair mask and no coupling enumeration happens at all.
+
+    The sweep compares its flows and levels as ints over S * D, S the gap
+    table's scale and D its Transport's.  The witness coupling comes from
+    the same Transport, completed and certified on ints over a unit
+    D * L; its objective is re-evaluated from those ints and the table's
+    scaled gaps over the witness cells, and must equal the sweep's int
+    value.  The value and each witness entry are unscaled once.
     """
     mode = same_mode(X.mode, Y.mode)
-    if X.n * Y.n > cell_budget:
-        raise SizeLimit(
-            f"{X.n * Y.n} cells exceed the exact budget {cell_budget}"
-        )
-    value, cells = _feature_sweep(X, Y, assignment_budget)
-    _, pi = max_mass_on_set(X.measure, Y.measure, cells)
-    got = box_objective(pi, cells, X.features, Y.features)
-    if not close(got, value, mode):
-        raise AssertionError("box sweep witness disagrees with its value")
-    return BoxResult(value, pi, cells)
+    check_cell_budget(X.n, Y.n, cell_budget)
+    table, value, mask = _feature_sweep(X, Y, assignment_budget)
+    transport = table.transport
+    _, rows, unit = transport.completion(mask)
+    mass = _mask_sum([x for row in rows for x in row], mask)
+    d = transport.scale or 1
+    return BoxResult(
+        _certified(table, mask, value, d, mass, unit or 1, mode),
+        Coupling(unscaled_rows(rows, unit), mode),
+        CellSet.from_mask(X.n, Y.n, mask),
+    )
 
 
 def box_mm_exact(
@@ -343,19 +427,19 @@ def box_mm_exact(
     Minimises max(1 - best coupling mass on S, distortion(S)).  Cell sets
     of distortion <= t are the cliques of the compatibility graph at t and
     the mass term is monotone, so only maximal cliques need a flow solve.
+    The sweep compares the Transport's int flows and the scaled metrics'
+    int gaps, and certifies its witness on them: 1 - flow and the
+    distortion, re-read from the scaled metrics, attain the int value,
+    which is unscaled once.
     """
     mode = same_mode(MX.mode, MY.mode)
     n, m = MX.n, MY.n
-    count = n * m
-    if count > cell_budget:
-        raise SizeLimit(f"{count} cells exceed the exact budget {cell_budget}")
-    flow = Transport(MX.measure.weights, MY.measure.weights).value
+    check_cell_budget(n, m, cell_budget)
+    transport = Transport(MX.measure.weights, MY.measure.weights)
     cells = [(i, j) for i in range(n) for j in range(m)]
-    value, mask = _distortion_sweep(cells, MX.dist, MY.dist, flow)
-    witness = CellSet.from_mask(n, m, mask)
-    got = max(1 - flow(mask), distortion(witness, MX.dist, MY.dist))
-    if not close(got, value, mode):
-        raise AssertionError("clique sweep witness disagrees with its value")
+    value, _ = _distortion_sweep(
+        cells, MX.dist, MY.dist, transport.scaled_value, transport.scale, mode
+    )
     return value
 
 
@@ -379,16 +463,6 @@ def box_heuristic(
     pm = [a * b for a, b in itertools.product(*table.transport.weights)]
     weight = functools.partial(_mask_sum, pm)
 
-    def radius(mask):
-        """Hausdorff distance of the families over the masked cells."""
-        cells = [c for c in range(nm) if mask >> c & 1]
-        scaled = hausdorff(
-            range(table.kx),
-            range(table.ky),
-            lambda f, g: max([table.diff[f][g][c] for c in cells], default=0),
-        )
-        return unscaled(scaled, table.scale)
-
     evals = {}
     spent = 0
 
@@ -400,7 +474,7 @@ def box_heuristic(
         hit = evals.get(mask)
         if hit is None:
             a = 1 - table.flow(mask)
-            b = 2 * radius(mask)
+            b = 2 * unscaled(_radius(table, mask), table.scale)
             hit = a if a > b else b
             evals[mask] = hit
         return hit

@@ -5,14 +5,16 @@ Three search routes live here and deliberately stay independent of each
 other so they can cross-validate:
 
   * max_mass_on_set: bipartite max-flow, specialised and fast;
-    flows.Transport solves it and completes the witness coupling;
+    flows.Transport solves it and completes and certifies the witness
+    coupling on the scaled ints;
   * feasibility_lp: a dense simplex with Bland's rule, started from the
     northwest-corner coupling, capping the mass on several cell sets at
     once; exact mode scales the weights to ints once, builds the start
     on them and pivots a fraction-free integer tableau (Bareiss updates)
     with them as right-hand sides, so it takes the same pivots as a
-    rational tableau without the rational arithmetic, checks the cap on
-    the tableau's ints and unscales only what it returns;
+    rational tableau without the rational arithmetic, checks the
+    witness's marginals and cap on the tableau's ints and unscales only
+    what it returns;
   * transportation_vertices and enumerate_couplings: explicit vertex
     enumeration of the transportation polytope on tiny grids, and a
     deterministic mixture lattice.
@@ -31,7 +33,7 @@ from .errors import (
     MarginalMismatch,
     SizeLimit,
 )
-from .flows import Transport
+from .flows import Transport, certify_coupling
 from .metrics import CellSet, prohorov_weights
 from .numerics import (
     EXACT,
@@ -45,6 +47,7 @@ from .numerics import (
     scaled_ints,
     tolerance,
     unscaled,
+    unscaled_rows,
 )
 
 VERTEX_CELL_LIMIT = 9
@@ -148,15 +151,14 @@ def max_mass_on_set(
     plan to a genuine coupling by product-filling the residual marginals,
     on the scaled ints.  The filled mass cannot land on the target set
     (that would beat the maximum), so the witness attains exactly the
-    returned value; its marginals are checked on the raw weights.
+    returned value.  Its marginals are certified on those ints, before
+    any entry is unscaled (within FLOAT_TOL in float mode).
     """
     mode = same_mode(mu.mode, nu.mode)
     if cells.n != mu.n or cells.m != nu.n:
         raise GdsError("cell set shape disagrees with the marginals")
     value, matrix = Transport(mu.weights, nu.weights).coupling(cells.to_mask())
-    coupling = Coupling(matrix, mode)
-    coupling.check_marginals(mu, nu)
-    return value, coupling
+    return value, Coupling(matrix, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +296,12 @@ def feasibility_lp(
     back ints over d * D, D the weights' scale and d the tableau's, and
     unscales each witness entry and t once.
 
-    The witness is certified: its marginals by check_marginals on the
-    raw weights, and its cap by no set mass above t and one at t, that
-    is max(set masses) == t.  Exact mode sums the set masses on the
-    simplex's own ints and compares them with t's, all over d * D; float
-    mode compares the witness's masses with t within the float tolerance.
+    The witness is certified on the simplex's own ints, all over d * D:
+    its marginals by flows.certify_coupling (every entry >= 0, rows
+    summing to d * mu_w, columns to d * nu_w, mu_w and nu_w the scaled
+    weights), and its cap by no set mass above t and one at t, that is
+    max(set masses) == t.  Float mode checks the witness's marginals and
+    masses within the float tolerance.
     """
     mode = same_mode(mu.mode, nu.mode)
     n, m = mu.n, nu.n
@@ -345,14 +348,13 @@ def feasibility_lp(
     solution, d = _simplex(rows, rhs, costs, start, mode)
     scale = None if D is None else d * D
     grid = [solution[i * m : (i + 1) * m] for i in range(n)]
-    witness = Coupling.build(
-        [[unscaled(x, scale) for x in row] for row in grid], mode
-    )
-    witness.check_marginals(mu, nu)
+    witness = Coupling.build(unscaled_rows(grid, scale), mode)
     t = unscaled(solution[t_col], scale)
-    # At the optimum t is the largest set mass: no set above it, one at it.
-    # Exact mode compares the simplex's own ints, all over d * D.
+    # Exact mode certifies the simplex's own ints, all over d * D: the
+    # rows sum to d * mu_w, the columns to d * nu_w.  At the optimum t is
+    # the largest set mass: no set above it, one at it.
     entries, cap = (witness.matrix, t) if D is None else (grid, solution[t_col])
+    certify_coupling(entries, mu_w, nu_w, d, tolerance(mode))
     masses = [_mass(entries, cells) for cells in cell_lists]
     if masses and not (
         all(leq(x, cap, mode) for x in masses) and any(close(x, cap, mode) for x in masses)
@@ -588,7 +590,4 @@ def enumerate_couplings(
             )
             out.setdefault(matrix)
     scale = None if D is None else D * D * resolution
-    return tuple(
-        Coupling(tuple(tuple(unscaled(x, scale) for x in row) for row in matrix), mode)
-        for matrix in sorted(out)
-    )
+    return tuple(Coupling(unscaled_rows(matrix, scale), mode) for matrix in sorted(out))

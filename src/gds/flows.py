@@ -19,10 +19,12 @@ not the capacity values, so termination never depends on the
 arithmetic.  For the same reason, scaling every capacity by one
 positive D leaves each search, bottleneck and augmenting path as it
 was.  Every solver reaches the kernel through Transport, which scales
-the weights once with numerics.scaled_ints, memoises the value of each
-cell mask, completes a witness plan into a coupling on the same ints
-and converts back only what it returns; float weights pass through
-unscaled.  Transport's is the only memo of flow values in the package.
+the weights once with numerics.scaled_ints and memoises each cell
+mask's flow as that int, so the sweeps compare flows as ints.  It
+completes a witness plan into a coupling on the same ints, certifies
+the int matrix (certify_coupling) and converts back only what it
+returns; float weights pass through unscaled.  Transport's is the only
+memo of flow values in the package.
 
 A value call starts the kernel from a greedy feasible plan instead of
 the empty flow: the maximum value is unique and Edmonds-Karp from any
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .numerics import Q, scaled_ints, unscaled
+from .numerics import FLOAT_TOL, scaled_ints, unscaled, unscaled_rows
 
 
 def max_flow_on_cells(
@@ -209,58 +211,93 @@ def greedy_plan(mu: Sequence, nu: Sequence, allowed: int) -> list:
     return plan
 
 
+def certify_coupling(rows, mu, nu, factor=1, tol=0) -> None:
+    """Raise AssertionError unless rows is a coupling of (mu, nu) times factor.
+
+    Every entry must be at least -tol, row i must sum to mu[i] * factor
+    and column j to nu[j] * factor, each within tol.  On scaled ints, with
+    tol 0, this certifies a witness exactly and adds no rational.
+    """
+    if (
+        any(x < -tol for row in rows for x in row)
+        or any(abs(sum(row) - w * factor) > tol for row, w in zip(rows, mu))
+        or any(abs(sum(col) - w * factor) > tol for col, w in zip(zip(*rows), nu))
+    ):
+        raise AssertionError("witness coupling breaks its marginals")
+
+
 class Transport:
     """The largest mass a coupling of (mu, nu) puts on a cell mask.
 
     The weights are scaled to ints once, here: `weights` holds the two
     scaled vectors and `scale` their D (the raw floats and None in float
-    mode).  This is the one memo of flow values: value(mask) is
-    memoised, since the threshold sweeps revisit masks across levels,
-    and its max-flow starts from greedy_plan.  coupling(mask) solves
-    again from the empty flow and completes the plan into a full
-    coupling, which only witnesses need.  Both hand back rationals
-    (floats in float mode).
+    mode).  This is the one memo of flow values: scaled_value(mask), the
+    max-flow on the mask as an int over D, is memoised, since the
+    threshold sweeps revisit masks across levels and compare flows as
+    these ints, and its max-flow starts from greedy_plan.  value(mask) is
+    the same flow unscaled, a rational.  completion(mask) solves again
+    from the empty flow and completes the plan into a full coupling on
+    the same ints, certified there, which only witnesses need;
+    coupling(mask) unscales it.  Float mode computes and returns floats
+    throughout.
     """
 
     def __init__(self, mu: Sequence, nu: Sequence):
         self.weights, self.scale = scaled_ints(mu, nu)
-        self._values: dict = {}
+        self._flows: dict = {}
 
-    def value(self, mask: int):
-        hit = self._values.get(mask)
+    def scaled_value(self, mask: int):
+        hit = self._flows.get(mask)
         if hit is None:
             start = greedy_plan(*self.weights, mask)
             hit, _ = max_flow_on_cells(*self.weights, mask, start)
-            hit = self._values[mask] = unscaled(hit, self.scale)
+            self._flows[mask] = hit
         return hit
 
-    def coupling(self, mask: int) -> tuple:
-        """(value, matrix): the max-flow value and a coupling attaining it.
+    def value(self, mask: int):
+        return unscaled(self.scaled_value(mask), self.scale)
+
+    def completion(self, mask: int) -> tuple:
+        """(flow, rows, unit): a cold max-flow and a coupling attaining it.
 
         When mu and nu carry one total, the row and column masses a_i and
-        b_j the cold plan leaves both sum to one leftover L, so adding
-        a_i * b_j / L to each cell completes the plan to a coupling (that
-        mass cannot land on the mask: it would beat the maximum).  Exact
-        mode completes the scaled plan p on ints and unscales each entry
-        once, as (p * L + a_i * b_j) / (D * L).
+        b_j the cold plan p leaves both sum to one leftover L, so adding
+        a_i * b_j / L to each cell completes p to a coupling (that mass
+        cannot land on the mask: it would beat the maximum).  Exact mode
+        completes on ints: each entry is p * L + a_i * b_j, over
+        unit = D * L (L read as 1 when p is full), and the int matrix is
+        certified with certify_coupling, its rows summing to mu * L and
+        its columns to nu * L.  flow is the plan's value over D.  Float
+        mode adds a_i * b_j / L to p in place, certifies within
+        FLOAT_TOL, and returns unit None.  Weights of two totals have no
+        coupling, and their completion is returned uncertified.
         """
         mu, nu = self.weights
-        scale = self.scale
-        value, plan = max_flow_on_cells(mu, nu, mask)
+        flow, plan = max_flow_on_cells(mu, nu, mask)
         a = [w - sum(row) for w, row in zip(mu, plan)]
         b = [w - sum(col) for w, col in zip(nu, zip(*plan))]
         leftover = sum(a)
-        matrix = []
-        for a_i, row in zip(a, plan):
-            out = []
-            for b_j, p in zip(b, row):
-                if leftover > 0 and a_i != 0 and b_j != 0:
-                    if scale is None:
-                        p = p + a_i * b_j / leftover
-                    else:
-                        p = Q(p * leftover + a_i * b_j, scale * leftover)
-                else:
-                    p = unscaled(p, scale)
-                out.append(p)
-            matrix.append(tuple(out))
-        return unscaled(value, scale), tuple(matrix)
+        if self.scale is None:
+            rows = [
+                [
+                    p + a_i * b_j / leftover if leftover > 0 and a_i and b_j else p
+                    for b_j, p in zip(b, row)
+                ]
+                for a_i, row in zip(a, plan)
+            ]
+            unit, factor, tol = None, 1, FLOAT_TOL
+        else:
+            factor = leftover or 1
+            rows = [
+                [p * factor + a_i * b_j for b_j, p in zip(b, row)]
+                for a_i, row in zip(a, plan)
+            ]
+            unit, tol = self.scale * factor, 0
+        if abs(sum(mu) - sum(nu)) <= tol:  # one total: rows is a coupling
+            certify_coupling(rows, mu, nu, factor, tol)
+        return flow, rows, unit
+
+    def coupling(self, mask: int) -> tuple:
+        """(value, matrix): completion(mask) unscaled, each entry once."""
+        flow, rows, unit = self.completion(mask)
+        return unscaled(flow, self.scale), unscaled_rows(rows, unit)

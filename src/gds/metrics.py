@@ -298,20 +298,23 @@ def prohorov_weights(
     # mass no coupling can keep on within[i], the cells with d(x, y) at
     # most that threshold.  It falls as the threshold rises, so the
     # crossing search reads it at about log2 of the thresholds.  The
-    # distances are scaled to ints once; a threshold is unscaled only
-    # where the search probes it against a requirement.
-    rows, scale = scaled_ints(*dist)
+    # distances are scaled to ints once, by S, and the weights by the
+    # Transport's D, so a threshold t * D and a requirement
+    # (total - flow) * S are ints over S * D (floats in float mode), and
+    # the search's minimum is unscaled once.
+    rows, S = scaled_ints(*dist)
     cells_at = _cells_at(rows)
     thresholds = sorted(cells_at)
     within = list(accumulate((cells_at[t] for t in thresholds), or_))
     transport = Transport(mu_weights, nu_weights)
-    total = sum(nu_weights)
+    s, d = S or 1, transport.scale or 1
+    total = sum(transport.weights[1])
     value, _ = crossing(
         len(thresholds),
-        lambda i: unscaled(thresholds[i], scale),
-        lambda i: (total - transport.value(within[i]), None),
+        lambda i: thresholds[i] * d,
+        lambda i: ((total - transport.scaled_value(within[i])) * s, None),
     )
-    return value
+    return unscaled(value, None if S is None else S * d)
 
 
 def _cells_at(dist) -> dict:

@@ -12,34 +12,39 @@ ints: the exact simplex pivots on right-hand sides that its caller,
 coupling.feasibility_lp, has scaled (see coupling._simplex), and
 flows.Transport, the one way into the max-flow kernel and the one memo
 of its values, scales the weights of an instance once with scaled_ints,
-memoises each mask's flow value, starts a value's max-flow from a
+memoises each mask's flow as that int, starts a value's max-flow from a
 greedy plan and a witness's from the empty flow, completes the witness
-plan to a coupling on the scaled ints, and converts back only what it
-returns, each witness entry once.
+plan to a coupling on the scaled ints, certifies it there, and converts
+back only what it returns, each witness entry once.
 The threshold grids are scaled the same way, once per instance, so the
-sweeps build, sort and compare their levels as ints:
+sweeps build, sort and compare their levels as ints, and the flow
+sweeps meet each level with an int flow in one unit, S * D, S the
+grid's scale and D the weights':
   * the feature gaps |f(x) - g(y)| of metrics.GapTable, whose rows are
-    scaled jointly; box_exact's sweep unscales a level where the crossing
-    search probes it, box_heuristic its radius once per mask, and the
-    dconc searches keep an unscaled twin of their Ky Fan grid;
+    scaled jointly; box_exact's sweep compares 2 * level * D with
+    (D - flow) * S, box_heuristic unscales its radius once per mask, and
+    the dconc searches keep an unscaled twin of their Ky Fan grid, while
+    dconc_exact's scan keeps its flow floors as (D - flow) * S and meets
+    a rational cutoff or cap through scaled_ceil;
   * the distortion gaps |dX - dY| of box._distortion_sweep, whose two
-    metrics are scaled jointly and whose levels are unscaled where
-    probed;
+    metrics are scaled jointly;
   * the Prohorov thresholds of the flow route of
-    metrics.prohorov_weights, the scaled distances, unscaled where
-    probed.
-The brute-force Prohorov oracle scales its own weights the same way,
-but keeps the raw distances as thresholds; it and every witness
-re-evaluation read the unscaled inputs.  Coupling.check_marginals
-scales a witness and the raw weights it is checked against over one
-denominator itself, and coupling.enumerate_couplings builds its
-mixture lattice on the scaled weights and unscales each entry once.
-coupling.feasibility_lp scales the weights once and builds its
-northwest-corner start, runs its simplex and checks its witness's cap
-on those ints, unscaling each witness entry and t once; box_heuristic's
-greedy weights are products of the Transport's scaled weights, and
-dconc_exact's product-coupling bound pairs the scaled gaps with them
-too and unscales the bound once.
+    metrics.prohorov_weights, the scaled distances.
+Each of these sweeps unscales its minimum once.  box_exact,
+box_fixed_coupling, box_mm_exact and dis_coupling certify their
+witnesses on the same ints.  The brute-force Prohorov oracle scales its
+own weights the same way, but keeps the raw distances as thresholds;
+the public oracles (box_objective, distortion, check_marginals) read the
+unscaled inputs.  Coupling.check_marginals scales a witness and the raw
+weights it is checked against over one denominator itself, and
+coupling.enumerate_couplings builds its mixture lattice on the scaled
+weights and unscales each entry once.  coupling.feasibility_lp scales
+the weights once and builds its northwest-corner start, runs its
+simplex and checks its witness's marginals and cap on those ints,
+unscaling each witness entry and t once; box_heuristic's greedy weights
+are products of the Transport's scaled weights, and dconc_exact's
+product-coupling bound pairs the scaled gaps with them too and unscales
+the bound once.
 """
 
 from __future__ import annotations
@@ -166,6 +171,20 @@ def scaled_ints(*vectors) -> tuple:
 def unscaled(x, D):
     """Undo scaled_ints on one value: x / D as a rational (x if D is None)."""
     return x if D is None else Q(x, D)
+
+
+def unscaled_rows(rows, D) -> tuple:
+    """unscaled on every entry of a matrix, as a tuple of tuples."""
+    return tuple(tuple(unscaled(x, D) for x in row) for row in rows)
+
+
+def scaled_ceil(x, D):
+    """The least int at or above x * D, for a rational x (x if D is None).
+
+    An int c reaches x * D exactly when c >= scaled_ceil(x, D), so a scan
+    that keeps its values as ints over D meets a rational bound x this way.
+    """
+    return x if D is None else -(-x.numerator * D // x.denominator)
 
 
 def scalar_list(values: Iterable, mode: str) -> tuple:

@@ -40,7 +40,7 @@ from .metrics import (
     hausdorff,
     ky_fan_coupling,
 )
-from .numerics import Scalar, same_mode, to_scalar, tolerance, unscaled
+from .numerics import Scalar, same_mode, scaled_ceil, to_scalar, tolerance, unscaled
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,11 @@ class _DconcSearch:
         among assignment pairs, or None if no pair beats the next level
         (i.e. the interval [level, next) contains no feasible epsilon).
         With stop_at_first, any single feasible pair suffices.
+
+        The floors are ints over S * D, S the gap table's scale and D its
+        Transport's: (D - flow) * S.  A rational bound meets them through
+        scaled_ceil, once: the cutoff per scan, and the best cap each
+        time it improves.  Float mode compares its floats as they are.
         """
         level = self.levels[level_idx]
         is_last = level_idx + 1 == len(self.levels)
@@ -205,15 +210,19 @@ class _DconcSearch:
         # lower bound on the cap of every pair that picks (f, g).  Partners
         # whose floor reaches the cutoff are pruned, and a feature with no
         # partner ends the scan before the next feature's flows are solved.
-        flow, full = self.table.flow, self.table.full
+        table = self.table
+        flow, full, D = table.transport.scaled_value, table.full, table.transport.scale
+        s, d = table.scale or 1, D or 1
+        unit = None if D is None else table.scale * D
+        floor_cut = scaled_ceil(cutoff, unit)
         floor, gs_for_f = [], []
         for row in ex:
-            floor.append([1 - flow(full ^ s) for s in row])
-            gs_for_f.append([g for g, x in enumerate(floor[-1]) if x < cutoff])
+            floor.append([(d - flow(full ^ cells)) * s for cells in row])
+            gs_for_f.append([g for g, x in enumerate(floor[-1]) if x < floor_cut])
             if not gs_for_f[-1]:
                 return None
         fs_for_g = [
-            [f for f in range(self.kx) if floor[f][g] < cutoff]
+            [f for f in range(self.kx) if floor[f][g] < floor_cut]
             for g in range(self.ky)
         ]
         if not all(fs_for_g):
@@ -222,18 +231,18 @@ class _DconcSearch:
         for u in itertools.product(*gs_for_f):
             u_sets = frozenset(ex[f][g] for f, g in enumerate(u))
             u_floor = max(floor[f][g] for f, g in enumerate(u))
-            if best is not None and u_floor >= best[0]:
+            if best is not None and u_floor >= best_cut:
                 continue
             for v in itertools.product(*fs_for_g):
                 sets = u_sets | frozenset(ex[f][g] for g, f in enumerate(v))
                 pair_floor = max(u_floor, *(floor[f][g] for g, f in enumerate(v)))
-                if pair_floor >= cutoff or best is not None and pair_floor >= best[0]:
+                if pair_floor >= floor_cut or best is not None and pair_floor >= best_cut:
                     continue
                 cap, pi = self.joint_min_cap(sets)
                 if cap >= cutoff:
                     continue
                 if best is None or cap < best[0]:
-                    best = (cap, pi, u, v)
+                    best, best_cut = (cap, pi, u, v), scaled_ceil(cap, unit)
                     if stop_at_first or cap <= level:
                         return best
         return best

@@ -16,6 +16,7 @@ from gds import (
     box_fixed_coupling,
     box_heuristic,
     box_mm_exact,
+    box_objective,
     dconc_exact,
     dis_coupling,
     distortion,
@@ -214,6 +215,69 @@ class TestMixedDenominators:
             assert abs(value - exact[name]) <= FLOAT_TOL, name
 
 
+class TestIntPathsAgainstOracles:
+    """The flow solvers compare and certify on scaled ints; their results
+    must still equal the public oracles, which read the unscaled inputs:
+    box_objective for box_exact's witness, distortion for box_mm_exact and
+    dis_coupling (over every cell set), the subset scan for prohorov.
+    Exact mode must agree exactly, float mode within FLOAT_TOL."""
+
+    PAIRS = 100
+
+    @staticmethod
+    def pair(index, mode):
+        n, m = 2 + index % 2, 2 + index // 2 % 2
+        k, lattice = 1 + index // 4 % 2, (4, 8, 12, 30)[index // 8 % 4]
+        X = random_gds(n, k, seed=5000 + index, scale=lattice, mode=mode)
+        Y = random_gds(m, k, seed=6000 + index, scale=lattice, mode=mode)
+        return X, Y
+
+    @staticmethod
+    def agree(got, want, mode):
+        if mode == "exact":
+            return got == want and type(got) is Q
+        return type(got) is float and abs(got - want) <= FLOAT_TOL
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_box_exact_witness_attains_its_value(self, mode):
+        for index in range(self.PAIRS):
+            X, Y = self.pair(index, mode)
+            result = box_exact(X, Y)
+            result.coupling.check_marginals(X.measure, Y.measure)
+            want = box_objective(result.coupling, result.cells, X.features, Y.features)
+            assert self.agree(result.value, want, mode), index
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_distortion_sweeps_match_every_cell_set(self, mode):
+        for index in range(self.PAIRS):
+            X, Y = self.pair(index, mode)
+            MX, MY = gds_to_mm(X), gds_to_mm(Y)
+            pi = product_coupling(X.measure, Y.measure)
+            dis_best = mm_best = None
+            for cells in all_subsets(X.n, Y.n):
+                S = CellSet.from_pairs(X.n, Y.n, cells)
+                spread = distortion(S, X.dist, Y.dist)
+                kept = max_mass_on_set(X.measure, Y.measure, S)[0]
+                mm = max(1 - kept, spread)
+                dis = max(1 - pi.mass(S), spread)
+                mm_best = mm if mm_best is None or mm < mm_best else mm_best
+                dis_best = dis if dis_best is None or dis < dis_best else dis_best
+            assert self.agree(box_mm_exact(MX, MY), mm_best, mode), index
+            value, cells = dis_coupling(pi, X.dist, Y.dist)
+            assert self.agree(value, dis_best, mode), index
+            spread = distortion(cells, X.dist, Y.dist)
+            assert self.agree(value, max(1 - pi.mass(cells), spread), mode), index
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_prohorov_flow_matches_the_subset_scan(self, mode):
+        for index in range(self.PAIRS):
+            n = 3 + index % 5
+            X = random_gds(n, 2, seed=7000 + index, scale=(8, 12)[index % 2], mode=mode)
+            nu = random_gds(n, 2, seed=8000 + index, scale=16, mode=mode).measure
+            got = prohorov(X.measure, nu, X.dist, "flow")
+            assert self.agree(got, prohorov(X.measure, nu, X.dist, "brute"), mode), index
+
+
 class TestOrderingBounds:
     def test_observable_distance_below_box(self):
         for seed in range(8):
@@ -247,6 +311,16 @@ class TestOrderingBounds:
         Y = random_gds(3, 2, seed=2, mode=mode)
         value = box_heuristic(X, Y, budget=0)
         assert type(value) is scalar and value == 1
+
+    @pytest.mark.parametrize("mode, scalar", [("exact", Q), ("float", float)])
+    def test_fixed_coupling_on_the_empty_set_returns_the_mode_scalar(self, mode, scalar):
+        # Every cell set keeps a gap of 7/8 or more, so the empty set wins
+        # with objective 1; its mass was once the int 0, and the value 1.
+        X = GeometricDataSet.build([[0, Q(1, 8)]], [Q(1, 2), Q(1, 2)], mode=mode)
+        Y = GeometricDataSet.build([[1, Q(7, 8)]], [Q(1, 3), Q(2, 3)], mode=mode)
+        value, cells = box_fixed_coupling(X, Y, product_coupling(X.measure, Y.measure))
+        assert type(value) is scalar and value == 1
+        assert len(cells) == 0
 
 
 class TestLip1Witness:

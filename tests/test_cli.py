@@ -139,6 +139,21 @@ class TestBox:
         assert payload["value"] is not None
 
 
+    def test_mm_declines_before_converting(self, capsys, tmp_path, monkeypatch):
+        # gds_to_mm re-checks each metric in O(n**3): two 80-point inputs
+        # spent seconds there before the cell budget declined them.
+        a = write_dataset(tmp_path, "a.json", random_gds(40, 2, seed=13))
+        b = write_dataset(tmp_path, "b.json", random_gds(40, 2, seed=14))
+
+        def refuse(X):
+            raise AssertionError("gds_to_mm ran ahead of the cell budget")
+
+        monkeypatch.setattr(gds.cli, "gds_to_mm", refuse)
+        assert main(["box", "--mm", a, b]) == 3
+        err = capsys.readouterr().err
+        assert err == "gds: budget: 1600 cells exceed the exact budget 16\n"
+
+
 class TestDiameters:
     def test_od_single_kappa(self, capsys, tmp_path):
         a = write_dataset(tmp_path, "a.json", n_point_discrete(4))

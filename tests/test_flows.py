@@ -40,7 +40,7 @@ from gds import (
 )
 from gds import flows
 from gds.coupling import product_coupling
-from gds.flows import Transport, greedy_plan, max_flow_on_cells
+from gds.flows import Transport, certify_coupling, greedy_plan, max_flow_on_cells
 from gds.metrics import GapTable
 from gds.numerics import Q, close, scaled_ints, unscaled
 from gds.spaces import random_gds
@@ -135,6 +135,38 @@ class TestKernel:
         # The value call starts warm; the witness plan starts cold.
         assert starts[0] is not None and starts[1] is None
 
+    def test_scaled_value_is_the_value_times_the_scale(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            mu = [Q(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))]
+            nu = [Q(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))]
+            exact = Transport(mu, nu)
+            rough = Transport([float(w) for w in mu], [float(w) for w in nu])
+            for _ in range(8):
+                mask = rng.getrandbits(len(mu) * len(nu))
+                scaled = exact.scaled_value(mask)
+                assert type(scaled) is int
+                assert scaled == exact.value(mask) * exact.scale
+                assert rough.scale is None
+                assert rough.scaled_value(mask) == rough.value(mask)
+
+    def test_completion_is_an_int_coupling_over_its_unit(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            mu = [Q(rng.randint(1, 9)) for _ in range(rng.randint(1, 5))]
+            nu = [Q(rng.randint(1, 9)) for _ in range(rng.randint(1, 5))]
+            mu = [w / sum(mu) for w in mu]
+            nu = [w / sum(nu) for w in nu]
+            transport = Transport(mu, nu)
+            mask = rng.getrandbits(len(mu) * len(nu))
+            flow, rows, unit = transport.completion(mask)
+            assert all(type(x) is int and x >= 0 for row in rows for x in row)
+            assert unit % transport.scale == 0
+            assert [Q(sum(row), unit) for row in rows] == mu
+            assert [Q(sum(col), unit) for col in zip(*rows)] == nu
+            kept = sum(x for c, x in enumerate(y for row in rows for y in row) if mask >> c & 1)
+            assert Q(kept, unit) == Q(flow, transport.scale) == transport.value(mask)
+
     @given(instances())
     def test_float_value_matches(self, instance):
         mu, nu, mask = instance
@@ -185,6 +217,36 @@ class TestKernel:
         nu = random_gds(30, 2, seed=56, scale=32).measure
         prohorov(X.measure, nu, X.dist, "flow")
         assert masks and len(masks) == len(set(masks))
+
+
+class TestCertifyCoupling:
+    ROWS = [[3, 1], [0, 4]]  # mu = (1/2, 1/2), nu = (3/8, 5/8) over 8
+
+    def test_accepts_an_int_coupling_and_its_multiples(self):
+        certify_coupling(self.ROWS, [4, 4], [3, 5])
+        rows = [[5 * x for x in row] for row in self.ROWS]
+        certify_coupling(rows, [4, 4], [3, 5], 5)
+
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_refuses_one_cell_off_by_one_unit(self, cell, shift):
+        rows = [list(row) for row in self.ROWS]
+        rows[cell[0]][cell[1]] += shift
+        with pytest.raises(AssertionError):
+            certify_coupling(rows, [4, 4], [3, 5])
+
+    def test_refuses_a_negative_entry_and_a_wrong_factor(self):
+        with pytest.raises(AssertionError):
+            certify_coupling([[4, 0], [-1, 5]], [4, 4], [3, 5])
+        rows = [[5 * x for x in row] for row in self.ROWS]
+        with pytest.raises(AssertionError):
+            certify_coupling(rows, [4, 4], [3, 5])
+
+    def test_float_sums_within_the_tolerance(self):
+        rows = [[0.375, 0.125], [0.0, 0.5 + 1e-12]]
+        certify_coupling(rows, [0.5, 0.5], [0.375, 0.625], 1, 1e-9)
+        with pytest.raises(AssertionError):
+            certify_coupling(rows, [0.5, 0.5], [0.375, 0.625], 1, 0)
 
 
 @st.composite
