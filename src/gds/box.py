@@ -44,7 +44,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .core import FeatureFamily, GeometricDataSet, MmSpace
+from .core import FeatureFamily, GeometricDataSet, MmSpace, lip_violation
 from .coupling import Coupling, max_mass_on_set
 from .errors import EmptyCellSet, SizeLimit, WitnessNotLipschitz
 from .flows import Transport
@@ -113,13 +113,11 @@ def lip1_witness(S, f, dX, dY) -> tuple:
     if not cells:
         raise EmptyCellSet("cannot transport a function across no cells")
     tol = FLOAT_TOL if any(isinstance(v, float) for v in f) else 0
-    n = len(dX)
-    for x in range(n):
-        for y in range(n):
-            if abs(f[x] - f[y]) > dX[x][y] + tol:
-                raise WitnessNotLipschitz(
-                    f"function violates 1-Lipschitz between points {x} and {y}"
-                )
+    bad = lip_violation(f, dX, tol, ordered=True)
+    if bad:
+        raise WitnessNotLipschitz(
+            f"function violates 1-Lipschitz between points {bad[0]} and {bad[1]}"
+        )
     dis = distortion(S, dX, dY)
     half = dis / 2 if dis else 0
     m = len(dY)

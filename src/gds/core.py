@@ -3,7 +3,8 @@
 A geometric data set is a finite point set carrying a fully supported
 probability measure and a finite family of real-valued features.  The
 features induce a sup-metric d(x,y) = max_f |f(x) - f(y)|, which is required
-to separate points.  A metric measure space stores the metric directly.
+to separate points; that is checked on the feature columns, and the metric
+is built on first use.  A metric measure space stores the metric directly.
 
 Points are always indices 0..n-1; optional labels are carried along for I/O
 but never interpreted.  A finite feature family equals its own uniform
@@ -156,6 +157,36 @@ class FeatureFamily:
             raise GdsError(f"no feature labeled {label!r}") from None
 
 
+def close_pairs(rows: Sequence[Sequence], tol) -> list:
+    """Sorted pairs x < y on which every row agrees within tol, found without
+    the metric: the points are sorted on the row with the most distinct
+    values, and each is compared with those that follow it within tol there.
+    """
+    key = max(rows, key=lambda r: len(set(r)))
+    order = sorted(range(len(key)), key=key.__getitem__)
+    pairs = []
+    for i, x in enumerate(order):
+        for j in range(i + 1, len(order)):
+            y = order[j]
+            if key[y] - key[x] > tol:
+                break
+            if all(abs(r[x] - r[y]) <= tol for r in rows):
+                pairs.append((min(x, y), max(x, y)))
+    pairs.sort()
+    return pairs
+
+
+def lip_violation(row: Sequence, dist: Sequence[Sequence], tol, ordered: bool):
+    """First pair (x, y), in lexicographic order over all ordered pairs or
+    only x < y, with |row[x] - row[y]| > dist[x][y] + tol; else None."""
+    n = len(dist)
+    for x in range(n):
+        for y in range(0 if ordered else x + 1, n):
+            if abs(row[x] - row[y]) > dist[x][y] + tol:
+                return x, y
+    return None
+
+
 def induced_metric(features: FeatureFamily) -> tuple:
     """Sup-metric matrix d(x,y) = max over features of |f(x) - f(y)|.
 
@@ -182,7 +213,8 @@ def induced_metric(features: FeatureFamily) -> tuple:
 
 @dataclass(frozen=True)
 class GeometricDataSet:
-    """Feature family plus fully supported measure, with separation enforced."""
+    """Feature family plus fully supported measure, with separation checked
+    on the feature columns; the induced metric `dist` is built on first use."""
 
     features: FeatureFamily
     measure: DiscreteMeasure
@@ -201,14 +233,10 @@ class GeometricDataSet:
             )
         if len(self.point_labels) != self.measure.n:
             raise SupportError("need exactly one label per point")
-        d = self.dist
-        tol = tolerance(self.mode)
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                if d[x][y] <= tol:
-                    raise SeparationFailure(
-                        f"features do not separate points {x} and {y}"
-                    )
+        pairs = close_pairs(self.features.rows, tolerance(self.mode))
+        if pairs:
+            x, y = pairs[0]
+            raise SeparationFailure(f"features do not separate points {x} and {y}")
 
     @classmethod
     def build(

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import GeometricDataSet
+from .core import GeometricDataSet, lip_violation
 from .coupling import (
     Coupling,
     enumerate_couplings,
@@ -372,13 +372,11 @@ def dconc_lower_witness(
     mode = same_mode(X.mode, Y.mode)
     if len(witness) != X.n:
         raise GdsError("witness length disagrees with the space")
-    tol = tolerance(mode)
-    for x in range(X.n):
-        for y in range(X.n):
-            if abs(witness[x] - witness[y]) > X.dist[x][y] + tol:
-                raise WitnessNotLipschitz(
-                    f"witness violates 1-Lipschitz between points {x} and {y}"
-                )
+    bad = lip_violation(witness, X.dist, tolerance(mode), ordered=True)
+    if bad:
+        raise WitnessNotLipschitz(
+            f"witness violates 1-Lipschitz between points {bad[0]} and {bad[1]}"
+        )
     table = GapTable([witness], Y.features.rows, X.measure.weights, Y.measure.weights)
     best = None
     for g in range(Y.k):

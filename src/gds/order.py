@@ -9,7 +9,6 @@ the first witness wins, which keeps reruns reproducible.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 from .core import GeometricDataSet, pushforward_vector
 from .errors import BudgetExceeded
@@ -18,8 +17,11 @@ from .numerics import same_mode, tolerance
 MAP_BUDGET = 50000
 
 
-def _sup_gap(a: Sequence, b: Sequence):
-    return max(abs(x - y) for x, y in zip(a, b))
+def _covers(rows, family, eps) -> bool:
+    """Is every row within sup-distance eps of some member of family?"""
+    return all(
+        any(max(abs(a - b) for a, b in zip(r, f)) <= eps for f in family) for r in rows
+    )
 
 
 def _measure_matches(X, Y, assignment, tol) -> bool:
@@ -27,13 +29,26 @@ def _measure_matches(X, Y, assignment, tol) -> bool:
     return all(abs(p - w) <= tol for p, w in zip(pushed, Y.measure.weights))
 
 
-def _maps(X: GeometricDataSet, Y: GeometricDataSet, map_budget: int):
+def _search(X, Y, tol, map_budget: int, both_ways: bool) -> tuple:
+    """First measure-preserving map X -> Y, in lexicographic order, that
+    pulls every feature of Y back to within tol of one of X, and, when
+    `both_ways`, has every feature of X within tol of a pulled-back one."""
+    mode = same_mode(X.mode, Y.mode)
+    eps = tolerance(mode) if tol is None else tol
     count = Y.n ** X.n
     if count > map_budget:
-        raise BudgetExceeded(
-            f"{count} candidate maps exceed the budget {map_budget}"
-        )
-    return itertools.product(range(Y.n), repeat=X.n)
+        raise BudgetExceeded(f"{count} candidate maps exceed the budget {map_budget}")
+    for assignment in itertools.product(range(Y.n), repeat=X.n):
+        if not _measure_matches(X, Y, assignment, eps):
+            continue
+        pulled = [
+            tuple(g[assignment[x]] for x in range(X.n)) for g in Y.features.rows
+        ]
+        if _covers(pulled, X.features.rows, eps) and (
+            not both_ways or _covers(X.features.rows, pulled, eps)
+        ):
+            return True, assignment
+    return False, None
 
 
 def check_domination(
@@ -49,19 +64,7 @@ def check_domination(
     is automatically 1-Lipschitz for the induced metrics, so no separate
     continuity check is needed.
     """
-    mode = same_mode(X.mode, Y.mode)
-    eps = tolerance(mode) if tol is None else tol
-    for assignment in _maps(X, Y, map_budget):
-        if not _measure_matches(X, Y, assignment, eps):
-            continue
-        pulled = [
-            tuple(g[assignment[x]] for x in range(X.n)) for g in Y.features.rows
-        ]
-        if all(
-            any(_sup_gap(p, f) <= eps for f in X.features.rows) for p in pulled
-        ):
-            return True, assignment
-    return False, None
+    return _search(X, Y, tol, map_budget, both_ways=False)
 
 
 def check_isomorphism(
@@ -77,20 +80,4 @@ def check_isomorphism(
     With full-support measures and separating families this forces the map
     to be a bijection, so no inverse needs to be searched separately.
     """
-    mode = same_mode(X.mode, Y.mode)
-    eps = tolerance(mode) if tol is None else tol
-    for assignment in _maps(X, Y, map_budget):
-        if not _measure_matches(X, Y, assignment, eps):
-            continue
-        pulled = [
-            tuple(g[assignment[x]] for x in range(X.n)) for g in Y.features.rows
-        ]
-        forward = all(
-            any(_sup_gap(p, f) <= eps for f in X.features.rows) for p in pulled
-        )
-        backward = all(
-            any(_sup_gap(p, f) <= eps for p in pulled) for f in X.features.rows
-        )
-        if forward and backward:
-            return True, assignment
-    return False, None
+    return _search(X, Y, tol, map_budget, both_ways=True)

@@ -6,7 +6,7 @@ import random
 import warnings
 from typing import Iterable, Optional, Sequence
 
-from .core import FeatureFamily, GeometricDataSet
+from .core import GeometricDataSet, close_pairs, lip_violation
 from .errors import GdsError, NotLipschitzFamily
 from .metrics import observable_diameter
 from .numerics import EXACT, Q, same_mode, scalar_list, to_scalar, tolerance
@@ -107,20 +107,19 @@ def quotient_gds(X: GeometricDataSet, G) -> tuple:
         raise GdsError("cannot quotient by an empty family")
     n = X.n
     tol = tolerance(X.mode)
-    d = X.dist
     for r in rows:
         if len(r) != n:
             raise NotLipschitzFamily("row length disagrees with the point count")
-        for x in range(n):
-            for y in range(x + 1, n):
-                if abs(r[x] - r[y]) > d[x][y] + tol:
-                    raise NotLipschitzFamily(
-                        f"row is not 1-Lipschitz between points {x} and {y}"
-                    )
+        bad = lip_violation(r, X.dist, tol, ordered=False)
+        if bad:
+            raise NotLipschitzFamily(
+                f"row is not 1-Lipschitz between points {bad[0]} and {bad[1]}"
+            )
+    pairs = close_pairs(rows, tol)
+    if any(r[x] != r[y] for x, y in pairs for r in rows):
+        warnings.warn("quotient merged points at small positive pseudodistance")
 
-    def gap(x: int, y: int):
-        return max(abs(r[x] - r[y]) for r in rows)
-
+    # Each root is its component's minimum, whatever the order of the pairs.
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -129,17 +128,10 @@ def quotient_gds(X: GeometricDataSet, G) -> tuple:
             a = parent[a]
         return a
 
-    merged_by_tol = False
-    for x in range(n):
-        for y in range(x + 1, n):
-            if gap(x, y) <= tol:
-                if gap(x, y) != 0:
-                    merged_by_tol = True
-                ra, rb = find(x), find(y)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    if merged_by_tol:
-        warnings.warn("quotient merged points at small positive pseudodistance")
+    for x, y in pairs:
+        ra, rb = find(x), find(y)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
 
     reps = sorted({find(x) for x in range(n)})
     index = {rep: k for k, rep in enumerate(reps)}
@@ -238,8 +230,9 @@ def random_gds(
             [lattice(rng.randrange(0, scale + 1), scale) for _ in range(n)]
             for _ in range(k)
         ]
-        # Two points with the same feature column are never separated, so
-        # such a draw is rejected before its O(n**2 k) metric is built.
+        # Two points with the same feature column are never separated.  The
+        # build finds them too, but only after converting the draw: without
+        # this, random_gds(800, 2) converts and builds all 64 draws, ~70x slower.
         if len(set(zip(*rows))) < n:
             continue
         try:
