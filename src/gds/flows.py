@@ -26,12 +26,14 @@ the int matrix (certify_coupling) and converts back only what it
 returns; float weights pass through unscaled.  Transport's is the only
 memo of flow values in the package.
 
-A value call starts the kernel from a greedy feasible plan instead of
-the empty flow: the maximum value is unique and Edmonds-Karp from any
-feasible flow ends at a maximum, so the value is the same and most
-augmentations are skipped (reoptimization, as in Gallo, Grigoriadis &
-Tarjan, SIAM J. Comput. 1989).  A witness plan starts cold, so the plan
-a witness is built from never depends on the start.
+A value call starts the kernel warm: it ships a greedy feasible flow
+straight into its residual state before the first search, instead of
+starting from the empty flow.  The maximum value is unique and
+Edmonds-Karp from any feasible flow ends at a maximum, so the value is
+the same and most augmentations are skipped (reoptimization, as in
+Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989).  A witness plan
+starts cold, so the plan a witness is built from never depends on the
+start.
 """
 
 from __future__ import annotations
@@ -45,15 +47,16 @@ def max_flow_on_cells(
     mu: Sequence,
     nu: Sequence,
     allowed: int,
-    start=None,
+    warm: bool = False,
 ) -> tuple:
     """Max coupling mass on a cell bitmask, plus a realising partial plan.
 
     `allowed` is a bitmask over cells (i, j) -> bit i*m + j.  Returns
     (value, plan) where plan[i][j] is the transported mass, supported on
-    allowed cells, with row sums <= mu and column sums <= nu.  `start`,
-    a partial plan of that kind, is the flow the augmentations begin
-    from; None begins from the empty flow.
+    allowed cells, with row sums <= mu and column sums <= nu.  The
+    augmentations begin from the empty flow, or with `warm` from a
+    greedy one: row by row, each allowed cell by increasing j ships the
+    smaller of what is left of mu[i] and of nu[j].
 
     Edmonds-Karp with the residual graph held as bitsets.  A cell edge
     (i, j) is always open forward, so row i's forward edges are its row
@@ -88,16 +91,25 @@ def max_flow_on_cells(
     rest_mu, rest_nu = list(mu), list(nu)
     col_rows = [0] * m
     flow_value = zero
-    if start is not None:
-        for i, row in enumerate(start):
-            for j, x in enumerate(row):
-                if x:
-                    rest_mu[i] -= x
-                    plan[i][j] += x
+    if warm:
+        # The greedy start.  Each step subtracts an amount from two
+        # remainders that are each at least as large, so none goes below
+        # zero, in float arithmetic too.
+        for i in range(n):
+            cells, left, row = row_cols[i], rest_mu[i], plan[i]
+            while cells and left:
+                low = cells & -cells
+                cells ^= low
+                j = low.bit_length() - 1
+                if rest_nu[j]:
+                    x = left if left < rest_nu[j] else rest_nu[j]
+                    left -= x
                     rest_nu[j] -= x
+                    row[j] += x
                     flow_value += x
-                    if plan[i][j] > 0:
+                    if x > 0:
                         col_rows[j] |= 1 << i
+            rest_mu[i] = left
     sinks = 0
     for j in range(m):
         if rest_nu[j] > 0:
@@ -181,36 +193,6 @@ def max_flow_on_cells(
     return flow_value, plan
 
 
-def greedy_plan(mu: Sequence, nu: Sequence, allowed: int) -> list:
-    """A feasible partial plan on a cell bitmask, in one pass.
-
-    Row by row, each allowed cell (i, j), by increasing j over the set
-    bits of the row's mask, takes the smaller of what is left of mu[i]
-    and of nu[j].  Each step subtracts an amount from two remainders
-    that are each at least as large, so no remainder goes below zero,
-    in float arithmetic too.
-    """
-    m = len(nu)
-    full = (1 << m) - 1
-    rest = list(nu)
-    zero = mu[0] - mu[0]
-    plan = []
-    for i, left in enumerate(mu):
-        row = [zero] * m
-        cells = allowed >> (i * m) & full
-        while cells and left:
-            low = cells & -cells
-            j = low.bit_length() - 1
-            cells ^= low
-            if rest[j]:
-                x = left if left < rest[j] else rest[j]
-                row[j] = x
-                left -= x
-                rest[j] -= x
-        plan.append(row)
-    return plan
-
-
 def certify_coupling(rows, mu, nu, factor=1, tol=0) -> None:
     """Raise AssertionError unless rows is a coupling of (mu, nu) times factor.
 
@@ -234,7 +216,7 @@ class Transport:
     mode).  This is the one memo of flow values: scaled_value(mask), the
     max-flow on the mask as an int over D, is memoised, since the
     threshold sweeps revisit masks across levels and compare flows as
-    these ints, and its max-flow starts from greedy_plan.  value(mask) is
+    these ints, and its max-flow starts warm.  value(mask) is
     the same flow unscaled, a rational.  completion(mask) solves again
     from the empty flow and completes the plan into a full coupling on
     the same ints, certified there, which only witnesses need;
@@ -249,8 +231,7 @@ class Transport:
     def scaled_value(self, mask: int):
         hit = self._flows.get(mask)
         if hit is None:
-            start = greedy_plan(*self.weights, mask)
-            hit, _ = max_flow_on_cells(*self.weights, mask, start)
+            hit, _ = max_flow_on_cells(*self.weights, mask, warm=True)
             self._flows[mask] = hit
         return hit
 

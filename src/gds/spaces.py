@@ -75,8 +75,9 @@ def product_gds(X: GeometricDataSet, Y: GeometricDataSet) -> GeometricDataSet:
 
 
 def _resolve_rows(X: GeometricDataSet, G) -> tuple:
-    """Accept feature labels or raw rows; return (rows, labels)."""
-    rows, labels = [], []
+    """Accept feature labels or raw rows; return (rows, labels, explicit),
+    explicit listing the raw rows alone."""
+    rows, labels, explicit = [], [], []
     for idx, item in enumerate(G):
         if isinstance(item, str):
             rows.append(X.features.by_label(item))
@@ -84,7 +85,8 @@ def _resolve_rows(X: GeometricDataSet, G) -> tuple:
         else:
             rows.append(tuple(scalar_list(item, X.mode)))
             labels.append(f"g{idx}")
-    return tuple(rows), tuple(labels)
+            explicit.append(rows[-1])
+    return tuple(rows), tuple(labels), explicit
 
 
 def quotient_gds(X: GeometricDataSet, G) -> tuple:
@@ -102,12 +104,14 @@ def quotient_gds(X: GeometricDataSet, G) -> tuple:
     by its pullback, which keeps this family faithful to the largest
     possible reading.
     """
-    rows, labels = _resolve_rows(X, G)
+    rows, labels, explicit = _resolve_rows(X, G)
     if not rows:
         raise GdsError("cannot quotient by an empty family")
     n = X.n
     tol = tolerance(X.mode)
-    for r in rows:
+    # A feature row of X is 1-Lipschitz for X's sup-metric by definition,
+    # so only explicit rows are checked, and only they build X.dist.
+    for r in explicit:
         if len(r) != n:
             raise NotLipschitzFamily("row length disagrees with the point count")
         bad = lip_violation(r, X.dist, tol, ordered=False)
@@ -136,12 +140,12 @@ def quotient_gds(X: GeometricDataSet, G) -> tuple:
     reps = sorted({find(x) for x in range(n)})
     index = {rep: k for k, rep in enumerate(reps)}
     mapping = tuple(index[find(x)] for x in range(n))
-    weights = [sum(X.measure.weights[x] for x in range(n) if find(x) == rep) for rep in reps]
+    groups = [[] for _ in reps]
+    for x, k in enumerate(mapping):
+        groups[k].append(x)
+    weights = [sum(X.measure.weights[x] for x in group) for group in groups]
     out_rows = [tuple(r[rep] for rep in reps) for r in rows]
-    points = [
-        "+".join(X.point_labels[x] for x in range(n) if find(x) == rep)
-        for rep in reps
-    ]
+    points = ["+".join(X.point_labels[x] for x in group) for group in groups]
     Y = GeometricDataSet.build(
         out_rows,
         weights,

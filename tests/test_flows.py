@@ -2,23 +2,24 @@
 
 The bitset kernel must return what the capacity-dict Edmonds-Karp it
 replaced returns, value and plan equal by repr with types, in rational,
-scaled-int and float arithmetic, from the empty flow and from a greedy
-start; that kernel stays here as the oracle dict_edmonds_karp.
+scaled-int and float arithmetic, from the empty flow and, warm, from the
+greedy start that greedy_by_cell_scan builds as a plan; that kernel
+stays here as the oracle dict_edmonds_karp.
 
 Every solver reaches the kernel through flows.Transport, which scales
 the weights to ints once and hands the kernel int capacities.  The
 properties below check that this changes nothing: the value and the
 witness coupling, which Transport completes on the same ints, equal
 those of the kernel run on the rationals themselves and completed in
-rational arithmetic, which stays here as the oracle.  Value calls start the kernel from a greedy plan;
-the warm-start property checks that the plan is feasible and that the
-value equals the cold one.  The frozen values pin what the flow-backed
-solvers return, witnesses included: `box_exact` completes a max-flow plan into
-its coupling, so a change in the plan the kernel finds would change the
-matrix below.  The threshold sweeps of `dis_coupling`,
-`box_fixed_coupling` and `box_heuristic` are frozen the same way, in
-both modes, cells included: on ties the sweep keeps the first best set
-it meets, so a reordered sweep would show there.
+rational arithmetic, which stays here as the oracle.  Value calls start
+the kernel warm; the warm-start property checks that the greedy start
+is feasible and that the value equals the cold one.  The frozen values
+pin what the flow-backed solvers return, witnesses included: `box_exact`
+completes a max-flow plan into its coupling, so a change in the plan the
+kernel finds would change the matrix below.  The threshold sweeps of
+`dis_coupling`, `box_fixed_coupling` and `box_heuristic` are frozen the
+same way, in both modes, cells included: on ties the sweep keeps the
+first best set it meets, so a reordered sweep would show there.
 """
 
 import random
@@ -40,7 +41,7 @@ from gds import (
 )
 from gds import flows
 from gds.coupling import product_coupling
-from gds.flows import Transport, certify_coupling, greedy_plan, max_flow_on_cells
+from gds.flows import Transport, certify_coupling, max_flow_on_cells
 from gds.metrics import GapTable
 from gds.numerics import Q, close, scaled_ints, unscaled
 from gds.spaces import random_gds
@@ -118,12 +119,12 @@ class TestKernel:
         )
 
     def test_transport_solves_each_value_mask_once(self, monkeypatch):
-        masks, starts = [], []
+        masks, warms = [], []
 
-        def recording(mu, nu, allowed, start=None):
+        def recording(mu, nu, allowed, warm=False):
             masks.append(allowed)
-            starts.append(start)
-            return max_flow_on_cells(mu, nu, allowed, start)
+            warms.append(warm)
+            return max_flow_on_cells(mu, nu, allowed, warm)
 
         monkeypatch.setattr(flows, "max_flow_on_cells", recording)
         transport = Transport([Q(1, 3), Q(2, 3)], [Q(1, 2), Q(1, 2)])
@@ -133,7 +134,7 @@ class TestKernel:
         assert matrix == ((Q(1, 3), 0), (Q(1, 6), Q(1, 2)))
         assert masks == [0b1001, 0b1001]
         # The value call starts warm; the witness plan starts cold.
-        assert starts[0] is not None and starts[1] is None
+        assert warms == [True, False]
 
     def test_scaled_value_is_the_value_times_the_scale(self):
         rng = random.Random(17)
@@ -188,9 +189,9 @@ class TestKernel:
     def test_gap_table_hands_the_kernel_ints(self, monkeypatch):
         seen = []
 
-        def recording(mu, nu, allowed, start=None):
+        def recording(mu, nu, allowed, warm=False):
             seen.append(tuple(mu) + tuple(nu))
-            return max_flow_on_cells(mu, nu, allowed, start)
+            return max_flow_on_cells(mu, nu, allowed, warm)
 
         monkeypatch.setattr(flows, "max_flow_on_cells", recording)
         X, Y = random_gds(4, 2, seed=11), random_gds(4, 2, seed=12)
@@ -208,9 +209,9 @@ class TestKernel:
     def test_prohorov_flow_solves_each_mask_once(self, monkeypatch):
         masks = []
 
-        def recording(mu, nu, allowed, start=None):
+        def recording(mu, nu, allowed, warm=False):
             masks.append(allowed)
-            return max_flow_on_cells(mu, nu, allowed, start)
+            return max_flow_on_cells(mu, nu, allowed, warm)
 
         monkeypatch.setattr(flows, "max_flow_on_cells", recording)
         X = random_gds(30, 2, seed=55, scale=32)
@@ -367,9 +368,10 @@ def arithmetics(mu, nu):
 
 def assert_kernel_matches_oracle(mu, nu, mask):
     for weights in arithmetics(mu, nu):
-        for start in (None, greedy_plan(*weights, mask)):
-            want = dict_edmonds_karp(*weights, mask, start)
-            assert typed(max_flow_on_cells(*weights, mask, start)) == typed(want)
+        want = dict_edmonds_karp(*weights, mask)
+        assert typed(max_flow_on_cells(*weights, mask)) == typed(want)
+        want = dict_edmonds_karp(*weights, mask, greedy_by_cell_scan(*weights, mask))
+        assert typed(max_flow_on_cells(*weights, mask, warm=True)) == typed(want)
 
 
 class TestBitsetKernel:
@@ -391,7 +393,7 @@ class TestBitsetKernel:
 
 
 def greedy_by_cell_scan(mu, nu, allowed):
-    """greedy_plan as it was, testing every cell of a row against the mask."""
+    """The warm kernel's greedy start as a plan, testing every cell of a row."""
     m = len(nu)
     rest = list(nu)
     zero = mu[0] - mu[0]
@@ -412,14 +414,6 @@ def greedy_by_cell_scan(mu, nu, allowed):
 
 
 class TestWarmStart:
-    @given(warm_instances())
-    def test_greedy_plan_matches_the_cell_scan(self, instance):
-        mu, nu, mask = instance
-        for weights in arithmetics(mu, nu):
-            plan = greedy_plan(*weights, mask)
-            want = greedy_by_cell_scan(*weights, mask)
-            assert typed((0, plan)) == typed((0, want))
-
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @given(instance=warm_instances())
     def test_greedy_start_is_feasible_and_keeps_the_value(self, mode, instance):
@@ -428,7 +422,8 @@ class TestWarmStart:
             mu, nu = [float(w) for w in mu], [float(w) for w in nu]
         n, m = len(mu), len(nu)
         (mu_s, nu_s), scale = scaled_ints(mu, nu)
-        start = greedy_plan(mu_s, nu_s, mask)
+        # The warm kernel ships this start (TestBitsetKernel checks it).
+        start = greedy_by_cell_scan(mu_s, nu_s, mask)
         assert len(start) == n and all(len(row) == m for row in start)
         for i, row in enumerate(start):
             for j, x in enumerate(row):
@@ -439,7 +434,7 @@ class TestWarmStart:
         rows, cols = remainders(mu_s, nu_s, start)
         assert min(rows) >= 0 and min(cols) >= 0
         cold, _ = max_flow_on_cells(mu, nu, mask)
-        warm, plan = max_flow_on_cells(mu_s, nu_s, mask, start)
+        warm, plan = max_flow_on_cells(mu_s, nu_s, mask, warm=True)
         rows, cols = remainders(mu_s, nu_s, plan)
         assert min(rows) >= -1e-12 and min(cols) >= -1e-12
         value = Transport(mu, nu).value(mask)

@@ -13,7 +13,7 @@ from gds import (
     singleton_gds,
 )
 from gds.errors import GdsError, NotLipschitzFamily, SeparationFailure
-from gds.numerics import EXACT, FLOAT, Q
+from gds.numerics import EXACT, FLOAT, Q, to_scalar
 
 
 class TestSingleton:
@@ -125,6 +125,35 @@ class TestQuotient:
         X = n_point_discrete(2)
         with pytest.raises(NotLipschitzFamily):
             quotient_gds(X, [(0, 7)])
+
+    def test_non_lipschitz_row_beside_a_label_names_its_pair(self):
+        X = n_point_discrete(3)
+        message = "row is not 1-Lipschitz between points 0 and 2"
+        with pytest.raises(NotLipschitzFamily, match=f"^{message}$"):
+            quotient_gds(X, ["d1", (0, 1, 2)])
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_labels_alone_build_no_metric(self, mode):
+        # A feature row is 1-Lipschitz for the sup-metric by definition.
+        X = random_gds(40, 2, seed=5, mode=mode)
+        Y, mapping = quotient_gds(X, ["f0"])
+        assert "dist" not in vars(X)
+        assert Y.n < X.n and len(mapping) == X.n
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_labels_and_rows_mixed(self, mode):
+        X = n_point_discrete(4, mode)
+        Y, mapping = quotient_gds(X, ["d0", (1, 1, 0, 0)])
+        assert mapping == (0, 1, 2, 2)
+        assert Y.features.labels == ("d0", "g1")
+        assert Y.point_labels == ("p0", "p1", "p2+p3")
+        X = n_point_discrete(5, mode)
+        Y, mapping = quotient_gds(X, [(1, 1, 0, 0, 0), "d4"])
+        assert mapping == (0, 0, 1, 1, 2)
+        assert Y.features.labels == ("g0", "d4")
+        assert Y.point_labels == ("p0+p1", "p2+p3", "p4")
+        assert Y.measure.weights == tuple(to_scalar(w, mode) for w in ("2/5", "2/5", "1/5"))
+        assert "dist" in vars(X)  # an explicit row is checked on the metric
 
     def test_empty_family_rejected(self):
         with pytest.raises(GdsError):
