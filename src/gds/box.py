@@ -26,9 +26,10 @@ and solves each level it probes once; two sweeps feed it:
 
 Exact mode runs both sweeps on ints.  The levels are scaled by S (the
 gaps' or the metrics' common denominator) and the kept masses by D (the
-Transport's, or the fixed coupling's, from numerics.scaled_ints), so
-every level, mass and crossing comparison is an int over S * D.  Each
-solver certifies its witness on the same ints, re-evaluating the
+solver's Transport's, or the fixed coupling's, from
+numerics.scaled_ints), so every level, mass and crossing comparison is
+an int over S * D; box_heuristic scores its cell sets on the same ints.
+Each solver certifies its witness on the same ints, re-evaluating the
 objective from the witness coupling's ints and the scaled gaps or
 metrics, and unscales once, only the value and the witness it returns.
 Float mode computes the same expressions on its floats.
@@ -45,7 +46,7 @@ import random
 from dataclasses import dataclass
 
 from .core import FeatureFamily, GeometricDataSet, MmSpace, lip_violation
-from .coupling import Coupling, max_mass_on_set
+from .coupling import Coupling
 from .errors import EmptyCellSet, SizeLimit, WitnessNotLipschitz
 from .flows import Transport
 from .metrics import (
@@ -62,6 +63,7 @@ from .numerics import (
     close,
     same_mode,
     scaled_ints,
+    to_scalar,
     unscaled,
     unscaled_rows,
 )
@@ -223,9 +225,13 @@ def dis_coupling(pi: Coupling, dX, dY) -> tuple:
     Minimises max(1 - pi(S), distortion(S)) over cell sets.  Cells outside
     the support can be dropped from S without raising either term, so the
     clique scan runs on the support only; its size is capped because the
-    number of maximal cliques grows exponentially with it.
+    number of maximal cliques grows exponentially with it.  A coupling
+    with no positive entry leaves the empty set only, which scores the
+    mode's 1.
     """
     support = pi.support()
+    if not support:
+        return to_scalar(1, pi.mode), CellSet.empty(pi.n, pi.m)
     if len(support) > CELL_BUDGET:
         raise SizeLimit(
             f"{len(support)} support cells exceed the exact budget {CELL_BUDGET}"
@@ -245,29 +251,25 @@ def _table(X: GeometricDataSet, Y: GeometricDataSet) -> tuple:
 
     The levels are the table's scaled ints (floats in float mode).
     """
-    table = GapTable(
-        X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
-    )
+    table = GapTable(X.features.rows, Y.features.rows)
     return table, sorted({0} | table.gaps())
 
 
 def _side_masks(table: GapTable, h) -> tuple:
-    """Sets of the cell masks cut out by each total assignment at level h."""
+    """Sets of the cell masks cut out by each total assignment at level h.
+
+    An assignment picks one partner per feature, so its mask is built one
+    feature at a time: the set of masks after a feature is every mask
+    before it cut by each of that feature's options.
+    """
     allowed = [
         [table.allowed(f, g, h) for g in range(table.ky)] for f in range(table.kx)
     ]
-    u_masks = set()
-    for u in itertools.product(range(table.ky), repeat=table.kx):
-        mask = table.full
-        for f, g in enumerate(u):
-            mask &= allowed[f][g]
-        u_masks.add(mask)
-    v_masks = set()
-    for v in itertools.product(range(table.kx), repeat=table.ky):
-        mask = table.full
-        for g, f in enumerate(v):
-            mask &= allowed[f][g]
-        v_masks.add(mask)
+    u_masks = v_masks = {table.full}
+    for options in allowed:
+        u_masks = {mk & o for mk in u_masks for o in options}
+    for options in zip(*allowed):
+        v_masks = {mk & o for mk in v_masks for o in options}
     return u_masks, v_masks
 
 
@@ -328,18 +330,14 @@ def _best_pair_mass(table: GapTable, h, value_of) -> tuple:
 
 
 def _feature_sweep(
-    X: GeometricDataSet,
-    Y: GeometricDataSet,
-    assignment_budget: int,
-    kept=None,
-    D=None,
+    X: GeometricDataSet, Y: GeometricDataSet, assignment_budget: int, kept, D
 ) -> tuple:
     """Minimise max(1 - kept mass, 2 * Hausdorff radius) over cell sets.
 
     kept(mask) is the mass kept on a cell mask as an int over D, monotone
-    under inclusion; by default the largest mass any coupling keeps, the
-    scaled flow of the instance's GapTable's Transport, over its scale.
-    With S the table's scale, a rise 2 * level * D and a fall
+    under inclusion: a Transport's scaled flow (box_exact) or a fixed
+    coupling's scaled mass (box_fixed_coupling); D is None in float mode.
+    With S the gap table's scale, a rise 2 * level * D and a fall
     (D - kept) * S are ints over S * D (floats in float mode), so the
     crossing search compares ints only.  The assignment pairs behind each
     level are enumerated, so their count is gated first.  Returns
@@ -351,8 +349,6 @@ def _feature_sweep(
             f"{count} feature assignments exceed the budget {assignment_budget}"
         )
     table, levels = _table(X, Y)
-    if kept is None:
-        kept, D = table.transport.scaled_value, table.transport.scale
     s, d = table.scale or 1, D or 1
 
     def best_at(i):
@@ -397,16 +393,19 @@ def box_exact(
     assignment-pair mask and no coupling enumeration happens at all.
 
     The sweep compares its flows and levels as ints over S * D, S the gap
-    table's scale and D its Transport's.  The witness coupling comes from
-    the same Transport, completed and certified on ints over a unit
-    D * L; its objective is re-evaluated from those ints and the table's
-    scaled gaps over the witness cells, and must equal the sweep's int
-    value.  The value and each witness entry are unscaled once.
+    table's scale and D the scale of the instance's one Transport.  The
+    witness coupling comes from the same Transport, completed and
+    certified on ints over a unit D * L; its objective is re-evaluated
+    from those ints and the table's scaled gaps over the witness cells,
+    and must equal the sweep's int value.  The value and each witness
+    entry are unscaled once.
     """
     mode = same_mode(X.mode, Y.mode)
     check_cell_budget(X.n, Y.n, cell_budget)
-    table, value, mask = _feature_sweep(X, Y, assignment_budget)
-    transport = table.transport
+    transport = Transport(X.measure.weights, Y.measure.weights)
+    table, value, mask = _feature_sweep(
+        X, Y, assignment_budget, transport.scaled_value, transport.scale
+    )
     _, rows, unit = transport.completion(mask)
     mass = _mask_sum([x for row in rows for x in row], mask)
     d = transport.scale or 1
@@ -452,13 +451,21 @@ def box_heuristic(
     the running best is non-increasing as the budget grows, and the value
     returned is a true objective at a realisable pair, hence an upper
     bound for any budget.
+
+    The search scores a cell set as ints over S * D, S the gap table's
+    scale and D that of the instance's one Transport: it compares
+    (D - flow) * S with 2 * radius * D, as box_exact's sweep does.  The
+    returned value is box_objective at the best set and that
+    Transport's witness coupling for it.
     """
-    same_mode(X.mode, Y.mode)
+    mode = same_mode(X.mode, Y.mode)
     table, levels = _table(X, Y)
+    transport = Transport(X.measure.weights, Y.measure.weights)
+    s, d = table.scale or 1, transport.scale or 1
     n, m = X.n, Y.n
     nm = n * m
     full = table.full
-    pm = [a * b for a, b in itertools.product(*table.transport.weights)]
+    pm = [a * b for a, b in itertools.product(*transport.weights)]
     weight = functools.partial(_mask_sum, pm)
 
     evals = {}
@@ -471,8 +478,8 @@ def box_heuristic(
         spent += 1
         hit = evals.get(mask)
         if hit is None:
-            a = 1 - table.flow(mask)
-            b = 2 * unscaled(_radius(table, mask), table.scale)
+            a = (d - transport.scaled_value(mask)) * s
+            b = 2 * _radius(table, mask) * d
             hit = a if a > b else b
             evals[mask] = hit
         return hit
@@ -529,7 +536,7 @@ def box_heuristic(
                 moved = True
         if best is None or cur_val < best[0]:
             best = (cur_val, current)
-    value, mask = best
+    _, mask = best
+    _, matrix = transport.coupling(mask)
     cells = CellSet.from_mask(n, m, mask)
-    _, pi = max_mass_on_set(X.measure, Y.measure, cells)
-    return box_objective(pi, cells, X.features, Y.features)
+    return box_objective(Coupling(matrix, mode), cells, X.features, Y.features)

@@ -216,12 +216,12 @@ class Transport:
     mode).  This is the one memo of flow values: scaled_value(mask), the
     max-flow on the mask as an int over D, is memoised, since the
     threshold sweeps revisit masks across levels and compare flows as
-    these ints, and its max-flow starts warm.  value(mask) is
-    the same flow unscaled, a rational.  completion(mask) solves again
-    from the empty flow and completes the plan into a full coupling on
-    the same ints, certified there, which only witnesses need;
-    coupling(mask) unscales it.  Float mode computes and returns floats
-    throughout.
+    these ints, and its max-flow starts warm.  completion(mask) solves
+    again from the empty flow and completes the plan into a full
+    coupling on the same ints, certified there, which only witnesses
+    need; coupling(mask) unscales it.  Each solver builds one Transport
+    for its instance and reads both its sweep and its witness from it.
+    Float mode computes and returns floats throughout.
     """
 
     def __init__(self, mu: Sequence, nu: Sequence):
@@ -234,9 +234,6 @@ class Transport:
             hit, _ = max_flow_on_cells(*self.weights, mask, warm=True)
             self._flows[mask] = hit
         return hit
-
-    def value(self, mask: int):
-        return unscaled(self.scaled_value(mask), self.scale)
 
     def completion(self, mask: int) -> tuple:
         """(flow, rows, unit): a cold max-flow and a coupling attaining it.

@@ -213,20 +213,15 @@ class GapTable:
     numerics.scaled_ints, so diff[f][g][c] is the gap on the flat n x m
     cell grid (c = x * m + y) times `scale`, and every gap and level the
     searches compare is an int; unscaled(h, scale) gives back the
-    rational a level stands for, which the searches do only where a
-    level meets a mass or is returned.  In float mode the rows pass
-    through unchanged and scale is None.  The exact searches walk
-    thresholds h of this table: allowed(f, g, h) is the bitmask of cells
-    with scaled gap <= h, computed afresh on each call, and flow(mask)
-    the largest mass a coupling of (mu, nu) puts on a mask, read from
-    one Transport, `transport`, whose memo serves the masks the sweeps
-    revisit across levels and whose scaled weights the searches may read.
+    rational a level stands for.  In float mode the rows pass through
+    unchanged and scale is None.  The exact searches walk thresholds h
+    of this table: allowed(f, g, h) is the bitmask of cells with scaled
+    gap <= h, computed afresh on each call.  The table holds gaps only:
+    each solver meets them with the flows of its own Transport.
     """
 
-    def __init__(self, rows_x: Sequence, rows_y: Sequence, mu: Sequence, nu: Sequence):
-        self.n, self.m = len(mu), len(nu)
-        self.transport = Transport(mu, nu)
-        self.flow = self.transport.value
+    def __init__(self, rows_x: Sequence, rows_y: Sequence):
+        self.n, self.m = len(rows_x[0]), len(rows_y[0])
         self.kx, self.ky = len(rows_x), len(rows_y)
         self.full = (1 << (self.n * self.m)) - 1
         rows, self.scale = scaled_ints(*rows_x, *rows_y)

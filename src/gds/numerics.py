@@ -7,44 +7,21 @@ floats and is meant for heuristics and sampling, with FLOAT_TOL as the
 comparison tolerance.  Mixing the two modes in one computation is an error,
 never a silent promotion.
 
-Rationals are fractions.Fraction.  The two hot kernels run on Python
-ints: the exact simplex pivots on right-hand sides that its caller,
-coupling.feasibility_lp, has scaled (see coupling._simplex), and
-flows.Transport, the one way into the max-flow kernel and the one memo
-of its values, scales the weights of an instance once with scaled_ints,
-memoises each mask's flow as that int, starts a value's max-flow from a
-greedy plan and a witness's from the empty flow, completes the witness
-plan to a coupling on the scaled ints, certifies it there, and converts
-back only what it returns, each witness entry once.
-The threshold grids are scaled the same way, once per instance, so the
-sweeps build, sort and compare their levels as ints, and the flow
-sweeps meet each level with an int flow in one unit, S * D, S the
-grid's scale and D the weights':
-  * the feature gaps |f(x) - g(y)| of metrics.GapTable, whose rows are
-    scaled jointly; box_exact's sweep compares 2 * level * D with
-    (D - flow) * S, box_heuristic unscales its radius once per mask, and
-    the dconc searches keep an unscaled twin of their Ky Fan grid, while
-    dconc_exact's scan keeps its flow floors as (D - flow) * S and meets
-    a rational cutoff or cap through scaled_ceil;
-  * the distortion gaps |dX - dY| of box._distortion_sweep, whose two
-    metrics are scaled jointly;
-  * the Prohorov thresholds of the flow route of
-    metrics.prohorov_weights, the scaled distances.
-Each of these sweeps unscales its minimum once.  box_exact,
-box_fixed_coupling, box_mm_exact and dis_coupling certify their
-witnesses on the same ints.  The brute-force Prohorov oracle scales its
-own weights the same way, but keeps the raw distances as thresholds;
-the public oracles (box_objective, distortion, check_marginals) read the
-unscaled inputs.  Coupling.check_marginals scales a witness and the raw
-weights it is checked against over one denominator itself, and
-coupling.enumerate_couplings builds its mixture lattice on the scaled
-weights and unscales each entry once.  coupling.feasibility_lp scales
-the weights once and builds its northwest-corner start, runs its
-simplex and checks its witness's marginals and cap on those ints,
-unscaling each witness entry and t once; box_heuristic's greedy weights
-are products of the Transport's scaled weights, and dconc_exact's
-product-coupling bound pairs the scaled gaps with them too and unscales
-the bound once.
+Rationals are fractions.Fraction.  The hot kernels and the searches
+around them run on Python ints, by one rule: scale once per instance,
+compare ints, unscale once at return.  scaled_ints puts the numbers of
+an instance over one common denominator, every sum, gap, level and
+comparison is then made on the scaled ints, and unscaled converts back
+only what a caller receives: a value once, a witness entry once.  Two
+scaled quantities meet over the product of their scales; a flow sweep,
+for one, compares a level over S with a flow over D as ints over S * D.
+A rational bound meets a scaled int through scaled_ceil.  Witnesses
+are certified on the same ints before they are unscaled.  In
+float mode scaled_ints hands the floats back with no scale, each scale
+reads as 1, and the same code computes on floats.  The brute-force
+oracles and the public objectives (box_objective, distortion,
+check_marginals) read the unscaled inputs, so they check the scaled
+paths independently.
 """
 
 from __future__ import annotations

@@ -26,10 +26,10 @@ from .coupling import (
     Coupling,
     enumerate_couplings,
     feasibility_lp,
-    max_mass_on_set,
     product_coupling,
 )
-from .errors import BudgetExceeded, GdsError, WitnessNotLipschitz
+from .errors import BudgetExceeded, GdsError, ModeMismatch, WitnessNotLipschitz
+from .flows import Transport
 from .metrics import (
     ASSIGNMENT_BUDGET,
     CellSet,
@@ -107,18 +107,18 @@ class _DconcSearch:
     Cell sets are bitmasks over the flat n x m grid.  exceed(idx)[f][g] is
     where |f - g| exceeds level idx: the set whose mass a Ky Fan bound caps.
     levels holds the grid as rationals (floats in float mode), grid the
-    same levels scaled as the gap table's; exceed reads grid.  The flow
-    values behind the single-set floors are memoised by the gap table's
-    Transport; the LP caps of set families are memoised here.
+    same levels scaled as the gap table's; exceed reads grid.  The
+    instance has one Transport, `transport`: it memoises the flows behind
+    the single-set floors and gives the single-set caps their witness
+    couplings.  The LP caps of set families are memoised here.
     product_bound, the search's upper bound, runs on the table's scaled
     gaps and the Transport's scaled weights.
     """
 
     def __init__(self, X: GeometricDataSet, Y: GeometricDataSet):
         self.X, self.Y = X, Y
-        self.table = GapTable(
-            X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
-        )
+        self.table = GapTable(X.features.rows, Y.features.rows)
+        self.transport = Transport(X.measure.weights, Y.measure.weights)
         self.kx, self.ky = X.k, Y.k
         self.grid, self.levels = _unit_levels(
             self.table.gaps(), X.mode, self.table.scale
@@ -145,7 +145,7 @@ class _DconcSearch:
         dconc_at_coupling does.
         """
         table = self.table
-        (a, b), D = table.transport.weights, table.transport.scale
+        (a, b), D = self.transport.weights, self.transport.scale
         weights = [x * y for x in a for y in b]
         gap_unit = scale = None
         if D is not None:
@@ -166,18 +166,16 @@ class _DconcSearch:
         hit = self._lp_cache.get(sets)
         if hit is None:
             mu, nu = self.X.measure, self.Y.measure
-            n, m = self.X.n, self.Y.n
             # The constraint order fixes the simplex pivots, hence the
             # witness: sets go by their ascending cell lists.
             live = sorted((s for s in sets if s), key=_bits)
             if not live:
                 hit = (0, product_coupling(mu, nu))
             elif len(live) == 1:
-                comp = CellSet.from_mask(n, m, self.table.full ^ live[0])
-                value, pi = max_mass_on_set(mu, nu, comp)
-                hit = (1 - value, pi)
+                value, matrix = self.transport.coupling(self.table.full ^ live[0])
+                hit = (1 - value, Coupling(matrix, mu.mode))
             else:
-                cells = tuple(CellSet.from_mask(n, m, s) for s in live)
+                cells = tuple(CellSet.from_mask(mu.n, nu.n, s) for s in live)
                 pi, t = feasibility_lp(mu, nu, cells)
                 hit = (t, pi)
             self._lp_cache[sets] = hit
@@ -211,7 +209,7 @@ class _DconcSearch:
         # whose floor reaches the cutoff are pruned, and a feature with no
         # partner ends the scan before the next feature's flows are solved.
         table = self.table
-        flow, full, D = table.transport.scaled_value, table.full, table.transport.scale
+        flow, full, D = self.transport.scaled_value, table.full, self.transport.scale
         s, d = table.scale or 1, D or 1
         unit = None if D is None else table.scale * D
         floor_cut = scaled_ceil(cutoff, unit)
@@ -367,7 +365,11 @@ def dconc_lower_witness(
     min over g of (min over couplings of ky_fan(witness o pr1, g o pr2))
     bounds the observable distance from below whenever the witness belongs
     to the closed family of X; 1-Lipschitz for the induced metric is how
-    that membership is checked here.
+    that membership is checked here.  Each g's crossing search compares
+    ints over S * D, S the gap table's scale and D the Transport's, and
+    the least minimum is unscaled once.  A witness that holds a float
+    while the weights are exact cannot share their ints, and raises
+    ModeMismatch.
     """
     mode = same_mode(X.mode, Y.mode)
     if len(witness) != X.n:
@@ -377,15 +379,19 @@ def dconc_lower_witness(
         raise WitnessNotLipschitz(
             f"witness violates 1-Lipschitz between points {bad[0]} and {bad[1]}"
         )
-    table = GapTable([witness], Y.features.rows, X.measure.weights, Y.measure.weights)
+    table = GapTable([witness], Y.features.rows)
+    transport = Transport(X.measure.weights, Y.measure.weights)
+    S, D = table.scale, transport.scale
+    if (S is None) != (D is None):
+        raise ModeMismatch("the witness mixes float and exact numbers")
+    s, d = S or 1, D or 1
     best = None
     for g in range(Y.k):
-        grid, levels = _unit_levels(table.diff[0][g], mode, table.scale)
+        grid, _ = _unit_levels(table.diff[0][g], mode, S)
+        flow = lambda i: transport.scaled_value(table.allowed(0, g, grid[i]))
         val, _ = crossing(
-            len(levels),
-            levels.__getitem__,
-            lambda i: (1 - table.flow(table.allowed(0, g, grid[i])), None),
+            len(grid), lambda i: grid[i] * d, lambda i: ((d - flow(i)) * s, None)
         )
         if best is None or val < best:
             best = val
-    return best
+    return unscaled(best, None if S is None else S * d)

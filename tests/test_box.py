@@ -6,6 +6,9 @@ subset of the cell grid.  That enumeration is small enough to run here
 and serves as the reference implementation.
 """
 
+import itertools
+import random
+
 import pytest
 
 from gds import (
@@ -28,7 +31,8 @@ from gds import (
     prohorov,
     singleton_gds,
 )
-from gds.coupling import enumerate_couplings, max_mass_on_set
+from gds.box import _side_masks, _table
+from gds.coupling import Coupling, enumerate_couplings, max_mass_on_set
 from gds.errors import EmptyCellSet, SizeLimit, WitnessNotLipschitz
 from gds.numerics import FLOAT_TOL, Q
 from gds.spaces import random_gds
@@ -321,6 +325,48 @@ class TestOrderingBounds:
         value, cells = box_fixed_coupling(X, Y, product_coupling(X.measure, Y.measure))
         assert type(value) is scalar and value == 1
         assert len(cells) == 0
+
+
+class TestEmptySupport:
+    @pytest.mark.parametrize("mode, scalar", [("exact", Q), ("float", float)])
+    def test_dis_coupling_of_a_zero_matrix_keeps_the_empty_set(self, mode, scalar):
+        # No positive entry: the empty set is the only cell set the
+        # support offers, and it scores the mode's 1.
+        zero = Q(0) if mode == "exact" else 0.0
+        pi = Coupling(((zero, zero), (zero, zero)), mode)
+        dX = dY = n_point_discrete(2, mode=mode).dist
+        value, cells = dis_coupling(pi, dX, dY)
+        assert type(value) is scalar and value == 1
+        assert cells == CellSet.empty(2, 2)
+
+
+class TestSideMasks:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_equal_the_masks_of_every_total_assignment(self, mode):
+        # The oracle lists every assignment with itertools.product and
+        # intersects its allowed masks.
+        rng = random.Random(23)
+        for trial in range(12):
+            X = random_gds(rng.randint(1, 3), rng.randint(1, 3), seed=trial, mode=mode)
+            Y = random_gds(rng.randint(1, 3), rng.randint(1, 3), seed=50 + trial, mode=mode)
+            table, levels = _table(X, Y)
+            for h in levels:
+                allowed = [
+                    [table.allowed(f, g, h) for g in range(table.ky)]
+                    for f in range(table.kx)
+                ]
+                u_want, v_want = set(), set()
+                for u in itertools.product(range(table.ky), repeat=table.kx):
+                    mask = table.full
+                    for f, g in enumerate(u):
+                        mask &= allowed[f][g]
+                    u_want.add(mask)
+                for v in itertools.product(range(table.kx), repeat=table.ky):
+                    mask = table.full
+                    for g, f in enumerate(v):
+                        mask &= allowed[f][g]
+                    v_want.add(mask)
+                assert _side_masks(table, h) == (u_want, v_want)
 
 
 class TestLip1Witness:

@@ -34,6 +34,8 @@ from gds import (
     box_fixed_coupling,
     box_heuristic,
     box_mm_exact,
+    dconc_exact,
+    dconc_lower_witness,
     dis_coupling,
     distortion,
     gds_to_mm,
@@ -42,7 +44,6 @@ from gds import (
 from gds import flows
 from gds.coupling import product_coupling
 from gds.flows import Transport, certify_coupling, max_flow_on_cells
-from gds.metrics import GapTable
 from gds.numerics import Q, close, scaled_ints, unscaled
 from gds.spaces import random_gds
 
@@ -100,7 +101,7 @@ class TestKernel:
         assert (value, matrix) == (want_value, want_matrix)
         assert type(value) is Q
         assert all(type(x) is Q for row in matrix for x in row)
-        assert transport.value(mask) == want_value
+        assert unscaled(transport.scaled_value(mask), transport.scale) == want_value
         if sum(mu) == sum(nu):
             assert [sum(row) for row in matrix] == mu
             assert [sum(col) for col in zip(*matrix)] == nu
@@ -109,7 +110,10 @@ class TestKernel:
                 if mask >> c & 1
             ) == value
         float_transport = Transport([float(w) for w in mu], [float(w) for w in nu])
-        assert abs(float_transport.value(mask) - float(want_value)) <= 1e-9
+        assert abs(
+            unscaled(float_transport.scaled_value(mask), float_transport.scale)
+            - float(want_value)
+        ) <= 1e-9
         value, matrix = float_transport.coupling(mask)
         assert abs(value - float(want_value)) <= 1e-9
         assert all(
@@ -128,7 +132,10 @@ class TestKernel:
 
         monkeypatch.setattr(flows, "max_flow_on_cells", recording)
         transport = Transport([Q(1, 3), Q(2, 3)], [Q(1, 2), Q(1, 2)])
-        assert transport.value(0b1001) == transport.value(0b1001) == Q(5, 6)
+        first, again = (
+            unscaled(transport.scaled_value(0b1001), transport.scale) for _ in range(2)
+        )
+        assert first == again == Q(5, 6)
         value, matrix = transport.coupling(0b1001)
         assert value == Q(5, 6)
         assert matrix == ((Q(1, 3), 0), (Q(1, 6), Q(1, 2)))
@@ -147,9 +154,13 @@ class TestKernel:
                 mask = rng.getrandbits(len(mu) * len(nu))
                 scaled = exact.scaled_value(mask)
                 assert type(scaled) is int
-                assert scaled == exact.value(mask) * exact.scale
+                # The rational flow times the scale.
+                assert scaled == max_flow_on_cells(mu, nu, mask)[0] * exact.scale
+                # Float mode passes its floats through unscaled.
                 assert rough.scale is None
-                assert rough.scaled_value(mask) == rough.value(mask)
+                assert unscaled(rough.scaled_value(mask), rough.scale) == (
+                    max_flow_on_cells(*rough.weights, mask, warm=True)[0]
+                )
 
     def test_completion_is_an_int_coupling_over_its_unit(self):
         rng = random.Random(19)
@@ -166,7 +177,8 @@ class TestKernel:
             assert [Q(sum(row), unit) for row in rows] == mu
             assert [Q(sum(col), unit) for col in zip(*rows)] == nu
             kept = sum(x for c, x in enumerate(y for row in rows for y in row) if mask >> c & 1)
-            assert Q(kept, unit) == Q(flow, transport.scale) == transport.value(mask)
+            value = unscaled(transport.scaled_value(mask), transport.scale)
+            assert Q(kept, unit) == Q(flow, transport.scale) == value
 
     @given(instances())
     def test_float_value_matches(self, instance):
@@ -186,25 +198,34 @@ class TestKernel:
         assert plan[0][0] + plan[2][0] == Q(1, 4)
         assert plan[0][1] == plan[2][1] == 0
 
-    def test_gap_table_hands_the_kernel_ints(self, monkeypatch):
-        seen = []
+    def test_solvers_hand_the_kernel_ints(self, monkeypatch):
+        # Every exact solver built on Transport scales its weights once,
+        # so each capacity the kernel receives is an int.
+        seen = {}
+        solver = None
 
         def recording(mu, nu, allowed, warm=False):
-            seen.append(tuple(mu) + tuple(nu))
+            seen.setdefault(solver, []).extend([*mu, *nu])
             return max_flow_on_cells(mu, nu, allowed, warm)
 
         monkeypatch.setattr(flows, "max_flow_on_cells", recording)
-        X, Y = random_gds(4, 2, seed=11), random_gds(4, 2, seed=12)
-        table = GapTable(
-            X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
-        )
-        mask = table.allowed(0, 0, Q(1, 4) * table.scale)  # gaps <= 1/4
-        value = table.flow(mask)
-        assert seen and all(type(c) is int for caps in seen for c in caps)
-        assert type(value) is Q
-        assert value == max_flow_on_cells(
-            X.measure.weights, Y.measure.weights, mask
-        )[0]
+        X, Y = random_gds(3, 2, seed=11), random_gds(3, 2, seed=12)
+        Z = random_gds(3, 2, seed=13)
+        runs = {
+            "box_exact": lambda: box_exact(X, Y),
+            "box_heuristic": lambda: box_heuristic(X, Y, budget=40),
+            "box_mm_exact": lambda: box_mm_exact(gds_to_mm(X), gds_to_mm(Y)),
+            "dconc_exact": lambda: dconc_exact(X, Y),
+            "dconc_lower_witness": lambda: dconc_lower_witness(
+                X, Y, X.features.rows[0]
+            ),
+            "prohorov": lambda: prohorov(X.measure, Z.measure, X.dist, "flow"),
+        }
+        for solver, run in runs.items():
+            run()
+        assert set(seen) == set(runs)
+        for solver, caps in seen.items():
+            assert all(type(c) is int for c in caps), solver
 
     def test_prohorov_flow_solves_each_mask_once(self, monkeypatch):
         masks = []
@@ -437,7 +458,8 @@ class TestWarmStart:
         warm, plan = max_flow_on_cells(mu_s, nu_s, mask, warm=True)
         rows, cols = remainders(mu_s, nu_s, plan)
         assert min(rows) >= -1e-12 and min(cols) >= -1e-12
-        value = Transport(mu, nu).value(mask)
+        transport = Transport(mu, nu)
+        value = unscaled(transport.scaled_value(mask), transport.scale)
         if mode == "exact":
             assert value == unscaled(warm, scale) == cold
         else:

@@ -361,9 +361,8 @@ class TestGapTable:
         # X and Y on different lattices, so the joint scale is not either's.
         X = random_gds(2 + seed % 3, 1 + seed % 2, seed=seed, scale=6, mode=mode)
         Y = random_gds(3, 2, seed=100 + seed, scale=5, mode=mode)
-        table = GapTable(
-            X.features.rows, Y.features.rows, X.measure.weights, Y.measure.weights
-        )
+        table = GapTable(X.features.rows, Y.features.rows)
+        assert (table.n, table.m, table.kx, table.ky) == (X.n, Y.n, X.k, Y.k)
         levels = sorted({0} | table.gaps())
         raw = {
             abs(f[x] - g[y])

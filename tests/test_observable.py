@@ -21,8 +21,9 @@ from gds import (
     product_coupling,
     singleton_gds,
 )
-from gds.coupling import Coupling, enumerate_couplings
-from gds.errors import BudgetExceeded, WitnessNotLipschitz
+from gds.coupling import Coupling, enumerate_couplings, max_mass_on_set
+from gds.errors import BudgetExceeded, ModeMismatch, WitnessNotLipschitz
+from gds.metrics import CellSet
 from gds.numerics import Q
 from gds.observable import _DconcSearch
 from gds.spaces import random_gds
@@ -260,6 +261,29 @@ class TestProductBound:
             assert type(got) is scalar and got == want == 0
 
 
+class TestSingleSetCap:
+    @pytest.mark.parametrize("mode, scalar", MODES)
+    def test_witness_is_max_mass_on_set(self, mode, scalar):
+        # One capped set: the least cap is 1 minus the most mass a coupling
+        # keeps off it, and the witness is max_mass_on_set's coupling.
+        rng = random.Random(31)
+        for trial in range(20):
+            X = random_gds(rng.randint(2, 4), rng.randint(1, 2), seed=trial, mode=mode)
+            Y = random_gds(rng.randint(2, 4), rng.randint(1, 2), seed=70 + trial, mode=mode)
+            search = _DconcSearch(X, Y)
+            full = search.table.full
+            for idx in range(len(search.levels)):
+                for row in search.exceed(idx):
+                    for cells in row:
+                        if not cells:
+                            continue
+                        cap, pi = search.joint_min_cap(frozenset([cells]))
+                        keep = CellSet.from_mask(X.n, Y.n, full ^ cells)
+                        value, want = max_mass_on_set(X.measure, Y.measure, keep)
+                        assert type(cap) is scalar
+                        assert repr((cap, pi)) == repr((1 - value, want))
+
+
 class TestHeuristic:
     def test_never_below_exact(self):
         for seed in range(8):
@@ -298,3 +322,18 @@ class TestLowerWitness:
         Y = singleton_gds([1])
         with pytest.raises(WitnessNotLipschitz):
             dconc_lower_witness(X, Y, (0, 5))
+
+    def test_float_witness_in_exact_mode_rejected(self):
+        # A float cannot be scaled with the exact gaps and weights.
+        X, Y = random_gds(3, 2, seed=1), random_gds(3, 2, seed=2)
+        row = [float(v) for v in X.features.rows[0]]
+        with pytest.raises(ModeMismatch):
+            dconc_lower_witness(X, Y, row)
+
+    @pytest.mark.parametrize("mode, scalar", MODES)
+    def test_bound_is_the_mode_scalar(self, mode, scalar):
+        for seed in range(4):
+            X = random_gds(3, 2, seed=seed, mode=mode)
+            Y = random_gds(2, 2, seed=300 + seed, mode=mode)
+            for row in X.features.rows:
+                assert type(dconc_lower_witness(X, Y, row)) is scalar
