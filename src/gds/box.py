@@ -428,6 +428,11 @@ def box_mm_exact(
     int gaps, and certifies its witness on them: 1 - flow and the
     distortion, re-read from the scaled metrics, attain the int value,
     which is unscaled once.
+
+    It reads only each space's metric `dist` and its measure, so a
+    GeometricDataSet serves as its induced mm-space, the one gds_to_mm
+    builds, without that conversion's O(n**3) re-check of the metric;
+    the cell budget declines before either metric is read.
     """
     mode = same_mode(MX.mode, MY.mode)
     n, m = MX.n, MY.n

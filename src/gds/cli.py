@@ -28,8 +28,8 @@ import os
 import sys
 from typing import Optional
 
-from .box import CELL_BUDGET, box_exact, box_heuristic, box_mm_exact, check_cell_budget
-from .core import GeometricDataSet, gds_to_mm
+from .box import CELL_BUDGET, box_exact, box_heuristic, box_mm_exact
+from .core import GeometricDataSet
 from .dataio import csv_text, emit_gds, parse_gds
 from .errors import BudgetExceeded, GdsError, SchemaError, SizeLimit
 from .metrics import (
@@ -328,9 +328,7 @@ def _cmd_box(args) -> int:
     payload = {"command": "box"}
     if args.mm:
         payload["method"] = "mm-exact"
-        # gds_to_mm re-checks each metric in O(n**3); decline first.
-        check_cell_budget(X.n, Y.n, cells)
-        value = box_mm_exact(gds_to_mm(X), gds_to_mm(Y), cell_budget=cells)
+        value = box_mm_exact(X, Y, cell_budget=cells)
         payload.update(_num(value, mode))
         _print_json(payload)
         return 0

@@ -26,14 +26,17 @@ the int matrix (certify_coupling) and converts back only what it
 returns; float weights pass through unscaled.  Transport's is the only
 memo of flow values in the package.
 
-A value call starts the kernel warm: it ships a greedy feasible flow
-straight into its residual state before the first search, instead of
-starting from the empty flow.  The maximum value is unique and
-Edmonds-Karp from any feasible flow ends at a maximum, so the value is
-the same and most augmentations are skipped (reoptimization, as in
-Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989).  A witness plan
-starts cold, so the plan a witness is built from never depends on the
-start.
+Each solve starts from a greedy flow: row by row, each allowed cell by
+increasing j ships the smaller of what is left of mu[i] and of nu[j].
+That start is exactly the first phase of Edmonds-Karp from the empty
+flow.  With no flow yet, the search meets every row with mass by
+increasing i before any longer path, and a column an earlier row met
+without a hit has no capacity left, so the first hit is the lowest row
+with a direct path, at its lowest such j, and takes the same minimum
+with the same tie.  Augmenting never raises a remainder, so once no
+direct path is left none comes back.  The greedy start makes the same
+additions in the same order, in int, rational and float arithmetic, and
+skips the searches that would find them one by one.
 """
 
 from __future__ import annotations
@@ -43,20 +46,14 @@ from typing import Sequence
 from .numerics import FLOAT_TOL, scaled_ints, unscaled, unscaled_rows
 
 
-def max_flow_on_cells(
-    mu: Sequence,
-    nu: Sequence,
-    allowed: int,
-    warm: bool = False,
-) -> tuple:
+def max_flow_on_cells(mu: Sequence, nu: Sequence, allowed: int) -> tuple:
     """Max coupling mass on a cell bitmask, plus a realising partial plan.
 
     `allowed` is a bitmask over cells (i, j) -> bit i*m + j.  Returns
     (value, plan) where plan[i][j] is the transported mass, supported on
     allowed cells, with row sums <= mu and column sums <= nu.  The
-    augmentations begin from the empty flow, or with `warm` from a
-    greedy one: row by row, each allowed cell by increasing j ships the
-    smaller of what is left of mu[i] and of nu[j].
+    augmentations begin from the greedy start the module docstring
+    describes, which is their own first phase.
 
     Edmonds-Karp with the residual graph held as bitsets.  A cell edge
     (i, j) is always open forward, so row i's forward edges are its row
@@ -91,25 +88,24 @@ def max_flow_on_cells(
     rest_mu, rest_nu = list(mu), list(nu)
     col_rows = [0] * m
     flow_value = zero
-    if warm:
-        # The greedy start.  Each step subtracts an amount from two
-        # remainders that are each at least as large, so none goes below
-        # zero, in float arithmetic too.
-        for i in range(n):
-            cells, left, row = row_cols[i], rest_mu[i], plan[i]
-            while cells and left:
-                low = cells & -cells
-                cells ^= low
-                j = low.bit_length() - 1
-                if rest_nu[j]:
-                    x = left if left < rest_nu[j] else rest_nu[j]
-                    left -= x
-                    rest_nu[j] -= x
-                    row[j] += x
-                    flow_value += x
-                    if x > 0:
-                        col_rows[j] |= 1 << i
-            rest_mu[i] = left
+    # The greedy start.  Each step subtracts an amount from two
+    # remainders that are each at least as large, so none goes below
+    # zero, in float arithmetic too.
+    for i in range(n):
+        cells, left, row = row_cols[i], rest_mu[i], plan[i]
+        while cells and left:
+            low = cells & -cells
+            cells ^= low
+            j = low.bit_length() - 1
+            if rest_nu[j]:
+                x = left if left < rest_nu[j] else rest_nu[j]
+                left -= x
+                rest_nu[j] -= x
+                row[j] += x
+                flow_value += x
+                if x > 0:
+                    col_rows[j] |= 1 << i
+        rest_mu[i] = left
     sinks = 0
     for j in range(m):
         if rest_nu[j] > 0:
@@ -216,12 +212,12 @@ class Transport:
     mode).  This is the one memo of flow values: scaled_value(mask), the
     max-flow on the mask as an int over D, is memoised, since the
     threshold sweeps revisit masks across levels and compare flows as
-    these ints, and its max-flow starts warm.  completion(mask) solves
-    again from the empty flow and completes the plan into a full
-    coupling on the same ints, certified there, which only witnesses
-    need; coupling(mask) unscales it.  Each solver builds one Transport
-    for its instance and reads both its sweep and its witness from it.
-    Float mode computes and returns floats throughout.
+    these ints.  completion(mask) solves the mask again for its plan and
+    completes it into a full coupling on the same ints, certified there,
+    which only witnesses need; coupling(mask) unscales it.  Each solver
+    builds one Transport for its instance and reads both its sweep and
+    its witness from it.  Float mode computes and returns floats
+    throughout.
     """
 
     def __init__(self, mu: Sequence, nu: Sequence):
@@ -231,15 +227,15 @@ class Transport:
     def scaled_value(self, mask: int):
         hit = self._flows.get(mask)
         if hit is None:
-            hit, _ = max_flow_on_cells(*self.weights, mask, warm=True)
+            hit, _ = max_flow_on_cells(*self.weights, mask)
             self._flows[mask] = hit
         return hit
 
     def completion(self, mask: int) -> tuple:
-        """(flow, rows, unit): a cold max-flow and a coupling attaining it.
+        """(flow, rows, unit): a max-flow and a coupling attaining it.
 
         When mu and nu carry one total, the row and column masses a_i and
-        b_j the cold plan p leaves both sum to one leftover L, so adding
+        b_j the max-flow plan p leaves both sum to one leftover L, so adding
         a_i * b_j / L to each cell completes p to a coupling (that mass
         cannot land on the mask: it would beat the maximum).  Exact mode
         completes on ints: each entry is p * L + a_i * b_j, over
@@ -247,8 +243,10 @@ class Transport:
         certified with certify_coupling, its rows summing to mu * L and
         its columns to nu * L.  flow is the plan's value over D.  Float
         mode adds a_i * b_j / L to p in place, certifies within
-        FLOAT_TOL, and returns unit None.  Weights of two totals have no
-        coupling, and their completion is returned uncertified.
+        FLOAT_TOL, and returns unit None; a leftover at or below
+        FLOAT_TOL is rounding, not mass, and is left where it is.  Weights
+        of two totals have no coupling, and their completion is returned
+        uncertified.
         """
         mu, nu = self.weights
         flow, plan = max_flow_on_cells(mu, nu, mask)
@@ -256,9 +254,10 @@ class Transport:
         b = [w - sum(col) for w, col in zip(nu, zip(*plan))]
         leftover = sum(a)
         if self.scale is None:
+            spread = leftover > FLOAT_TOL
             rows = [
                 [
-                    p + a_i * b_j / leftover if leftover > 0 and a_i and b_j else p
+                    p + a_i * b_j / leftover if spread and a_i and b_j else p
                     for b_j, p in zip(b, row)
                 ]
                 for a_i, row in zip(a, plan)

@@ -19,7 +19,7 @@ from operator import itemgetter, or_
 from typing import Callable, Iterable, Sequence
 
 from .core import DiscreteMeasure, GeometricDataSet
-from .errors import GdsError, SizeLimit
+from .errors import GdsError, ModeMismatch, SizeLimit
 from .flows import Transport
 from .numerics import Scalar, leq, same_mode, scaled_ints, to_scalar, unscaled
 
@@ -302,6 +302,8 @@ def prohorov_weights(
     thresholds = sorted(cells_at)
     within = list(accumulate((cells_at[t] for t in thresholds), or_))
     transport = Transport(mu_weights, nu_weights)
+    if (S is None) != (transport.scale is None):
+        raise ModeMismatch("prohorov mixes float and exact numbers")
     s, d = S or 1, transport.scale or 1
     total = sum(transport.weights[1])
     value, _ = crossing(

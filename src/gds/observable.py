@@ -84,17 +84,14 @@ def feature_transfer(X: GeometricDataSet, Y: GeometricDataSet, pi) -> tuple:
     return tuple(out)
 
 
-def _unit_levels(gaps, mode: str, scale) -> tuple:
+def _unit_levels(gaps, mode: str, scale) -> list:
     """Ky Fan threshold grid: 0, 1 and every gap strictly between them.
 
-    The gaps are scaled by `scale`, a GapTable's (None in float mode).
-    Returns the grid twice, as scaled levels, which read the gap table,
-    and unscaled, which meet masses; the unscaled 0 and 1 are the mode's
-    scalars, since dconc_exact may return a level.
+    The gaps, and so the levels, are scaled by `scale`, a GapTable's
+    (None in float mode, where 0 and 1 are the mode's floats).
     """
     one = to_scalar(1, mode) if scale is None else scale
-    grid = sorted({one - one, one} | {d for d in gaps if 0 < d < one})
-    return grid, [unscaled(d, scale) for d in grid]
+    return sorted({one - one, one} | {d for d in gaps if 0 < d < one})
 
 
 def _bits(mask: int) -> list:
@@ -106,10 +103,11 @@ class _DconcSearch:
 
     Cell sets are bitmasks over the flat n x m grid.  exceed(idx)[f][g] is
     where |f - g| exceeds level idx: the set whose mass a Ky Fan bound caps.
-    levels holds the grid as rationals (floats in float mode), grid the
-    same levels scaled as the gap table's; exceed reads grid.  The
-    instance has one Transport, `transport`: it memoises the flows behind
-    the single-set floors and gives the single-set caps their witness
+    grid holds the levels scaled as the gap table's, and exceed reads
+    them; level(idx) unscales one only where it meets a cap or is
+    returned, as a rational (a float in float mode).  The instance has
+    one Transport, `transport`: it memoises the flows behind the
+    single-set floors and gives the single-set caps their witness
     couplings.  The LP caps of set families are memoised here.
     product_bound, the search's upper bound, runs on the table's scaled
     gaps and the Transport's scaled weights.
@@ -120,10 +118,11 @@ class _DconcSearch:
         self.table = GapTable(X.features.rows, Y.features.rows)
         self.transport = Transport(X.measure.weights, Y.measure.weights)
         self.kx, self.ky = X.k, Y.k
-        self.grid, self.levels = _unit_levels(
-            self.table.gaps(), X.mode, self.table.scale
-        )
+        self.grid = _unit_levels(self.table.gaps(), X.mode, self.table.scale)
         self._lp_cache: dict = {}
+
+    def level(self, level_idx: int) -> Scalar:
+        return unscaled(self.grid[level_idx], self.table.scale)
 
     def exceed(self, level_idx: int) -> list:
         """exceed[f][g]: cells where |f - g| is above the level."""
@@ -200,9 +199,9 @@ class _DconcSearch:
         scaled_ceil, once: the cutoff per scan, and the best cap each
         time it improves.  Float mode compares its floats as they are.
         """
-        level = self.levels[level_idx]
-        is_last = level_idx + 1 == len(self.levels)
-        cutoff = 2 if is_last else self.levels[level_idx + 1]  # masses are <= 1
+        level = self.level(level_idx)
+        is_last = level_idx + 1 == len(self.grid)
+        cutoff = 2 if is_last else self.level(level_idx + 1)  # masses are <= 1
         ex = self.exceed(level_idx)
         # floor[f][g], the least mass any coupling puts on ex[f][g], is a
         # lower bound on the cap of every pair that picks (f, g).  Partners
@@ -225,24 +224,25 @@ class _DconcSearch:
         ]
         if not all(fs_for_g):
             return None
-        best = None
+        # A pair must beat the bar: the cutoff until a pair is found, then
+        # the best cap so far.  bar_cut is the bar against the floors.
+        best, bar, bar_cut = None, cutoff, floor_cut
         for u in itertools.product(*gs_for_f):
             u_sets = frozenset(ex[f][g] for f, g in enumerate(u))
             u_floor = max(floor[f][g] for f, g in enumerate(u))
-            if best is not None and u_floor >= best_cut:
+            if u_floor >= bar_cut:
                 continue
             for v in itertools.product(*fs_for_g):
                 sets = u_sets | frozenset(ex[f][g] for g, f in enumerate(v))
                 pair_floor = max(u_floor, *(floor[f][g] for g, f in enumerate(v)))
-                if pair_floor >= floor_cut or best is not None and pair_floor >= best_cut:
+                if pair_floor >= bar_cut:
                     continue
                 cap, pi = self.joint_min_cap(sets)
-                if cap >= cutoff:
+                if cap >= bar:
                     continue
-                if best is None or cap < best[0]:
-                    best, best_cut = (cap, pi, u, v), scaled_ceil(cap, unit)
-                    if stop_at_first or cap <= level:
-                        return best
+                best, bar, bar_cut = (cap, pi, u, v), cap, scaled_ceil(cap, unit)
+                if stop_at_first or cap <= level:
+                    return best
         return best
 
 
@@ -288,7 +288,7 @@ def dconc_exact(
     # a full scan of the assignment pairs each, and so more LPs.
     ub = search.product_bound()
     tol = tolerance(mode)
-    hi = bisect_right(search.levels, ub + tol) - 1
+    hi = bisect_right(range(len(search.grid)), ub + tol, key=search.level) - 1
     lo = first_feasible(
         lambda i: search.scan_level(i, stop_at_first=True) is not None, hi
     )
@@ -296,7 +296,7 @@ def dconc_exact(
     if best is None:
         raise AssertionError("bisection landed on an infeasible level")
     cap, pi, u, v = best
-    level = search.levels[lo]
+    level = search.level(lo)
     value = cap if cap > level else level
     return DconcResult(value, pi, u, v)
 
@@ -329,8 +329,8 @@ def dconc_heuristic(
     def pair_value(u, v):
         """Exact optimum over couplings for one fixed assignment pair."""
         return crossing(
-            len(search.levels),
-            search.levels.__getitem__,
+            len(search.grid),
+            search.level,
             lambda i: search.joint_min_cap(search.pair_sets(u, v, i)),
         )
 
@@ -387,7 +387,7 @@ def dconc_lower_witness(
     s, d = S or 1, D or 1
     best = None
     for g in range(Y.k):
-        grid, _ = _unit_levels(table.diff[0][g], mode, S)
+        grid = _unit_levels(table.diff[0][g], mode, S)
         flow = lambda i: transport.scaled_value(table.allowed(0, g, grid[i]))
         val, _ = crossing(
             len(grid), lambda i: grid[i] * d, lambda i: ((d - flow(i)) * s, None)

@@ -142,6 +142,17 @@ class TestBruteForceAgreement:
             MY = gds_to_mm(random_gds(2 + (seed // 2) % 2, 2, seed=700 + seed))
             assert box_mm_brute(MX, MY) == box_mm_exact(MX, MY), f"seed {seed}"
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_box_mm_reads_a_data_set_as_its_mm_space(self, mode):
+        # box_mm_exact reads only the metric and the measure, so a data set
+        # gives the value, of the same type, that its gds_to_mm space gives.
+        for seed in range(12):
+            X = random_gds(2 + seed % 3, 1 + seed % 3, seed=seed, mode=mode)
+            Y = random_gds(2 + seed // 6, 2, seed=900 + seed, mode=mode)
+            got = box_mm_exact(X, Y)
+            want = box_mm_exact(gds_to_mm(X), gds_to_mm(Y))
+            assert repr(got) == repr(want) and type(got) is type(want)
+
     def test_dis_coupling_matches_enumeration(self):
         for seed in range(8):
             X = random_gds(2 + seed % 2, 2, seed=seed)

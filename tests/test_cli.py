@@ -140,18 +140,25 @@ class TestBox:
 
 
     def test_mm_declines_before_converting(self, capsys, tmp_path, monkeypatch):
-        # gds_to_mm re-checks each metric in O(n**3): two 80-point inputs
-        # spent seconds there before the cell budget declined them.
+        # An MmSpace re-checks its metric in O(n**3): two 80-point inputs
+        # once spent seconds there before the cell budget declined them.
+        # box --mm hands the data sets to box_mm_exact as they are, so no
+        # MmSpace is built, over the budget or within it.
+        def refuse(self):
+            raise AssertionError("box --mm built an MmSpace")
+
+        monkeypatch.setattr(gds.core.MmSpace, "__post_init__", refuse)
         a = write_dataset(tmp_path, "a.json", random_gds(40, 2, seed=13))
         b = write_dataset(tmp_path, "b.json", random_gds(40, 2, seed=14))
-
-        def refuse(X):
-            raise AssertionError("gds_to_mm ran ahead of the cell budget")
-
-        monkeypatch.setattr(gds.cli, "gds_to_mm", refuse)
         assert main(["box", "--mm", a, b]) == 3
         err = capsys.readouterr().err
         assert err == "gds: budget: 1600 cells exceed the exact budget 16\n"
+        a = write_dataset(tmp_path, "a.json", random_gds(4, 2, seed=41))
+        b = write_dataset(tmp_path, "b.json", random_gds(4, 2, seed=42))
+        payload = run_json(capsys, ["box", "--mm", a, b])
+        assert payload == {
+            "command": "box", "method": "mm-exact", "value": 0.25, "exact": "1/4"
+        }
 
 
 class TestDiameters:

@@ -19,7 +19,7 @@ from gds import (
 )
 from gds.metrics import GapTable, crossing, first_feasible, prohorov_weights
 from gds.coupling import product_coupling
-from gds.errors import GdsError, SupportError
+from gds.errors import GdsError, ModeMismatch, SupportError
 from gds.numerics import EXACT, FLOAT_TOL, Q, to_scalar, unscaled
 from gds.spaces import n_point_discrete, random_gds
 
@@ -213,6 +213,17 @@ class TestProhorov:
         nu = DiscreteMeasure.from_weights([Q(1, 4), Q(3, 4)])
         d = [[0, Q(1, 2)], [Q(1, 2), 0]]
         assert prohorov(mu, nu, d) == prohorov_weights(mu.weights, nu.weights, d)
+
+    @pytest.mark.parametrize("weights_mode", ["exact", "float"])
+    def test_flow_refuses_mixed_modes(self, weights_mode):
+        # Exact weights on float distances once returned 5 where the value
+        # is 1/26; float weights on exact distances raised TypeError.
+        dist_mode = "float" if weights_mode == "exact" else "exact"
+        X, Z = (random_gds(3, 2, seed=s, mode=weights_mode) for s in (1, 3))
+        dist = random_gds(3, 2, seed=1, mode=dist_mode).dist
+        with pytest.raises(ModeMismatch):
+            prohorov(X.measure, Z.measure, dist, "flow")
+        assert prohorov(X.measure, Z.measure, X.dist, "flow") == pytest.approx(1 / 26)
 
 
 class TestDiameters:

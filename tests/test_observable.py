@@ -272,7 +272,7 @@ class TestSingleSetCap:
             Y = random_gds(rng.randint(2, 4), rng.randint(1, 2), seed=70 + trial, mode=mode)
             search = _DconcSearch(X, Y)
             full = search.table.full
-            for idx in range(len(search.levels)):
+            for idx in range(len(search.grid)):
                 for row in search.exceed(idx):
                     for cells in row:
                         if not cells:
