@@ -10,8 +10,9 @@ The solvers below never enumerate all 2^(n*m) cell sets.  Both objective
 terms are monotone along the threshold grid of the instance (the first
 increases, the second decreases), so the minimum sits where they cross,
 and each threshold level needs only the best mass among the cell sets
-that the level permits.  metrics.crossing bisects for that crossing
-and solves each level it probes once; two sweeps feed it:
+that the level permits.  metrics.crossing searches for that crossing,
+bracketing it by the best masses it reads, and solves each level it
+probes once; two sweeps feed it:
 
   * _feature_sweep (box_exact, box_fixed_coupling): a set has Hausdorff
     radius <= h exactly when it fits inside a rectangle-intersection
@@ -21,8 +22,9 @@ and solves each level it probes once; two sweeps feed it:
   * _distortion_sweep (box_mm_exact, dis_coupling): a set has distortion
     <= t exactly when it is a clique in the compatibility graph at t, and
     the kept mass only grows with the set, so the best mass at level t is
-    that of a heaviest maximal clique; one Bron-Kerbosch scan of the
-    maximal cliques serves both callers.
+    that of a heaviest maximal clique; one Bron-Kerbosch search, which
+    cuts every branch the kept mass of its candidate set shows cannot win,
+    serves both callers.
 
 Exact mode runs both sweeps on ints.  The levels are scaled by S (the
 gaps' or the metrics' common denominator) and the kept masses by D (the
@@ -150,13 +152,31 @@ def _mask_sum(values, mask):
     return total
 
 
-def _maximal_cliques(count, adj):
-    """All maximal cliques as bitmasks (pivoting Bron-Kerbosch)."""
-    out = []
+def _heaviest_clique(count, adj, kept):
+    """The maximal clique (a bitmask) of most kept mass, ties to the least.
+
+    A pivoting Bron-Kerbosch search, bounded.  A clique is ranked by the
+    key (kept mass, -mask), so the best is the first heaviest of all
+    maximal cliques in ascending mask order.  Every clique C that a node
+    (r, p, x) can still reach holds r and lies in r | p; kept is monotone
+    under inclusion, so kept(C) <= kept(r | p) and C >= r as ints, and
+    the node's key (kept(r | p), -r) bounds the keys of all of them.  A
+    node whose key does not exceed the best found so far is cut.  Float
+    flows are monotone only up to rounding, so where two cliques keep
+    the same mass but their float flows differ in the last bit, the
+    search may keep the one a full scan ranks an ulp lower.
+    """
+    best = (-1, 0)  # the key of the best maximal clique so far
 
     def bk(r, p, x):
-        if not p and not x:
-            out.append(r)
+        nonlocal best
+        if not p and x:
+            return
+        key = (kept(r | p), -r)
+        if key <= best:
+            return
+        if not p:
+            best = key
             return
         px = p | x
         pivot, fan = -1, -1
@@ -176,7 +196,7 @@ def _maximal_cliques(count, adj):
             x |= 1 << v
 
     bk(0, (1 << count) - 1, 0)
-    return out
+    return -best[1]
 
 
 def _distortion_sweep(cells, dX, dY, kept, D, mode) -> tuple:
@@ -186,8 +206,8 @@ def _distortion_sweep(cells, dX, dY, kept, D, mode) -> tuple:
     at t, whose edges join two cells that the metrics dX and dY disagree
     on by at most t.  kept(mask) is the mass kept on a set of positions in
     cells, an int over D, monotone under inclusion, so every clique lies
-    in a maximal one that keeps at least as much: each level scans the
-    maximal cliques once and keeps the first heaviest in sorted order.
+    in a maximal one that keeps at least as much: each level runs one
+    bounded search for the first heaviest maximal clique in mask order.
     The two metrics are scaled to ints jointly, by S, so a level t * D and
     a discarded mass (D - kept) * S are ints over S * D, and the crossing
     search's minimum is unscaled once.  Float mode (D and S None) keeps
@@ -208,10 +228,10 @@ def _distortion_sweep(cells, dX, dY, kept, D, mode) -> tuple:
             for b in range(count):
                 if a != b and gaps[a][b] <= levels[i]:
                     adj[a] |= 1 << b
-        mask = max(sorted(_maximal_cliques(count, adj)), key=kept)
+        mask = _heaviest_clique(count, adj, kept)
         return (d - kept(mask)) * s, mask
 
-    value, mask = crossing(len(levels), lambda i: levels[i] * d, best_at)
+    value, mask = crossing(len(levels), lambda i: levels[i] * d, best_at, d * s)
     witness = [cell for p, cell in enumerate(cells) if mask >> p & 1]
     a, b = (d - kept(mask)) * s, distortion(witness, sx, sy) * d
     if not close(a if a > b else b, value, mode):
@@ -224,7 +244,7 @@ def dis_coupling(pi: Coupling, dX, dY) -> tuple:
 
     Minimises max(1 - pi(S), distortion(S)) over cell sets.  Cells outside
     the support can be dropped from S without raising either term, so the
-    clique scan runs on the support only; its size is capped because the
+    clique search runs on the support only; its size is capped because the
     number of maximal cliques grows exponentially with it.  A coupling
     with no positive entry leaves the empty set only, which scores the
     mode's 1.
@@ -355,7 +375,9 @@ def _feature_sweep(
         most, mask = _best_pair_mass(table, levels[i], kept)
         return (d - most) * s, mask
 
-    value, mask = crossing(len(levels), lambda i: 2 * levels[i] * d, best_at)
+    value, mask = crossing(
+        len(levels), lambda i: 2 * levels[i] * d, best_at, d * s
+    )
     return table, value, mask
 
 
@@ -423,7 +445,8 @@ def box_mm_exact(
 
     Minimises max(1 - best coupling mass on S, distortion(S)).  Cell sets
     of distortion <= t are the cliques of the compatibility graph at t and
-    the mass term is monotone, so only maximal cliques need a flow solve.
+    the mass term is monotone, so a flow solve is needed only for the
+    candidate set of each node of the bounded clique search.
     The sweep compares the Transport's int flows and the scaled metrics'
     int gaps, and certifies its witness on them: 1 - flow and the
     distortion, re-read from the scaled metrics, attain the int value,

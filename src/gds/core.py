@@ -159,9 +159,18 @@ class FeatureFamily:
 
 def close_pairs(rows: Sequence[Sequence], tol) -> list:
     """Sorted pairs x < y on which every row agrees within tol, found without
-    the metric: the points are sorted on the row with the most distinct
-    values, and each is compared with those that follow it within tol there.
+    the metric.  With tol 0 (exact mode) they are the pairs of points with
+    equal columns, grouped by one dict of the column tuples.  Otherwise the
+    points are sorted on the row with the most distinct values, and each is
+    compared with those that follow it within tol there.
     """
+    if not tol:
+        groups: dict = {}
+        for x, column in enumerate(zip(*rows)):
+            groups.setdefault(column, []).append(x)
+        return sorted(
+            (x, y) for g in groups.values() for i, x in enumerate(g) for y in g[i + 1 :]
+        )
     key = max(rows, key=lambda r: len(set(r)))
     order = sorted(range(len(key)), key=key.__getitem__)
     pairs = []

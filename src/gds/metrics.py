@@ -5,8 +5,9 @@ the Prohorov metric compares two measures on a shared finite metric space.
 Both are computed exactly on the finite grid of thresholds where their
 defining step functions can change: the value is the minimum over
 thresholds t of max(t, the mass still required at t), for Prohorov
-possibly an unattained infimum.  crossing finds such a minimum by
-bisection, here and in the box and dconc sweeps.  Partial and observable
+possibly an unattained infimum.  crossing finds such a minimum by a
+bisection that brackets the crossing with the falling values it reads,
+here and in the box and dconc sweeps.  Partial and observable
 diameter sit on top of the same machinery.
 """
 
@@ -43,25 +44,42 @@ def first_feasible(pred: Callable[[int], bool], hi: int, lo: int = 0) -> int:
     return lo
 
 
-def crossing(count: int, rise: Callable, fall: Callable) -> tuple:
+def crossing(count: int, rise: Callable, fall: Callable, top) -> tuple:
     """Minimise max(rise(i), fall(i)) over the indices of a level grid.
 
     rise(i) grows with i and the value of fall(i) -> (value, witness)
-    never does, so the minimum is attained at the first index where rise
-    reaches fall or at its predecessor; an earlier index can only tie the
-    predecessor's fall.  A bisection finds that index with about
-    log2(count) calls of fall, none at one index twice; rise is taken to
-    reach fall at the last index.  Returns the minimum and the witness of
-    the first of the two indices to attain it.
+    never does, so the minimum is attained at the first index c where
+    rise reaches fall or at its predecessor; an earlier index can only
+    tie the predecessor's fall.  rise is cheap and fall costly, so the
+    search for c brackets it by the values it reads: top bounds every
+    fall value, so c is at or before the first index whose rise reaches
+    top; and a probe at mid with fall value F places c at or before the
+    first index past mid whose rise reaches F (fall is at most F there),
+    and, when c is at or before mid, at or after the first index whose
+    rise reaches F (fall is at least F before mid).  Each probe halves
+    the bracket at least, so fall is called about log2(count) times,
+    none at one index twice, and never past the first rise reaching top;
+    rise is taken to reach fall at the last index.  Returns the minimum
+    and the witness of the first of c - 1 and c to attain it.
     """
     at = functools.cache(fall)
+
+    def reaches(value):
+        return lambda i: rise(i) >= value
 
     def candidate(i: int) -> tuple:
         a, (b, witness) = rise(i), at(i)
         return (a if a > b else b), witness
 
-    c = first_feasible(lambda i: rise(i) >= at(i)[0], count - 1)
-    return min(map(candidate, range(max(c - 1, 0), c + 1)), key=itemgetter(0))
+    lo, hi = 0, first_feasible(reaches(top), count - 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        F = at(mid)[0]
+        if rise(mid) >= F:
+            lo, hi = first_feasible(reaches(F), mid, lo), mid
+        else:
+            lo, hi = mid + 1, first_feasible(reaches(F), hi, mid + 1)
+    return min(map(candidate, range(max(lo - 1, 0), lo + 1)), key=itemgetter(0))
 
 
 @dataclass(frozen=True)
@@ -291,12 +309,13 @@ def prohorov_weights(
 
     # By transportation duality the requirement at thresholds[i] is the
     # mass no coupling can keep on within[i], the cells with d(x, y) at
-    # most that threshold.  It falls as the threshold rises, so the
-    # crossing search reads it at about log2 of the thresholds.  The
-    # distances are scaled to ints once, by S, and the weights by the
-    # Transport's D, so a threshold t * D and a requirement
-    # (total - flow) * S are ints over S * D (floats in float mode), and
-    # the search's minimum is unscaled once.
+    # most that threshold.  It falls as the threshold rises, from at most
+    # the total mass, so the crossing search reads it at about log2 of
+    # the thresholds up to the total, or fewer where the requirements it
+    # reads bracket the crossing.  The distances are scaled to ints
+    # once, by S, and the weights by the Transport's D, so a threshold
+    # t * D and a requirement (total - flow) * S are ints over S * D
+    # (floats in float mode), and the search's minimum is unscaled once.
     rows, S = scaled_ints(*dist)
     cells_at = _cells_at(rows)
     thresholds = sorted(cells_at)
@@ -310,6 +329,7 @@ def prohorov_weights(
         len(thresholds),
         lambda i: thresholds[i] * d,
         lambda i: ((total - transport.scaled_value(within[i])) * s, None),
+        total * s,
     )
     return unscaled(value, None if S is None else S * d)
 

@@ -332,6 +332,7 @@ def dconc_heuristic(
             len(search.grid),
             search.level,
             lambda i: search.joint_min_cap(search.pair_sets(u, v, i)),
+            1,
         )
 
     best_val, best_pi = None, None
@@ -390,7 +391,10 @@ def dconc_lower_witness(
         grid = _unit_levels(table.diff[0][g], mode, S)
         flow = lambda i: transport.scaled_value(table.allowed(0, g, grid[i]))
         val, _ = crossing(
-            len(grid), lambda i: grid[i] * d, lambda i: ((d - flow(i)) * s, None)
+            len(grid),
+            lambda i: grid[i] * d,
+            lambda i: ((d - flow(i)) * s, None),
+            d * s,
         )
         if best is None or val < best:
             best = val

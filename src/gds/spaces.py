@@ -6,10 +6,18 @@ import random
 import warnings
 from typing import Iterable, Optional, Sequence
 
-from .core import GeometricDataSet, close_pairs, lip_violation
+from .core import GeometricDataSet, close_pairs
 from .errors import GdsError, NotLipschitzFamily
 from .metrics import observable_diameter
-from .numerics import EXACT, Q, same_mode, scalar_list, to_scalar, tolerance
+from .numerics import (
+    EXACT,
+    Q,
+    same_mode,
+    scalar_list,
+    scaled_ints,
+    to_scalar,
+    tolerance,
+)
 
 
 def singleton_gds(values: Iterable, mode: str = EXACT) -> GeometricDataSet:
@@ -89,6 +97,21 @@ def _resolve_rows(X: GeometricDataSet, G) -> tuple:
     return tuple(rows), tuple(labels), explicit
 
 
+def _sup_lip_violation(row: Sequence, rows: Sequence[Sequence], tol):
+    """First pair x < y, in lexicographic order, with |row[x] - row[y]|
+    above tol plus the sup over rows of |r[x] - r[y]|; else None.
+
+    The same pair as core.lip_violation over the sup-metric of rows, read
+    one point's pairs at a time from the rows themselves.
+    """
+    for x, a in enumerate(row):
+        tails = [[abs(r[x] - v) for v in r[x + 1 :]] for r in rows]
+        for y, b, *gaps in zip(range(x + 1, len(row)), row[x + 1 :], *tails):
+            if abs(a - b) > max(gaps) + tol:
+                return x, y
+    return None
+
+
 def quotient_gds(X: GeometricDataSet, G) -> tuple:
     """Collapse the pseudometric of a 1-Lipschitz subfamily.
 
@@ -110,11 +133,13 @@ def quotient_gds(X: GeometricDataSet, G) -> tuple:
     n = X.n
     tol = tolerance(X.mode)
     # A feature row of X is 1-Lipschitz for X's sup-metric by definition,
-    # so only explicit rows are checked, and only they build X.dist.
-    for r in explicit:
+    # so only explicit rows are checked, on X's columns scaled to ints
+    # jointly with them; X.dist is never built.
+    scaled, _ = scaled_ints(*X.features.rows, *explicit)
+    for r in scaled[X.k :]:
         if len(r) != n:
             raise NotLipschitzFamily("row length disagrees with the point count")
-        bad = lip_violation(r, X.dist, tol, ordered=False)
+        bad = _sup_lip_violation(r, scaled[: X.k], tol)
         if bad:
             raise NotLipschitzFamily(
                 f"row is not 1-Lipschitz between points {bad[0]} and {bad[1]}"

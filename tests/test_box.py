@@ -31,9 +31,10 @@ from gds import (
     prohorov,
     singleton_gds,
 )
-from gds.box import _side_masks, _table
+from gds.box import _heaviest_clique, _side_masks, _table
 from gds.coupling import Coupling, enumerate_couplings, max_mass_on_set
 from gds.errors import EmptyCellSet, SizeLimit, WitnessNotLipschitz
+from gds.flows import Transport
 from gds.numerics import FLOAT_TOL, Q
 from gds.spaces import random_gds
 
@@ -349,6 +350,65 @@ class TestEmptySupport:
         value, cells = dis_coupling(pi, dX, dY)
         assert type(value) is scalar and value == 1
         assert cells == CellSet.empty(2, 2)
+
+
+def maximal_cliques_brute(count, adj):
+    """Every maximal clique of the graph as a bitmask, by scanning subsets."""
+    def joins_all(v, mask):
+        return adj[v] & mask == mask & ~(1 << v)
+
+    cliques = [
+        mask
+        for mask in range(1 << count)
+        if all(joins_all(v, mask) for v in range(count) if mask >> v & 1)
+    ]
+    return [
+        mask
+        for mask in cliques
+        if not any(joins_all(v, mask) for v in range(count) if not mask >> v & 1)
+    ]
+
+
+def random_graph(rng, count):
+    adj = [0] * count
+    density = rng.random()
+    for a in range(count):
+        for b in range(a + 1, count):
+            if rng.random() < density:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return adj
+
+
+class TestHeaviestClique:
+    """The bounded search against the rule it replaces: list every maximal
+    clique, sort the masks, and keep the first of most kept mass."""
+
+    def test_matches_the_sorted_maximum_over_maximal_cliques(self):
+        # Weights from a few small ints, zeros among them, tie often.
+        rng = random.Random(7)
+        for _ in range(300):
+            count = rng.randint(1, 9)
+            adj = random_graph(rng, count)
+            weights = [rng.choice([0, 1, 1, 2, 3]) for _ in range(count)]
+
+            def kept(mask):
+                return sum(w for c, w in enumerate(weights) if mask >> c & 1)
+
+            want = max(sorted(maximal_cliques_brute(count, adj)), key=kept)
+            assert _heaviest_clique(count, adj, kept) == want, (adj, weights)
+
+    def test_matches_it_under_a_flow(self):
+        # kept is a Transport's max-flow on a 3x3 grid, monotone but not
+        # additive; coarse weights make many cell sets carry equal flow.
+        rng = random.Random(8)
+        for _ in range(60):
+            mu = [Q(rng.randint(1, 2)) for _ in range(3)]
+            nu = [Q(rng.randint(1, 2)) for _ in range(3)]
+            kept = Transport([w / sum(mu) for w in mu], [w / sum(nu) for w in nu]).scaled_value
+            adj = random_graph(rng, 9)
+            want = max(sorted(maximal_cliques_brute(9, adj)), key=kept)
+            assert _heaviest_clique(9, adj, kept) == want, adj
 
 
 class TestSideMasks:

@@ -21,7 +21,9 @@ change in the plan the kernel finds would change the matrix below.  The
 threshold sweeps of `dis_coupling`, `box_fixed_coupling` and
 `box_heuristic` are frozen the same way, in both modes, cells included:
 on ties the sweep keeps the first best set it meets, so a reordered
-sweep would show there.
+sweep would show there.  The number of kernel calls that four seeded
+sweeps make is pinned as well, so a search that solves more levels or
+more clique candidates than it needs fails here.
 """
 
 import random
@@ -617,3 +619,50 @@ class TestFrozenSweeps:
         got = max(1 - pi.mass(S), distortion(S, X.dist, Y.dist))
         frozen = FROZEN_SWEEPS[mode][index][position][0]
         assert close(got, frozen, mode) and close(value, frozen, mode)
+
+
+# Kernel calls of one solve per (name, mode), on seeds 73 and 74: the
+# counts that the value-bracketed crossing search and the clique search
+# cut by the kept mass reach.  Plain bisection with a full scan of the
+# maximal cliques made 31, 197, 9084 and 5 calls in both modes.
+KERNEL_CALLS = {
+    ("box_exact 16x16 k=2", "exact"): 19,
+    ("box_exact 16x16 k=2", "float"): 19,
+    ("box_exact 10x10 k=3", "exact"): 135,
+    ("box_exact 10x10 k=3", "float"): 135,
+    ("box_mm_exact 8x8", "exact"): 2357,
+    ("box_mm_exact 8x8", "float"): 2254,
+    ("prohorov 40 points", "exact"): 4,
+    ("prohorov 40 points", "float"): 4,
+}
+
+
+def kernel_call_run(name, mode):
+    if name == "box_exact 16x16 k=2":
+        X = random_gds(16, 2, seed=73, scale=32, mode=mode)
+        Y = random_gds(16, 2, seed=74, scale=32, mode=mode)
+        return lambda: box_exact(X, Y, cell_budget=256)
+    if name == "box_exact 10x10 k=3":
+        X, Y = random_gds(10, 3, seed=73, mode=mode), random_gds(10, 3, seed=74, mode=mode)
+        return lambda: box_exact(X, Y, cell_budget=100)
+    if name == "box_mm_exact 8x8":
+        X, Y = random_gds(8, 2, seed=73, mode=mode), random_gds(8, 2, seed=74, mode=mode)
+        return lambda: box_mm_exact(X, Y, cell_budget=64)
+    X = random_gds(40, 2, seed=73, scale=32, mode=mode)
+    nu = random_gds(40, 2, seed=74, scale=64, mode=mode).measure
+    return lambda: prohorov(X.measure, nu, X.dist, "flow")
+
+
+class TestKernelCalls:
+    @pytest.mark.parametrize("name, mode", sorted(KERNEL_CALLS))
+    def test_sweeps_make_the_pinned_number_of_flow_solves(self, name, mode, monkeypatch):
+        run = kernel_call_run(name, mode)
+        calls = []
+
+        def counted(mu, nu, allowed):
+            calls.append(allowed)
+            return max_flow_on_cells(mu, nu, allowed)
+
+        monkeypatch.setattr(flows, "max_flow_on_cells", counted)
+        run()
+        assert len(calls) == KERNEL_CALLS[name, mode]

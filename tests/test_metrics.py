@@ -1,8 +1,9 @@
+import functools
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gds import (
     CellSet,
@@ -320,6 +321,16 @@ class TestFirstFeasible:
         assert first_feasible(lambda i: i >= 6, 9, lo=3) == 6
 
 
+def plain_crossing(count, rise, fall):
+    """crossing by plain bisection on whether rise reaches fall: the
+    oracle for the bracketing search, which must land on the same index
+    and return the same value and witness."""
+    at = functools.cache(fall)
+    c = first_feasible(lambda i: rise(i) >= at(i)[0], count - 1)
+    candidates = [(max(rise(i), at(i)[0]), at(i)[1]) for i in range(max(c - 1, 0), c + 1)]
+    return min(candidates, key=lambda vw: vw[0])
+
+
 class TestCrossing:
     @given(
         st.integers(1, 12).flatmap(
@@ -345,7 +356,7 @@ class TestCrossing:
             calls.append(i)
             return fall[i], ("witness", i)
 
-        value, witness = crossing(count, rise.__getitem__, fall_at)
+        value, witness = crossing(count, rise.__getitem__, fall_at, fall[0])
         values = [max(r, f) for r, f in zip(rise, fall)]
         # Only the crossing and its predecessor are read; an earlier index
         # can tie the minimum only through a fall equal to the predecessor's.
@@ -361,8 +372,64 @@ class TestCrossing:
     def test_predecessor_wins_a_tie(self):
         # rise 1, 3 against fall 3, 1: both indices attain 3.
         rise, fall = [1, 3], [3, 1]
-        got = crossing(2, rise.__getitem__, lambda i: (fall[i], i))
+        got = crossing(2, rise.__getitem__, lambda i: (fall[i], i), 3)
         assert got == (3, 0)
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda count: st.tuples(
+                st.integers(-3, 3),
+                st.lists(st.integers(0, 2), min_size=count, max_size=count),
+                st.integers(-3, 30),
+                st.lists(st.integers(0, 2), min_size=count, max_size=count),
+                st.integers(0, 4),
+            )
+        )
+    )
+    # rise is the index and fall 4, 3, 2, 1, 0, 0, ...: with top 4 no
+    # index past 4 may be read, though the grid runs to 39.
+    @example((0, [1] * 40, 4, [1] * 4 + [0] * 36, 0))
+    def test_matches_plain_bisection(self, drawn):
+        # Steps of 0 make flat runs of rise and of fall, so a probe's fall
+        # value often ties rises on both sides of it.
+        rise_start, rise_steps, fall_start, fall_steps, slack = drawn
+        rise = [rise_start + sum(rise_steps[:i]) for i in range(len(rise_steps))]
+        fall = [fall_start - sum(fall_steps[:i]) for i in range(len(fall_steps))]
+        fall[-1] = min(fall[-1], rise[-1])
+        count, top = len(rise), fall[0] + slack
+        calls = []
+
+        def fall_at(i):
+            calls.append(i)
+            return fall[i], ("witness", i)
+
+        got = crossing(count, rise.__getitem__, fall_at, top)
+        assert got == plain_crossing(
+            count, rise.__getitem__, lambda i: (fall[i], ("witness", i))
+        )
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= (count - 1).bit_length() + 2
+        # fall is at most top, so no index past the first rise reaching
+        # top can be the crossing or its predecessor.
+        first_top = next((i for i in range(count) if rise[i] >= top), count - 1)
+        assert max(calls) <= first_top
+
+    def test_read_values_bracket_the_crossing(self):
+        # rise is the index; fall is 7 up to index 9 and 0 from 10, so
+        # rise first reaches fall at 7.  The probe at 15 reads 0, which
+        # every rise reaches; the probe at 7 reads 7, which rise first
+        # reaches at 7, so the bracket closes there; its predecessor 6
+        # ties at 7 and wins.  Plain bisection reads 15, 7, 3, 5 and 6.
+        rise = list(range(32))
+        fall = [7] * 10 + [0] * 22
+        calls = []
+
+        def fall_at(i):
+            calls.append(i)
+            return fall[i], i
+
+        assert crossing(32, rise.__getitem__, fall_at, 31) == (7, 6)
+        assert calls == [15, 7, 6]
 
 
 class TestGapTable:

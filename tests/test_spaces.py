@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,8 +14,9 @@ from gds import (
     random_gds,
     singleton_gds,
 )
+from gds.core import lip_violation
 from gds.errors import GdsError, NotLipschitzFamily, SeparationFailure
-from gds.numerics import EXACT, FLOAT, Q, to_scalar
+from gds.numerics import EXACT, FLOAT, Q, to_scalar, tolerance
 
 
 class TestSingleton:
@@ -133,6 +136,26 @@ class TestQuotient:
             quotient_gds(X, ["d1", (0, 1, 2)])
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_explicit_rows_name_the_first_pair_on_the_metric(self, mode, seed):
+        # A row of X passes as it is; raised at one point it breaks the
+        # Lipschitz bound somewhere.  The check on the feature columns
+        # must name the first pair that the sup-metric X.dist shows, and
+        # build no X.dist itself.
+        X = random_gds(30, 2, seed=seed, mode=mode)
+        row = list(random_gds(30, 2, seed=seed).features.rows[0])
+        assert quotient_gds(X, [row])[1] == quotient_gds(X, ["f0"])[1]
+        rng = random.Random(seed)
+        row[rng.randrange(30)] += Q(rng.choice([1, 4, 16]), 64)
+        row = [to_scalar(v, mode) for v in row]
+        dist = random_gds(30, 2, seed=seed, mode=mode).dist
+        x, y = lip_violation(row, dist, tolerance(mode), ordered=False)
+        message = f"row is not 1-Lipschitz between points {x} and {y}"
+        with pytest.raises(NotLipschitzFamily, match=f"^{message}$"):
+            quotient_gds(X, ["f1", row])
+        assert "dist" not in vars(X)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_labels_alone_build_no_metric(self, mode):
         # A feature row is 1-Lipschitz for the sup-metric by definition.
         X = random_gds(40, 2, seed=5, mode=mode)
@@ -153,7 +176,7 @@ class TestQuotient:
         assert Y.features.labels == ("g0", "d4")
         assert Y.point_labels == ("p0+p1", "p2+p3", "p4")
         assert Y.measure.weights == tuple(to_scalar(w, mode) for w in ("2/5", "2/5", "1/5"))
-        assert "dist" in vars(X)  # an explicit row is checked on the metric
+        assert "dist" not in vars(X)  # explicit rows are checked on the columns
 
     def test_empty_family_rejected(self):
         with pytest.raises(GdsError):
