@@ -334,8 +334,14 @@ class MmSpace:
 
 
 def gds_to_mm(X: GeometricDataSet) -> MmSpace:
-    """Forget the features, keep the induced metric and the measure."""
-    return MmSpace(X.dist, X.measure, X.point_labels)
+    """Forget the features, keep the induced metric and the measure.
+
+    The induced sup-metric is a metric by construction, separation being
+    checked where X is built, so MmSpace's O(n^3) metric check is skipped.
+    """
+    M = object.__new__(MmSpace)
+    vars(M).update(dist=X.dist, measure=X.measure, point_labels=X.point_labels)
+    return M
 
 
 def mm_lip1_generators(M: MmSpace) -> FeatureFamily:

@@ -18,10 +18,11 @@ for one, compares a level over S with a flow over D as ints over S * D.
 A rational bound meets a scaled int through scaled_ceil.  Witnesses
 are certified on the same ints before they are unscaled.  In
 float mode scaled_ints hands the floats back with no scale, each scale
-reads as 1, and the same code computes on floats.  The brute-force
-oracles and the public objectives (box_objective, distortion,
-check_marginals) read the unscaled inputs, so they check the scaled
-paths independently.
+reads as 1, and the same code computes on floats.  The public
+objectives (box_objective, distortion, check_marginals) read the
+unscaled inputs.  The brute-force oracles of the theorem suite share
+Transport's int flows, each unscaled once, but keep their gaps and
+objectives rational, so they check the scaled sweeps independently.
 """
 
 from __future__ import annotations

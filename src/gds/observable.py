@@ -40,7 +40,7 @@ from .metrics import (
     hausdorff,
     ky_fan_coupling,
 )
-from .numerics import Scalar, same_mode, scaled_ceil, to_scalar, tolerance, unscaled
+from .numerics import Scalar, same_mode, scaled_ceil, scaled_ints, to_scalar, tolerance, unscaled
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,11 @@ def feature_transfer(X: GeometricDataSet, Y: GeometricDataSet, pi) -> tuple:
     Every transferred pair satisfies ky_fan <= dconc_at_coupling(X, Y, pi),
     since the Hausdorff value dominates each row's best match.
     """
-    out = []
-    for f in X.features.rows:
-        best_j, best_v = 0, None
-        for j, g in enumerate(Y.features.rows):
-            v = ky_fan_coupling(pi, f, g)
-            if best_v is None or v < best_v:
-                best_j, best_v = j, v
-        out.append(best_j)
-    return tuple(out)
+    rows = Y.features.rows
+    return tuple(
+        min(range(Y.k), key=lambda j: ky_fan_coupling(pi, f, rows[j]))
+        for f in X.features.rows
+    )
 
 
 def _unit_levels(gaps, mode: str, scale) -> list:
@@ -109,8 +105,9 @@ class _DconcSearch:
     one Transport, `transport`: it memoises the flows behind the
     single-set floors and gives the single-set caps their witness
     couplings.  The LP caps of set families are memoised here.
-    product_bound, the search's upper bound, runs on the table's scaled
-    gaps and the Transport's scaled weights.
+    ky_fan_table evaluates a coupling on the table's scaled gaps, as ints
+    in exact mode; product_bound, the search's upper bound, is its value
+    at the Transport's scaled product coupling.
     """
 
     def __init__(self, X: GeometricDataSet, Y: GeometricDataSet):
@@ -132,33 +129,58 @@ class _DconcSearch:
             for f in range(self.kx)
         ]
 
-    def product_bound(self) -> Scalar:
-        """dconc_at_coupling at the product coupling, on the scaled ints.
+    def ky_fan_table(self, rows, unit) -> list:
+        """Ky Fan value of each feature pair under a coupling, on ints.
 
-        A gap is d over the table's scale S and a product cell weighs
-        a_i * b_j over D * D, with a, b and D the Transport's scaled
-        weights.  So the pairs (a_i * b_j * S, d * D * D) share the unit
-        1 / (S * D * D), which keeps every comparison of the Ky Fan scans
-        and of the Hausdorff max/min, and the result is unscaled once.
-        Float mode has no scale and pairs the very floats that
-        dconc_at_coupling does.
+        rows is the coupling's matrix as ints over unit, and a gap is d
+        over the table's scale S, so the pairs (w * S, d * unit) share
+        the unit 1 / (S * unit): table[f][g] is ky_fan_coupling of rows
+        f and g times S * unit, and every comparison of the scans and of
+        a Hausdorff max/min over the table is that of the rationals.
+        Float mode (unit None) pairs the floats as ky_fan_coupling does.
         """
-        table = self.table
-        (a, b), D = self.transport.weights, self.transport.scale
-        weights = [x * y for x in a for y in b]
-        gap_unit = scale = None
-        if D is not None:
-            gap_unit = D * D
-            scale = table.scale * gap_unit
-            weights = [w * table.scale for w in weights]
+        weights = [w for row in rows for w in row]
+        if unit is not None:
+            weights = [w * self.table.scale for w in weights]
 
-        def ky_fan(f, g):
-            gaps = table.diff[f][g]
-            if gap_unit is not None:
-                gaps = [d * gap_unit for d in gaps]
+        def ky_fan(gaps):
+            if unit is not None:
+                gaps = [d * unit for d in gaps]
             return _ky_fan_from_pairs(list(zip(weights, gaps)))
 
-        return unscaled(hausdorff(range(self.kx), range(self.ky), ky_fan), scale)
+        return [[ky_fan(gaps) for gaps in per_f] for per_f in self.table.diff]
+
+    def table_value(self, table: list, unit) -> Scalar:
+        """The Hausdorff value of a ky_fan_table, unscaled once."""
+        value = hausdorff(table, range(self.ky), lambda row, g: row[g])
+        return value if unit is None else unscaled(value, self.table.scale * unit)
+
+    def product_bound(self) -> Scalar:
+        """dconc_at_coupling at the product coupling: the Transport's
+        a_i * b_j over D * D, read by ky_fan_table."""
+        (a, b), D = self.transport.weights, self.transport.scale
+        unit = None if D is None else D * D
+        table = self.ky_fan_table([[x * y for y in b] for x in a], unit)
+        return self.table_value(table, unit)
+
+    def read(self, pi) -> tuple:
+        """dconc_at_coupling and feature_transfer both ways at pi.
+
+        Exact mode reads all three off one ky_fan_table: its Hausdorff
+        value, and each row's and each column's first minimum.  Float
+        Ky Fan sums depend on the pair order, so float mode keeps the
+        three calls.
+        """
+        X, Y = self.X, self.Y
+        if self.table.scale is None:
+            pi_t = Coupling(tuple(zip(*pi.matrix)), pi.mode)
+            u, v = feature_transfer(X, Y, pi), feature_transfer(Y, X, pi_t)
+            return dconc_at_coupling(X, Y, pi), u, v
+        rows, unit = scaled_ints(*pi.matrix)
+        table = self.ky_fan_table(rows, unit)
+        first_min = lambda values: values.index(min(values))
+        u, v = map(first_min, table), map(first_min, zip(*table))
+        return self.table_value(table, unit), tuple(u), tuple(v)
 
     def joint_min_cap(self, sets: frozenset) -> tuple:
         """min over couplings of max mass over several cell sets, via LP."""
@@ -248,9 +270,7 @@ class _DconcSearch:
 
 def _forced_coupling_result(X, Y) -> DconcResult:
     pi = product_coupling(X.measure, Y.measure)
-    value = dconc_at_coupling(X, Y, pi)
-    u = feature_transfer(X, Y, pi)
-    v = feature_transfer(Y, X, Coupling(tuple(zip(*pi.matrix)), pi.mode))
+    value, u, v = _DconcSearch(X, Y).read(pi)
     return DconcResult(value, pi, u, v)
 
 
@@ -313,7 +333,9 @@ def dconc_heuristic(
     current coupling, re-optimise the coupling for those assignments by the
     single-pair exact search, and repeat while the bound improves.  The
     reported value is dconc_at_coupling at the best coupling seen, so it is
-    monotone across iterations and never below the exact distance.
+    monotone across iterations and never below the exact distance.  Each
+    coupling's value and assignments come from _DconcSearch.read, off one
+    int Ky Fan table in exact mode.
     """
     same_mode(X.mode, Y.mode)
     if X.n == 1 or Y.n == 1:
@@ -340,13 +362,9 @@ def dconc_heuristic(
         current = pi
         seen = set()
         for _ in range(max(1, budget)):
-            val = dconc_at_coupling(X, Y, current)
+            val, u, v = search.read(current)
             if best_val is None or val < best_val:
                 best_val, best_pi = val, current
-            u = feature_transfer(X, Y, current)
-            v = feature_transfer(
-                Y, X, Coupling(tuple(zip(*current.matrix)), current.mode)
-            )
             if (u, v) in seen:
                 break
             seen.add((u, v))

@@ -144,12 +144,15 @@ def quotient_gds(X: GeometricDataSet, G) -> tuple:
             raise NotLipschitzFamily(
                 f"row is not 1-Lipschitz between points {bad[0]} and {bad[1]}"
             )
-    pairs = close_pairs(rows, tol)
+    # Points with equal columns start in one class, rooted at the first
+    # of them: in exact mode these are the classes.  Float mode merges
+    # the chains of pairs within tol on top.  Each root is its
+    # component's minimum, whatever the order of the pairs.
+    first: dict = {}
+    parent = [first.setdefault(column, x) for x, column in enumerate(zip(*rows))]
+    pairs = close_pairs(rows, tol) if tol else []
     if any(r[x] != r[y] for x, y in pairs for r in rows):
         warnings.warn("quotient merged points at small positive pseudodistance")
-
-    # Each root is its component's minimum, whatever the order of the pairs.
-    parent = list(range(n))
 
     def find(a: int) -> int:
         while parent[a] != a:

@@ -48,6 +48,7 @@ from .coupling import (
     transportation_vertices,
 )
 from .errors import GdsError
+from .flows import Transport
 from .metrics import (
     CellSet,
     hausdorff,
@@ -57,9 +58,8 @@ from .metrics import (
     od_breakpoints,
     partial_diameter,
     prohorov_weights,
-    sup_pseudometric,
 )
-from .numerics import Q
+from .numerics import Q, unscaled
 from .observable import (
     dconc_at_coupling,
     dconc_exact,
@@ -182,6 +182,38 @@ def _rand_coupling(rng, mu: DiscreteMeasure, nu: DiscreteMeasure):
 def _rand_cellset(rng, n: int, m: int) -> CellSet:
     cells = [(x, y) for x in range(n) for y in range(m)]
     return CellSet.from_pairs(n, m, rng.sample(cells, rng.randint(0, len(cells))))
+
+
+def _by_mask(count: int, step) -> list:
+    """A value for every subset of count cells, indexed by bitmask.
+
+    The empty set's is Q(0), and a set's is step(value of the set without
+    its lowest cell, that cell, the set without it): one step per mask.
+    """
+    out = [Q(0)]
+    for mask in range(1, 1 << count):
+        rest = mask & (mask - 1)
+        out.append(step(out[rest], (mask & -mask).bit_length() - 1, rest))
+    return out
+
+
+def _distortions(cells, dX, dY) -> list:
+    """distortion of every subset of cells, by mask, from one table of
+    the rational gaps |dX - dY| between two cells."""
+    gap = [[abs(dX[x][z] - dY[y][w]) for z, w in cells] for x, y in cells]
+    return _by_mask(
+        len(cells),
+        lambda d, low, rest: max([d] + [e for c, e in enumerate(gap[low]) if rest >> c & 1]),
+    )
+
+
+def _least_score(mu, nu, count: int, spread) -> Q:
+    """min over the masks of count cells of max(1 - the most mass a
+    coupling keeps on the mask, spread(mask)), the empty set scoring 1.
+    One Transport values every mask."""
+    transport = Transport(mu.weights, nu.weights)
+    kept = lambda mask: unscaled(transport.scaled_value(mask), transport.scale)
+    return min([Q(1)] + [max(1 - kept(mask), spread(mask)) for mask in range(1, 1 << count)])
 
 
 def _permuted(rng, X: GeometricDataSet):
@@ -602,14 +634,11 @@ def prop_dis_coupling_matches_mask_enumeration(rng, t):
         for y in range(Y.n)
         if pi.matrix[x][y] > 0
     ]
-    best = Q(1)  # the empty set always scores 1
-    for mask in range(1, 1 << len(support)):
-        S = [support[i] for i in range(len(support)) if mask >> i & 1]
-        kept = pi.mass(CellSet.from_pairs(X.n, Y.n, S))
-        cand = max(1 - kept, distortion(S, X.dist, Y.dist))
-        if cand < best:
-            best = cand
-    assert val == best
+    weights = [pi.matrix[x][y] for x, y in support]
+    kept = _by_mask(len(support), lambda k, low, rest: k + weights[low])
+    dis = _distortions(support, X.dist, Y.dist)
+    # the empty set always scores 1
+    assert val == min([Q(1)] + [max(1 - kept[mask], dis[mask]) for mask in range(1, len(dis))])
 
 
 @_prop
@@ -694,40 +723,23 @@ def prop_box_mm_two_point_value(rng, t):
 def prop_box_mm_matches_mask_enumeration(rng, t):
     MX = gds_to_mm(_space(rng, 3, 2))
     MY = gds_to_mm(_space(rng, 2, 2))
-    swept = box_mm_exact(MX, MY)
-    n, m = MX.n, MY.n
-    cells = [(x, y) for x in range(n) for y in range(m)]
-    best = Q(1)
-    for mask in range(1, 1 << (n * m)):
-        S = [cells[i] for i in range(n * m) if mask >> i & 1]
-        cap, _ = max_mass_on_set(
-            MX.measure, MY.measure, CellSet.from_pairs(n, m, S)
-        )
-        cand = max(1 - cap, distortion(S, MX.dist, MY.dist))
-        if cand < best:
-            best = cand
-    assert swept == best
+    cells = [(x, y) for x in range(MX.n) for y in range(MY.n)]
+    dis = _distortions(cells, MX.dist, MY.dist)
+    assert box_mm_exact(MX, MY) == _least_score(MX.measure, MY.measure, len(cells), dis.__getitem__)
 
 
 @_prop
 def prop_box_matches_mask_enumeration(rng, t):
     X = _space(rng, 3, 2)
     Y = _space(rng, 2, 2)
-    res = box_exact(X, Y)
-    n, m = X.n, Y.n
-    best = Q(1)
-    for mask in range(1, 1 << (n * m)):
-        S = CellSet.from_mask(n, m, mask)
-        cap, _ = max_mass_on_set(X.measure, Y.measure, S)
-        spread = hausdorff(
-            X.features.rows,
-            Y.features.rows,
-            lambda f, g: sup_pseudometric(f, g, S),
-        )
-        cand = max(1 - cap, 2 * spread)
-        if cand < best:
-            best = cand
-    assert res.value == best
+    # gaps[f][g][c]: |f(x) - g(y)| at cell c = x * m + y
+    gaps = [[[abs(a - b) for a in f for b in g] for g in Y.features.rows] for f in X.features.rows]
+
+    def spread(mask):  # twice the Hausdorff value of sup_pseudometric on mask
+        sup = lambda per_g, g: max(d for c, d in enumerate(per_g[g]) if mask >> c & 1)
+        return 2 * hausdorff(gaps, range(Y.k), sup)
+
+    assert box_exact(X, Y).value == _least_score(X.measure, Y.measure, X.n * Y.n, spread)
 
 
 # ---------------------------------------------------------------------------

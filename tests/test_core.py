@@ -115,6 +115,38 @@ class TestMmSpace:
                 [[0, 5, 1], [5, 0, 1], [1, 1, 0]], [Q(1, 3)] * 3
             )
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0, 1]], "distance matrix shape disagrees with measure"),
+            ([[1, 1], [1, 0]], "nonzero diagonal at point 0"),
+            ([[0, 1], [2, 0]], "asymmetry between 0 and 1"),
+            ([[0, 0], [0, 0]], "points 0 and 1 are at distance 0"),
+            ([[0, 5, 1], [5, 0, 1], [1, 1, 0]], "triangle inequality fails on (0,2,1)"),
+        ],
+    )
+    def test_build_keeps_the_full_check(self, matrix, message):
+        weights = [Q(1, max(2, len(matrix)))] * max(2, len(matrix))
+        with pytest.raises(MetricViolation) as info:
+            MmSpace.build(matrix, weights)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_gds_to_mm_equals_the_checked_space(self, mode, monkeypatch):
+        # The induced metric is a metric by construction: the checked
+        # MmSpace and gds_to_mm's are equal, and gds_to_mm runs no check.
+        spaces = [random_gds(n, k, seed=s, mode=mode) for n, k, s in [(1, 1, 1), (5, 2, 2), (9, 3, 3)]]
+        checked = [MmSpace(X.dist, X.measure, X.point_labels) for X in spaces]
+
+        def refuse(self):
+            raise AssertionError("metric check ran")
+
+        monkeypatch.setattr(MmSpace, "__post_init__", refuse)
+        for X, want in zip(spaces, checked):
+            M = gds_to_mm(X)
+            assert type(M) is MmSpace and M == want and repr(M) == repr(want)
+            assert M.mode == mode and M.n == X.n
+
     @given(spaces)
     def test_generators_recover_the_metric(self, X):
         M = gds_to_mm(X)

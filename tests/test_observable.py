@@ -23,8 +23,8 @@ from gds import (
 )
 from gds.coupling import Coupling, enumerate_couplings, max_mass_on_set
 from gds.errors import BudgetExceeded, ModeMismatch, WitnessNotLipschitz
-from gds.metrics import CellSet
-from gds.numerics import Q
+from gds.metrics import CellSet, crossing, ky_fan_coupling
+from gds.numerics import Q, scaled_ints, unscaled
 from gds.observable import _DconcSearch
 from gds.spaces import random_gds
 
@@ -261,6 +261,82 @@ class TestProductBound:
             assert type(got) is scalar and got == want == 0
 
 
+class TestKyFanTable:
+    """The search's Ky Fan evaluator against ky_fan_coupling on the
+    coupling's own entries (rationals in exact mode)."""
+
+    @staticmethod
+    def couplings(X, Y):
+        """The lattice couplings and flow witnesses, many with zero entries."""
+        pis = list(enumerate_couplings(X.measure, Y.measure, 2))
+        full = (1 << X.n * Y.n) - 1
+        for mask in (1, 5 & full, full - 1):
+            keep = CellSet.from_mask(X.n, Y.n, mask)
+            pis.append(max_mass_on_set(X.measure, Y.measure, keep)[1])
+        return pis
+
+    @pytest.mark.parametrize("mode, scalar", MODES)
+    def test_entries_equal_ky_fan_coupling(self, mode, scalar):
+        rng = random.Random(41)
+        zeros = 0
+        for trial in range(40):
+            n, m = rng.randint(2, 4), rng.randint(1, 4)
+            kx, ky = rng.randint(1, 3), rng.randint(1, 3)
+            X = random_gds(n, kx, seed=3 * trial, scale=rng.choice([4, 12]), mode=mode)
+            Y = random_gds(m, ky, seed=3 * trial + 1, scale=12, mode=mode)
+            for A, B in ((X, Y), (Y, X)):
+                search = _DconcSearch(A, B)
+                for pi in self.couplings(A, B):
+                    zeros += any(x == 0 for row in pi.matrix for x in row)
+                    rows, unit = scaled_ints(*pi.matrix)
+                    table = search.ky_fan_table(rows, unit)
+                    scale = None if unit is None else search.table.scale * unit
+                    for f, row in zip(A.features.rows, table):
+                        for g, value in zip(B.features.rows, row):
+                            want = ky_fan_coupling(pi, f, g)
+                            got = unscaled(value, scale)
+                            assert type(got) is scalar and repr(got) == repr(want)
+                    value = search.table_value(table, unit)
+                    assert repr(value) == repr(dconc_at_coupling(A, B, pi))
+        assert zeros > 100
+
+
+def heuristic_reference(X, Y, budget=12, seed=0):
+    """dconc_heuristic with every coupling read on its own entries, through
+    dconc_at_coupling and feature_transfer: the reference for the reads
+    off the int Ky Fan table."""
+    if X.n == 1 or Y.n == 1:
+        pi = product_coupling(X.measure, Y.measure)
+        return dconc_at_coupling(X, Y, pi), pi
+    search = _DconcSearch(X, Y)
+    rng = random.Random(seed)
+    anchors = list(enumerate_couplings(X.measure, Y.measure, 2))
+    rng.shuffle(anchors)
+    anchors = [product_coupling(X.measure, Y.measure)] + anchors[: max(1, budget // 2)]
+
+    def pair_value(u, v):
+        cap = lambda i: search.joint_min_cap(search.pair_sets(u, v, i))
+        return crossing(len(search.grid), search.level, cap, 1)
+
+    best_val, best_pi = None, None
+    for current in anchors:
+        seen = set()
+        for _ in range(max(1, budget)):
+            val = dconc_at_coupling(X, Y, current)
+            if best_val is None or val < best_val:
+                best_val, best_pi = val, current
+            u = feature_transfer(X, Y, current)
+            v = feature_transfer(Y, X, pi_transposed(current))
+            if (u, v) in seen:
+                break
+            seen.add((u, v))
+            cand_val, cand_pi = pair_value(u, v)
+            if cand_val >= val:
+                break
+            current = cand_pi
+    return best_val, best_pi
+
+
 class TestSingleSetCap:
     @pytest.mark.parametrize("mode, scalar", MODES)
     def test_witness_is_max_mass_on_set(self, mode, scalar):
@@ -298,6 +374,18 @@ class TestHeuristic:
         X = random_gds(3, 2, seed=61)
         Y = random_gds(3, 2, seed=62)
         assert dconc_heuristic(X, Y, seed=7)[0] == dconc_heuristic(X, Y, seed=7)[0]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_equals_the_reference_on_the_couplings_entries(self, mode):
+        # Exact mode reads value and transfers off one int Ky Fan table;
+        # the reference reads them on the coupling's rationals.
+        rng = random.Random(43)
+        for trial in range(40):
+            X = random_gds(rng.randint(2, 4), rng.randint(1, 3), seed=5 * trial, mode=mode)
+            Y = random_gds(rng.randint(1, 4), rng.randint(1, 3), seed=5 * trial + 2, mode=mode)
+            budget, seed = rng.randint(1, 8), rng.getrandbits(16)
+            got = dconc_heuristic(X, Y, budget=budget, seed=seed)
+            assert repr(got) == repr(heuristic_reference(X, Y, budget, seed))
 
 
 class TestLowerWitness:

@@ -196,6 +196,48 @@ class TestQuotient:
         assert mapping == (0, 0, 1)
 
 
+def union_find_mapping(rows, tol):
+    """The quotient map by the union-find rule: points chain through pairs
+    on which every row agrees within tol, classes are numbered by their
+    least point."""
+    n = len(rows[0])
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for x in range(n):
+        for y in range(x + 1, n):
+            if all(abs(r[x] - r[y]) <= tol for r in rows):
+                ra, rb = find(x), find(y)
+                parent[max(ra, rb)] = min(ra, rb)
+    reps = sorted({find(x) for x in range(n)})
+    return tuple(reps.index(find(x)) for x in range(n))
+
+
+class TestQuotientClasses:
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_mapping_follows_the_union_find_rule(self, mode):
+        # Exact mode groups equal columns; float mode chains close pairs.
+        rng = random.Random(23)
+        for trial in range(60):
+            X = random_gds(rng.randint(2, 40), rng.randint(1, 3), seed=trial, mode=mode)
+            picks = rng.sample(X.features.labels, rng.randint(1, X.k))
+            _, mapping = quotient_gds(X, picks)
+            rows = [X.features.by_label(label) for label in picks]
+            assert mapping == union_find_mapping(rows, tolerance(mode))
+
+    def test_float_chain_merges_points_beyond_tol(self):
+        # Points 0 and 2 are 1.2e-9 apart, above tol, but chain through 1.
+        rows = [[0.0, 6e-10, 1.2e-9, 1.0], [0.0, 0.25, 0.5, 1.0]]
+        X = GeometricDataSet.build(rows, [0.25] * 4, mode=FLOAT)
+        with pytest.warns(UserWarning):
+            _, mapping = quotient_gds(X, ["f0"])
+        assert mapping == union_find_mapping(rows[:1], tolerance(FLOAT)) == (0, 0, 0, 1)
+
+
 class TestLevyFamilies:
     def test_discrete_members_concentrate(self):
         seq = list(levy_sequence("discrete", 5))

@@ -1,7 +1,11 @@
+import dataclasses
+
 import pytest
 
-from gds import property_names, run_property, verify_theorem_suite
+from gds import property_names, run_property, suite, verify_theorem_suite
 from gds.errors import GdsError
+from gds.metrics import CellSet
+from gds.numerics import Q
 
 
 class TestSuite:
@@ -49,3 +53,45 @@ class TestSuite:
     def test_every_name_runs(self):
         for name in property_names():
             assert run_property(name, seed=5, trials=1).ok, name
+
+
+OFF = Q(1, 97)
+
+
+class TestOraclesCatchAWrongSolver:
+    """Each brute-force oracle fails every trial when the solver it checks
+    is off by 1/97."""
+
+    @pytest.mark.parametrize(
+        "prop, solver, shifted",
+        [
+            (
+                "box_matches_mask_enumeration",
+                "box_exact",
+                lambda res: dataclasses.replace(res, value=res.value + OFF),
+            ),
+            ("box_mm_matches_mask_enumeration", "box_mm_exact", lambda v: v + OFF),
+            (
+                "dis_coupling_matches_mask_enumeration",
+                "dis_coupling",
+                lambda res: (res[0] + OFF, res[1]),
+            ),
+        ],
+    )
+    def test_shifted_value(self, prop, solver, shifted, monkeypatch):
+        assert run_property(prop, seed=4, trials=6).ok
+        exact = getattr(suite, solver)
+        monkeypatch.setattr(suite, solver, lambda *a: shifted(exact(*a)))
+        outcome = run_property(prop, seed=4, trials=6)
+        assert outcome.failures == outcome.trials == 6
+
+    def test_consistent_but_worse_distortion_answer(self, monkeypatch):
+        # The empty set scores 1, and its value and cell set agree, so only
+        # the enumeration tells it from the optimum: one cell of positive
+        # mass always scores below 1.
+        def empty(pi, dX, dY):
+            return Q(1), CellSet.empty(pi.n, pi.m)
+
+        monkeypatch.setattr(suite, "dis_coupling", empty)
+        outcome = run_property("dis_coupling_matches_mask_enumeration", seed=4, trials=6)
+        assert outcome.failures == outcome.trials == 6
