@@ -433,7 +433,7 @@ def box_exact(
     d = transport.scale or 1
     return BoxResult(
         _certified(table, mask, value, d, mass, unit or 1, mode),
-        Coupling(unscaled_rows(rows, unit), mode),
+        Coupling.certified(unscaled_rows(rows, unit), mode),
         CellSet.from_mask(X.n, Y.n, mask),
     )
 
@@ -567,4 +567,4 @@ def box_heuristic(
     _, mask = best
     _, matrix = transport.coupling(mask)
     cells = CellSet.from_mask(n, m, mask)
-    return box_objective(Coupling(matrix, mode), cells, X.features, Y.features)
+    return box_objective(Coupling.certified(matrix, mode), cells, X.features, Y.features)

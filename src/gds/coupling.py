@@ -9,15 +9,20 @@ other so they can cross-validate:
     coupling on the scaled ints;
   * feasibility_lp: a dense simplex with Bland's rule, started from the
     northwest-corner coupling, capping the mass on several cell sets at
-    once; exact mode scales the weights to ints once, builds the start
-    on them and pivots a fraction-free integer tableau (Bareiss updates)
-    with them as right-hand sides, so it takes the same pivots as a
-    rational tableau without the rational arithmetic, checks the
-    witness's marginals and cap on the tableau's ints and unscales only
-    what it returns;
+    once.  Its core, _common_cap_lp, takes the weights scaled to ints
+    once, builds the start on them and pivots a fraction-free integer
+    tableau (Bareiss updates) with them as right-hand sides, so it takes
+    the same pivots as a rational tableau without the rational
+    arithmetic, and certifies the witness's marginals and cap on the
+    tableau's ints.  feasibility_lp unscales what it returns; the dconc
+    search calls the core on its own masks and keeps the ints;
   * transportation_vertices and enumerate_couplings: explicit vertex
-    enumeration of the transportation polytope on tiny grids, and a
-    deterministic mixture lattice.
+    enumeration of the transportation polytope on tiny grids, peeled on
+    scaled ints, and a deterministic mixture lattice.
+
+A certified witness becomes a Coupling through Coupling.certified, which
+skips the per-entry check that certify_coupling has just made; every
+other matrix goes through the checked constructor.
 """
 
 from __future__ import annotations
@@ -82,6 +87,19 @@ class Coupling:
         else:
             frozen = tuple(tuple(row) for row in rows)
         return cls(frozen, mode)
+
+    @classmethod
+    def certified(cls, matrix: tuple, mode: str) -> "Coupling":
+        """A Coupling of a matrix its solver has certified, unchecked again.
+
+        matrix is a tuple of equal-length tuples whose entries
+        flows.certify_coupling has just passed (none below the mode's
+        tolerance), or the product of two measures' positive weights, so
+        __post_init__'s per-entry re-check is skipped.
+        """
+        pi = object.__new__(cls)
+        vars(pi).update(matrix=matrix, mode=mode)
+        return pi
 
     @property
     def n(self) -> int:
@@ -158,7 +176,7 @@ def max_mass_on_set(
     if cells.n != mu.n or cells.m != nu.n:
         raise GdsError("cell set shape disagrees with the marginals")
     value, matrix = Transport(mu.weights, nu.weights).coupling(cells.to_mask())
-    return value, Coupling(matrix, mode)
+    return value, Coupling.certified(matrix, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -277,43 +295,29 @@ def _simplex(rows, rhs, costs, start, mode):
     return solution, d
 
 
-def feasibility_lp(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, sets: Sequence[CellSet]
-) -> tuple[Coupling, Scalar]:
-    """Least common cap on several cell sets, by the exact simplex.
+def _common_cap_lp(mu_w, nu_w, D, cell_lists) -> tuple:
+    """The common-cap LP on scaled weights: (rows, unit, t), certified.
 
-    Minimises t over couplings pi of (mu, nu) subject to pi(B_k) + s_k = t
-    with slack s_k >= 0 for every set B_k in `sets`.  Returns (witness
-    coupling, t).  Once the two totals agree the program is always
-    feasible: the simplex starts from the northwest-corner coupling, with
-    t at the mass it puts on the first heaviest set and every other set's
-    slack basic.
+    mu_w and nu_w are the weights scaled by D (numerics.scaled_ints; the
+    floats and D None in float mode), and cell_lists holds each set's
+    cells as a sorted (i, j) list; the totals must agree.  The corner's
+    staircase, the heaviest set and the right-hand sides of the simplex
+    are all read off the scaled weights, since a positive scale changes
+    none of them.
+    Exact mode returns the witness rows and t as ints over unit = d * D,
+    d the tableau's; float mode returns the entries clamped at 0.0, as
+    Coupling.build clamps them, t as a float and unit None.
 
-    The weights are scaled to ints once, here, with numerics.scaled_ints,
-    and everything is read off the scaled weights, since a positive scale
-    changes none of it: the totals, the corner's staircase, the heaviest
-    set, and the right-hand sides of the simplex.  Exact mode thus gets
-    back ints over d * D, D the weights' scale and d the tableau's, and
-    unscales each witness entry and t once.
-
-    The witness is certified on the simplex's own ints, all over d * D:
-    its marginals by flows.certify_coupling (every entry >= 0, rows
-    summing to d * mu_w, columns to d * nu_w, mu_w and nu_w the scaled
-    weights), and its cap by no set mass above t and one at t, that is
-    max(set masses) == t.  Float mode checks the witness's marginals and
-    masses within the float tolerance.
+    The witness is certified on those numbers: its marginals by
+    flows.certify_coupling (every entry >= 0, rows summing to d * mu_w,
+    columns to d * nu_w; within the float tolerance in float mode), and
+    its cap by no set mass above t and one at t, that is
+    max(set masses) == t.
     """
-    mode = same_mode(mu.mode, nu.mode)
-    n, m = mu.n, nu.n
-    for cells in sets:
-        if cells.n != n or cells.m != m:
-            raise GdsError("constraint cell set disagrees with the marginals")
-    (mu_w, nu_w), D = scaled_ints(mu.weights, nu.weights)
-    if abs(sum(mu_w) - sum(nu_w)) > tolerance(mode):
-        raise InfeasibleMarginals("marginals carry different total mass")
-    cell_lists = [cells.sorted_cells for cells in sets]
+    mode = EXACT if D is not None else FLOAT
+    n, m = len(mu_w), len(nu_w)
     t_col = n * m
-    n_cols = t_col + 1 + len(sets)
+    n_cols = t_col + 1 + len(cell_lists)
 
     rows = []
     for i in range(n):
@@ -334,33 +338,57 @@ def feasibility_lp(
         row[t_col] = -1
         row[t_col + 1 + k] = 1
         rows.append(row)
-    rhs = [*mu_w, *nu_w[:-1]] + [0] * len(sets)
+    rhs = [*mu_w, *nu_w[:-1]] + [0] * len(cell_lists)
 
     corner, staircase = _northwest_corner(mu_w, nu_w, range(n), range(m))
     start = [i * m + j for (i, j) in staircase]
-    if sets:
+    if cell_lists:
         masses = [_mass(corner, cells) for cells in cell_lists]
         heaviest = masses.index(max(masses))
         start.append(t_col)
-        start += [t_col + 1 + k for k in range(len(sets)) if k != heaviest]
+        start += [t_col + 1 + k for k in range(len(cell_lists)) if k != heaviest]
     costs = [0] * n_cols
     costs[t_col] = 1
     solution, d = _simplex(rows, rhs, costs, start, mode)
-    scale = None if D is None else d * D
     grid = [solution[i * m : (i + 1) * m] for i in range(n)]
-    witness = Coupling.build(unscaled_rows(grid, scale), mode)
-    t = unscaled(solution[t_col], scale)
-    # Exact mode certifies the simplex's own ints, all over d * D: the
-    # rows sum to d * mu_w, the columns to d * nu_w.  At the optimum t is
-    # the largest set mass: no set above it, one at it.
-    entries, cap = (witness.matrix, t) if D is None else (grid, solution[t_col])
-    certify_coupling(entries, mu_w, nu_w, d, tolerance(mode))
-    masses = [_mass(entries, cells) for cells in cell_lists]
+    if D is None:
+        grid = [[max(0.0, v) for v in row] for row in grid]
+    t = solution[t_col]
+    certify_coupling(grid, mu_w, nu_w, d, tolerance(mode))
+    masses = [_mass(grid, cells) for cells in cell_lists]
     if masses and not (
-        all(leq(x, cap, mode) for x in masses) and any(close(x, cap, mode) for x in masses)
+        all(leq(x, t, mode) for x in masses) and any(close(x, t, mode) for x in masses)
     ):
         raise AssertionError("LP witness does not attain its common cap")
-    return witness, t
+    return grid, None if D is None else d * D, t
+
+
+def feasibility_lp(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, sets: Sequence[CellSet]
+) -> tuple[Coupling, Scalar]:
+    """Least common cap on several cell sets, by the exact simplex.
+
+    Minimises t over couplings pi of (mu, nu) subject to pi(B_k) + s_k = t
+    with slack s_k >= 0 for every set B_k in `sets`.  Returns (witness
+    coupling, t).  Once the two totals agree the program is always
+    feasible: the simplex starts from the northwest-corner coupling, with
+    t at the mass it puts on the first heaviest set and every other set's
+    slack basic.
+
+    The weights are scaled to ints once, here, with numerics.scaled_ints,
+    and _common_cap_lp solves and certifies the program on them; each
+    witness entry and t are unscaled once, and the certified entries
+    become a Coupling without a second check.
+    """
+    mode = same_mode(mu.mode, nu.mode)
+    for cells in sets:
+        if cells.n != mu.n or cells.m != nu.n:
+            raise GdsError("constraint cell set disagrees with the marginals")
+    (mu_w, nu_w), D = scaled_ints(mu.weights, nu.weights)
+    if abs(sum(mu_w) - sum(nu_w)) > tolerance(mode):
+        raise InfeasibleMarginals("marginals carry different total mass")
+    rows, unit, t = _common_cap_lp(mu_w, nu_w, D, [cells.sorted_cells for cells in sets])
+    return Coupling.certified(unscaled_rows(rows, unit), mode), unscaled(t, unit)
 
 
 def _mass(matrix, cells) -> Scalar:
@@ -442,37 +470,36 @@ def coupling_prohorov(
 def _forest_flows(n, m, edges, mu, nu):
     """Unique flow on a spanning forest of the transport graph, or None.
 
-    Peels degree-one nodes; each leaf pins its incident edge's flow to the
-    node's remaining marginal.  Returns the matrix if all flows end up
-    nonnegative and all marginals are exhausted.
+    Peels degree-one nodes, lowest first; each leaf pins its incident
+    edge's flow to the node's remaining marginal.  degree counts each
+    node's unpeeled edges.  Returns the matrix if all flows end up
+    nonnegative and all marginals are exhausted.  mu and nu may be scaled
+    ints: the flows are then those of the weights times the same scale.
     """
-    need = list(mu) + list(nu)
-    adj = {u: set() for u in range(n + m)}
-    for (i, j) in edges:
-        adj[i].add((i, j))
-        adj[n + j].add((i, j))
+    need = [*mu, *nu]
+    adj = [[] for _ in range(n + m)]
+    degree = [0] * (n + m)
+    for edge in edges:
+        i, j = edge
+        adj[i].append(edge)
+        adj[n + j].append(edge)
+        degree[i] += 1
+        degree[n + j] += 1
     flow = {}
-    pending = set(edges)
-    while pending:
-        leaf = None
-        for u in range(n + m):
-            live = [e for e in adj[u] if e in pending]
-            if len(live) == 1:
-                leaf = (u, live[0])
-                break
-        if leaf is None:
+    for _ in edges:
+        if 1 not in degree:
             return None  # a cycle survives; not a forest
-        u, (i, j) = leaf
+        u = degree.index(1)
+        i, j = edge = next(e for e in adj[u] if e not in flow)
         amount = need[u]
         if amount < 0:
             return None
-        flow[(i, j)] = amount
+        flow[edge] = amount
         need[i] -= amount
         need[n + j] -= amount
-        pending.discard((i, j))
-    if any(v != 0 for v in need):
-        return None
-    if any(v < 0 for v in flow.values()):
+        degree[i] -= 1
+        degree[n + j] -= 1
+    if any(need):
         return None
     zero = mu[0] - mu[0]
     matrix = [[zero] * m for _ in range(n)]
@@ -487,7 +514,9 @@ def transportation_vertices(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple:
     Any vertex is the unique flow on some spanning forest with at most
     n + m - 1 edges, so scanning the edge subsets of that size finds all
     of them.  Capped at 9 cells, which keeps the scan at a few hundred
-    candidates.
+    candidates.  The peel runs on the weights scaled to ints
+    (numerics.scaled_ints), where equality and order are those of the
+    rationals, and only the distinct vertices are unscaled.
     """
     mode = same_mode(mu.mode, nu.mode)
     n, m = mu.n, nu.n
@@ -495,14 +524,15 @@ def transportation_vertices(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple:
         raise SizeLimit(
             f"vertex enumeration caps at {VERTEX_CELL_LIMIT} cells, got {n * m}"
         )
+    (mu_w, nu_w), D = scaled_ints(mu.weights, nu.weights)
     cells = [(i, j) for i in range(n) for j in range(m)]
     target = min(n + m - 1, len(cells))
-    seen = {}
+    seen = set()
     for edges in itertools.combinations(cells, target):
-        matrix = _forest_flows(n, m, edges, mu.weights, nu.weights)
-        if matrix is not None and matrix not in seen:
-            seen[matrix] = Coupling(matrix, mode)
-    return tuple(seen[k] for k in sorted(seen))
+        matrix = _forest_flows(n, m, edges, mu_w, nu_w)
+        if matrix is not None:
+            seen.add(matrix)
+    return tuple(Coupling(unscaled_rows(matrix, D), mode) for matrix in sorted(seen))
 
 
 def _northwest_corner(mu, nu, row_order, col_order):

@@ -24,15 +24,14 @@ from typing import Sequence
 from .core import GeometricDataSet, lip_violation
 from .coupling import (
     Coupling,
+    _common_cap_lp,
     enumerate_couplings,
-    feasibility_lp,
     product_coupling,
 )
 from .errors import BudgetExceeded, GdsError, ModeMismatch, WitnessNotLipschitz
 from .flows import Transport
 from .metrics import (
     ASSIGNMENT_BUDGET,
-    CellSet,
     GapTable,
     _ky_fan_from_pairs,
     crossing,
@@ -40,7 +39,8 @@ from .metrics import (
     hausdorff,
     ky_fan_coupling,
 )
-from .numerics import Scalar, same_mode, scaled_ceil, scaled_ints, to_scalar, tolerance, unscaled
+from .numerics import Scalar, same_mode, scaled_ceil, scaled_ints, to_scalar, tolerance
+from .numerics import unscaled, unscaled_rows
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,12 @@ class _DconcSearch:
     them; level(idx) unscales one only where it meets a cap or is
     returned, as a rational (a float in float mode).  The instance has
     one Transport, `transport`: it memoises the flows behind the
-    single-set floors and gives the single-set caps their witness
-    couplings.  The LP caps of set families are memoised here.
-    ky_fan_table evaluates a coupling on the table's scaled gaps, as ints
-    in exact mode; product_bound, the search's upper bound, is its value
-    at the Transport's scaled product coupling.
+    single-set floors, and its scaled weights feed every witness.  The
+    caps of set families are memoised here with their witnesses as
+    certified ints (joint_min_cap); coupling() converts only the one a
+    solver returns.  ky_fan_table evaluates a coupling on the table's
+    scaled gaps, as ints in exact mode; product_bound, the search's upper
+    bound, is its value at the Transport's scaled product coupling.
     """
 
     def __init__(self, X: GeometricDataSet, Y: GeometricDataSet):
@@ -155,13 +156,16 @@ class _DconcSearch:
         value = hausdorff(table, range(self.ky), lambda row, g: row[g])
         return value if unit is None else unscaled(value, self.table.scale * unit)
 
-    def product_bound(self) -> Scalar:
-        """dconc_at_coupling at the product coupling: the Transport's
-        a_i * b_j over D * D, read by ky_fan_table."""
+    def product(self) -> tuple:
+        """The product coupling as (rows, unit): the Transport's a_i * b_j
+        over D * D."""
         (a, b), D = self.transport.weights, self.transport.scale
-        unit = None if D is None else D * D
-        table = self.ky_fan_table([[x * y for y in b] for x in a], unit)
-        return self.table_value(table, unit)
+        return [[x * y for y in b] for x in a], None if D is None else D * D
+
+    def product_bound(self) -> Scalar:
+        """dconc_at_coupling at the product coupling, read by ky_fan_table."""
+        rows, unit = self.product()
+        return self.table_value(self.ky_fan_table(rows, unit), unit)
 
     def read(self, pi) -> tuple:
         """dconc_at_coupling and feature_transfer both ways at pi.
@@ -183,24 +187,38 @@ class _DconcSearch:
         return self.table_value(table, unit), tuple(u), tuple(v)
 
     def joint_min_cap(self, sets: frozenset) -> tuple:
-        """min over couplings of max mass over several cell sets, via LP."""
+        """min over couplings of max mass over several cell sets: (cap, witness).
+
+        The witness is (rows, unit), a coupling attaining the cap as it
+        was computed: ints over unit in exact mode, floats and unit None
+        in float mode.  No live set: the product.  One: the Transport's
+        completion on the set's complement.  More: the
+        common-cap LP on the Transport's scaled weights, each set's cells
+        read off its bits.  Only a witness a solver returns goes through
+        coupling().
+        """
         hit = self._lp_cache.get(sets)
         if hit is None:
-            mu, nu = self.X.measure, self.Y.measure
+            transport, m = self.transport, self.Y.n
             # The constraint order fixes the simplex pivots, hence the
             # witness: sets go by their ascending cell lists.
             live = sorted((s for s in sets if s), key=_bits)
             if not live:
-                hit = (0, product_coupling(mu, nu))
+                hit = (0, self.product())
             elif len(live) == 1:
-                value, matrix = self.transport.coupling(self.table.full ^ live[0])
-                hit = (1 - value, Coupling(matrix, mu.mode))
+                flow, rows, unit = transport.completion(self.table.full ^ live[0])
+                hit = (1 - unscaled(flow, transport.scale), (rows, unit))
             else:
-                cells = tuple(CellSet.from_mask(mu.n, nu.n, s) for s in live)
-                pi, t = feasibility_lp(mu, nu, cells)
-                hit = (t, pi)
+                cells = [[divmod(c, m) for c in _bits(s)] for s in live]
+                rows, unit, t = _common_cap_lp(*transport.weights, transport.scale, cells)
+                hit = (unscaled(t, unit), (rows, unit))
             self._lp_cache[sets] = hit
         return hit
+
+    def coupling(self, witness: tuple) -> Coupling:
+        """The Coupling of a joint_min_cap witness, each entry unscaled once."""
+        rows, unit = witness
+        return Coupling.certified(unscaled_rows(rows, unit), self.X.mode)
 
     def pair_sets(self, u: Sequence[int], v: Sequence[int], level_idx: int):
         ex = self.exceed(level_idx)
@@ -211,7 +229,7 @@ class _DconcSearch:
     def scan_level(self, level_idx: int, stop_at_first: bool):
         """Best assignment pair at one level of the threshold grid.
 
-        Returns (cap, coupling, u, v)  for the least achievable common cap
+        Returns (cap, witness, u, v) for the least achievable common cap
         among assignment pairs, or None if no pair beats the next level
         (i.e. the interval [level, next) contains no feasible epsilon).
         With stop_at_first, any single feasible pair suffices.
@@ -259,10 +277,10 @@ class _DconcSearch:
                 pair_floor = max(u_floor, *(floor[f][g] for g, f in enumerate(v)))
                 if pair_floor >= bar_cut:
                     continue
-                cap, pi = self.joint_min_cap(sets)
+                cap, witness = self.joint_min_cap(sets)
                 if cap >= bar:
                     continue
-                best, bar, bar_cut = (cap, pi, u, v), cap, scaled_ceil(cap, unit)
+                best, bar, bar_cut = (cap, witness, u, v), cap, scaled_ceil(cap, unit)
                 if stop_at_first or cap <= level:
                     return best
         return best
@@ -315,10 +333,10 @@ def dconc_exact(
     best = search.scan_level(lo, stop_at_first=False)
     if best is None:
         raise AssertionError("bisection landed on an infeasible level")
-    cap, pi, u, v = best
+    cap, witness, u, v = best
     level = search.level(lo)
     value = cap if cap > level else level
-    return DconcResult(value, pi, u, v)
+    return DconcResult(value, search.coupling(witness), u, v)
 
 
 def dconc_heuristic(
@@ -368,10 +386,10 @@ def dconc_heuristic(
             if (u, v) in seen:
                 break
             seen.add((u, v))
-            cand_val, cand_pi = pair_value(u, v)
+            cand_val, witness = pair_value(u, v)
             if cand_val >= val:
                 break
-            current = cand_pi
+            current = search.coupling(witness)
     return best_val, best_pi
 
 

@@ -17,7 +17,7 @@ from gds.coupling import (
     max_mass_on_set,
     transportation_vertices,
 )
-from gds.errors import GdsError, MarginalMismatch
+from gds.errors import GdsError, MarginalMismatch, SizeLimit
 from gds.numerics import Q, scaled_ints
 from gds.spaces import random_gds
 
@@ -61,6 +61,57 @@ def rational_lattice(mu, nu, resolution):
             if matrix not in out:
                 out[matrix] = Coupling(matrix, mode)
     return tuple(out[k] for k in sorted(out))
+
+
+def peel_oracle(n, m, edges, mu, nu):
+    """_forest_flows as it was before the int peel: on the weights
+    themselves, rescanning every node's edge set for each leaf."""
+    need = list(mu) + list(nu)
+    adj = {u: set() for u in range(n + m)}
+    for (i, j) in edges:
+        adj[i].add((i, j))
+        adj[n + j].add((i, j))
+    flow = {}
+    pending = set(edges)
+    while pending:
+        leaf = None
+        for u in range(n + m):
+            live = [e for e in adj[u] if e in pending]
+            if len(live) == 1:
+                leaf = (u, live[0])
+                break
+        if leaf is None:
+            return None
+        u, (i, j) = leaf
+        amount = need[u]
+        if amount < 0:
+            return None
+        flow[(i, j)] = amount
+        need[i] -= amount
+        need[n + j] -= amount
+        pending.discard((i, j))
+    if any(v != 0 for v in need):
+        return None
+    if any(v < 0 for v in flow.values()):
+        return None
+    zero = mu[0] - mu[0]
+    matrix = [[zero] * m for _ in range(n)]
+    for (i, j), v in flow.items():
+        matrix[i][j] = v
+    return tuple(tuple(r) for r in matrix)
+
+
+def vertices_oracle(mu, nu):
+    """transportation_vertices on peel_oracle, deduplicated on the
+    weights' own scalars: the oracle of the int peel."""
+    n, m = mu.n, nu.n
+    cells = [(i, j) for i in range(n) for j in range(m)]
+    seen = {}
+    for edges in itertools.combinations(cells, min(n + m - 1, len(cells))):
+        matrix = peel_oracle(n, m, edges, mu.weights, nu.weights)
+        if matrix is not None and matrix not in seen:
+            seen[matrix] = Coupling(matrix, mu.mode)
+    return tuple(seen[k] for k in sorted(seen))
 
 
 measure_pairs = st.builds(
@@ -120,6 +171,47 @@ class TestCoupling:
         assert set(pi.support()) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+class TestCertifiedCoupling:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_certified_witness_equals_the_checked_coupling(self, mode):
+        # max_mass_on_set and feasibility_lp return their certified
+        # entries unchecked: the same object, by repr and by equality.
+        rnd = random.Random(17)
+        for _ in range(30):
+            n, m = rnd.randint(1, 4), rnd.randint(1, 4)
+            mu, nu = rand_measure(rnd, n), rand_measure(rnd, m)
+            if mode == "float":
+                mu = DiscreteMeasure.from_weights(map(float, mu.weights), mode)
+                nu = DiscreteMeasure.from_weights(map(float, nu.weights), mode)
+            sets = [
+                CellSet.from_mask(n, m, rnd.getrandbits(n * m))
+                for _ in range(rnd.randint(1, 3))
+            ]
+            witnesses = [max_mass_on_set(mu, nu, sets[0])[1], feasibility_lp(mu, nu, sets)[0]]
+            for pi in witnesses:
+                checked = Coupling(pi.matrix, mode)
+                assert repr(pi) == repr(checked) and pi == checked
+                assert hash(pi) == hash(checked)
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ((), "a coupling needs a nonempty matrix"),
+            (((),), "a coupling needs a nonempty matrix"),
+            (((Q(1, 2),), (Q(1, 4), Q(1, 4))), "coupling rows have inconsistent lengths"),
+            (((Q(1, 2), Q(-1, 8)),), r"negative coupling entry Fraction\(-1, 8\)"),
+        ],
+    )
+    def test_checked_constructor_keeps_its_errors(self, matrix, message):
+        with pytest.raises(GdsError, match=message):
+            Coupling(matrix)
+
+    def test_checked_constructor_allows_float_rounding_only(self):
+        Coupling(((0.5, -1e-12),), "float")
+        with pytest.raises(GdsError, match="negative coupling entry -1e-06"):
+            Coupling(((0.5, -1e-6),), "float")
+
+
 class TestMaxMass:
     def test_diagonal_identity(self):
         mu = DiscreteMeasure.uniform(2)
@@ -169,6 +261,29 @@ class TestVertices:
         for v in transportation_vertices(mu, nu):
             v.check_marginals(mu, nu)
             assert len(v.support()) <= mu.n + nu.n - 1
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_int_peel_matches_the_oracle(self, mode):
+        # Same vertices in the same order, by repr, on seeded marginals of
+        # up to 9 cells; uniform weights give many degenerate forests.
+        rnd = random.Random(11)
+        shapes = [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9]
+        for trial in range(60):
+            n, m = shapes[trial % len(shapes)]
+            if trial % 3:
+                mu, nu = rand_measure(rnd, n), rand_measure(rnd, m)
+            else:
+                mu, nu = DiscreteMeasure.uniform(n), DiscreteMeasure.uniform(m)
+            if mode == "float":
+                mu = DiscreteMeasure.from_weights(map(float, mu.weights), mode)
+                nu = DiscreteMeasure.from_weights(map(float, nu.weights), mode)
+            got = transportation_vertices(mu, nu)
+            assert repr(got) == repr(vertices_oracle(mu, nu))
+
+    def test_more_than_nine_cells_is_refused(self):
+        mu, nu = DiscreteMeasure.uniform(2), DiscreteMeasure.uniform(5)
+        with pytest.raises(SizeLimit, match="caps at 9 cells, got 10"):
+            transportation_vertices(mu, nu)
 
     @given(measure_pairs, st.integers(1, 4))
     def test_grid_holds_every_blend_of_two_anchors(self, pair, resolution):

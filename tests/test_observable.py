@@ -21,7 +21,8 @@ from gds import (
     product_coupling,
     singleton_gds,
 )
-from gds.coupling import Coupling, enumerate_couplings, max_mass_on_set
+from gds import coupling
+from gds.coupling import Coupling, enumerate_couplings, feasibility_lp, max_mass_on_set
 from gds.errors import BudgetExceeded, ModeMismatch, WitnessNotLipschitz
 from gds.metrics import CellSet, crossing, ky_fan_coupling
 from gds.numerics import Q, scaled_ints, unscaled
@@ -330,10 +331,10 @@ def heuristic_reference(X, Y, budget=12, seed=0):
             if (u, v) in seen:
                 break
             seen.add((u, v))
-            cand_val, cand_pi = pair_value(u, v)
+            cand_val, witness = pair_value(u, v)
             if cand_val >= val:
                 break
-            current = cand_pi
+            current = search.coupling(witness)
     return best_val, best_pi
 
 
@@ -353,11 +354,72 @@ class TestSingleSetCap:
                     for cells in row:
                         if not cells:
                             continue
-                        cap, pi = search.joint_min_cap(frozenset([cells]))
+                        cap, witness = search.joint_min_cap(frozenset([cells]))
+                        pi = search.coupling(witness)
                         keep = CellSet.from_mask(X.n, Y.n, full ^ cells)
                         value, want = max_mass_on_set(X.measure, Y.measure, keep)
                         assert type(cap) is scalar
                         assert repr((cap, pi)) == repr((1 - value, want))
+
+
+class TestSearchWitnesses:
+    @pytest.mark.parametrize("mode, scalar", MODES)
+    def test_lp_witness_is_feasibility_lp(self, mode, scalar):
+        # Families of 2-4 exceed masks: the LP core fed the search's masks
+        # and the Transport's scaled weights, converted once, equals the
+        # public feasibility_lp on the same sets in the same order.
+        rng = random.Random(53)
+        families = 0
+        for trial in range(25):
+            X = random_gds(rng.randint(2, 4), rng.randint(2, 3), seed=trial, mode=mode)
+            Y = random_gds(rng.randint(2, 4), rng.randint(2, 3), seed=90 + trial, mode=mode)
+            search = _DconcSearch(X, Y)
+            for idx in range(len(search.grid)):
+                masks = sorted({s for row in search.exceed(idx) for s in row if s})
+                if len(masks) < 2:
+                    continue
+                family = rng.sample(masks, rng.randint(2, min(4, len(masks))))
+                cap, witness = search.joint_min_cap(frozenset(family))
+                live = sorted(family, key=lambda s: [c for c in range(X.n * Y.n) if s >> c & 1])
+                cells = [CellSet.from_mask(X.n, Y.n, s) for s in live]
+                pi, t = feasibility_lp(X.measure, Y.measure, cells)
+                assert type(cap) is scalar
+                assert repr((cap, search.coupling(witness))) == repr((t, pi))
+                families += 1
+        assert families > 100
+
+    @pytest.mark.parametrize("mode, scalar", MODES)
+    def test_no_live_set_is_the_product(self, mode, scalar):
+        for seed in range(6):
+            X = random_gds(3, 2, seed=seed, mode=mode)
+            Y = random_gds(4, 2, seed=40 + seed, mode=mode)
+            search = _DconcSearch(X, Y)
+            want = product_coupling(X.measure, Y.measure)
+            for sets in (frozenset(), frozenset([0])):
+                cap, witness = search.joint_min_cap(sets)
+                assert repr((cap, search.coupling(witness))) == repr((0, want))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_a_witness_off_by_one_unit_is_refused(self, mode, monkeypatch):
+        # The search's LP witnesses are certified on the simplex's own
+        # numbers: one unit moved onto the first cell breaks a marginal.
+        solve = coupling._simplex
+
+        def shifted(rows, rhs, costs, start, mode):
+            solution, d = solve(rows, rhs, costs, start, mode)
+            solution[0] += 1 if mode == "exact" else 1 / 7
+            return solution, d
+
+        X = random_gds(3, 2, seed=1, mode=mode)
+        Y = random_gds(3, 2, seed=2, mode=mode)
+        search = _DconcSearch(X, Y)
+        family = frozenset(s for row in search.exceed(0) for s in row if s)
+        assert len(family) >= 2
+        search.joint_min_cap(family)
+        search = _DconcSearch(X, Y)
+        monkeypatch.setattr(coupling, "_simplex", shifted)
+        with pytest.raises(AssertionError, match="breaks its marginals"):
+            search.joint_min_cap(family)
 
 
 class TestHeuristic:
