@@ -6,18 +6,26 @@ input inline, so generators pipe into computations:
 
     gds gen discrete --n 3 | gds dconc --other singleton:1 --exact
 
-Scalar results are printed as JSON with a 12-significant-digit decimal,
-plus the exact rational string in exact mode.  Tables are CSV with a
-header row.  Exit codes: 2 for schema violations or otherwise unusable
-inputs, a dataset file that cannot be read or is not UTF-8 included, for
-an -o path that cannot be written and for verify --trials below 0; 3 when
-an exact search refuses its budget and no --heuristic fallback was
-offered, when a --step grid would exceed GRID_BUDGET values or a gen levy
-family LEVY_POINTS points; 1 when the verification suite fails.
+Output has one path.  main resolves the arithmetic mode once, runs the
+subcommand, and the subcommand returns its result: a JSON payload, None
+once it has written its own CSV table or dataset, or verify's exit code.
+main writes a payload to the command's -o file if it has one, else to
+stdout; so -o covers everything od, pd, quotient, product and gen print,
+single values included.  Only quotient's point map (stderr) and the
+diagnostics below bypass it.
 
-Environment: GDS_MODE picks exact or float arithmetic (flag --mode wins);
-GDS_BUDGET_CELLS caps the exact box search grid (default
-box.CELL_BUDGET).
+Scalar results are JSON with a decimal value, plus the exact rational
+string in exact mode.  Tables are CSV with a header row.  Exit codes: 2
+for schema violations or otherwise unusable inputs, a dataset file that
+cannot be read or is not UTF-8 included, for an -o path that cannot be
+written and for verify --trials below 0; 3 when an exact search refuses
+its budget and no --heuristic fallback was offered, when a --step grid
+would exceed GRID_BUDGET values or a gen levy family LEVY_POINTS points;
+1 when the verification suite fails.
+
+Environment: GDS_MODE picks exact or float arithmetic (flag --mode wins;
+verify, which has no mode, ignores it); GDS_BUDGET_CELLS caps the exact
+box search grid (default box.CELL_BUDGET).
 """
 
 from __future__ import annotations
@@ -70,9 +78,9 @@ LEVY_POINTS = 40
 # ---------------------------------------------------------------------------
 
 
-def _resolve_mode(args) -> str:
-    if getattr(args, "mode", None):
-        return args.mode
+def _resolve_mode(flag: Optional[str]) -> str:
+    if flag:
+        return flag
     env = os.environ.get("GDS_MODE", EXACT).strip().lower()
     if env not in (EXACT, FLOAT):
         raise SchemaError(f"GDS_MODE must be 'exact' or 'float', not {env!r}")
@@ -80,16 +88,14 @@ def _resolve_mode(args) -> str:
 
 
 def _cell_budget(args) -> int:
-    if getattr(args, "cells", None) is not None:
+    if args.cells is not None:
         value = args.cells
     else:
         raw = os.environ.get("GDS_BUDGET_CELLS", str(CELL_BUDGET))
         try:
             value = int(raw)
         except ValueError:
-            raise SchemaError(
-                f"GDS_BUDGET_CELLS must be an integer, not {raw!r}"
-            ) from None
+            raise SchemaError(f"GDS_BUDGET_CELLS must be an integer, not {raw!r}") from None
     if value < 1:
         raise SchemaError("cell budget must be at least 1")
     return value
@@ -171,15 +177,13 @@ def _generated(spec: str, mode: str) -> GeometricDataSet:
             return random_gds(n, k, seed=seed, scale=scale, mode=mode)
     except ValueError as exc:
         raise SchemaError(f"bad generator spec {spec!r}: {exc}") from exc
-    raise SchemaError(
-        f"unknown generator {kind!r}; use singleton:…, discrete:N or random:n,k"
-    )
+    raise SchemaError(f"unknown generator {kind!r}; use singleton:…, discrete:N or random:n,k")
 
 
-def _pair(args, mode: str) -> tuple:
+def _pair(args) -> tuple:
     """Two datasets from positional paths, stdin, and --other."""
-    paths = list(args.inputs)
-    if getattr(args, "other", None):
+    paths, mode = list(args.inputs), args.mode
+    if args.other:
         if len(paths) > 1:
             raise SchemaError("--other supplies the second input; give at most one path")
         first = paths[0] if paths else "-"
@@ -209,10 +213,6 @@ def _num(x, mode: str) -> dict:
     return payload
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
 def _scalar_columns(values, mode: str):
     row = [format_scalar(v, mode) for v in values]
     if mode == EXACT:
@@ -220,20 +220,41 @@ def _scalar_columns(values, mode: str):
     return row
 
 
+def _budget(args, keyword: str) -> dict:
+    """--budget as the named keyword; absent, the callee's default holds."""
+    return {} if args.budget is None else {keyword: args.budget}
+
+
+def _exact_or_heuristic(args, payload: dict, exact, heuristic) -> dict:
+    """`payload` with the exact answer, or under --heuristic the heuristic one.
+
+    exact() returns the payload's result fields, heuristic() the value.
+    Under --exact --heuristic the heuristic answers only when the exact
+    search declines its budget, and the payload notes why.
+    """
+    if not args.heuristic or args.exact:
+        try:
+            return {**payload, "method": "exact", **exact()}
+        except BudgetExceeded as exc:
+            if not args.heuristic:
+                raise
+            payload["note"] = f"exact search declined: {exc}"
+    return {**payload, "method": "heuristic", "seed": args.seed, **_num(heuristic(), args.mode)}
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns a JSON payload for main to write, None once it
+# has written its own output, or (verify) the exit code.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_od(args) -> int:
-    mode = _resolve_mode(args)
+def _cmd_od(args) -> Optional[dict]:
+    mode = args.mode
     X = _load(args.dataset, mode)
     if args.kappa is not None:
         kappa = _option(args.kappa, "--kappa", mode)
-        payload = {"command": "od", "kappa": format_scalar(kappa, mode)}
-        payload.update(_num(observable_diameter(X, kappa), mode))
-        _print_json(payload)
-        return 0
+        value = observable_diameter(X, kappa)
+        return {"command": "od", "kappa": format_scalar(kappa, mode), **_num(value, mode)}
     if args.step is not None:
         kappas = _kappa_grid(args.step, mode, 0)
     else:
@@ -241,15 +262,12 @@ def _cmd_od(args) -> int:
     header = ["kappa", "od"]
     if mode == EXACT:
         header += ["kappa_exact", "od_exact"]
-    rows = [
-        _scalar_columns([k, observable_diameter(X, k)], mode) for k in kappas
-    ]
+    rows = [_scalar_columns([k, observable_diameter(X, k)], mode) for k in kappas]
     _write(csv_text(header, rows), args.output)
-    return 0
 
 
-def _cmd_pd(args) -> int:
-    mode = _resolve_mode(args)
+def _cmd_pd(args) -> Optional[dict]:
+    mode = args.mode
     X = _load(args.dataset, mode)
     alpha = _option(args.alpha, "--alpha", mode)
     if args.feature is not None:
@@ -257,14 +275,9 @@ def _cmd_pd(args) -> int:
             row = X.features.by_label(args.feature)
         except GdsError as exc:
             raise SchemaError(f"no feature {args.feature!r}") from exc
-        payload = {
-            "command": "pd",
-            "feature": args.feature,
-            "alpha": format_scalar(alpha, mode),
-        }
-        payload.update(_num(partial_diameter(row, X.measure, alpha), mode))
-        _print_json(payload)
-        return 0
+        value = partial_diameter(row, X.measure, alpha)
+        return {"command": "pd", "feature": args.feature, "alpha": format_scalar(alpha, mode),
+                **_num(value, mode)}
     header = ["feature", "pd"]
     if mode == EXACT:
         header.append("pd_exact")
@@ -273,123 +286,75 @@ def _cmd_pd(args) -> int:
         value = partial_diameter(row, X.measure, alpha)
         rows.append([label] + _scalar_columns([value], mode))
     _write(csv_text(header, rows), args.output)
-    return 0
 
 
-def _budget(args, keyword: str) -> dict:
-    """--budget as the named keyword; absent, the callee's default holds."""
-    return {} if args.budget is None else {keyword: args.budget}
-
-
-def _cmd_dconc(args) -> int:
-    mode = _resolve_mode(args)
-    X, Y = _pair(args, mode)
-    payload = {"command": "dconc"}
+def _cmd_dconc(args) -> dict:
+    mode = args.mode
+    X, Y = _pair(args)
     if args.bounds:
         lower = max(
-            max(
-                (dconc_lower_witness(X, Y, f) for f in X.features.rows),
-                default=0,
-            ),
-            max(
-                (dconc_lower_witness(Y, X, g) for g in Y.features.rows),
-                default=0,
-            ),
+            max((dconc_lower_witness(X, Y, f) for f in X.features.rows), default=0),
+            max((dconc_lower_witness(Y, X, g) for g in Y.features.rows), default=0),
         )
         upper, _ = dconc_heuristic(X, Y, seed=args.seed, **_budget(args, "budget"))
-        payload["method"] = "bounds"
-        payload["lower"] = _num(lower, mode)
-        payload["upper"] = _num(upper, mode)
-        _print_json(payload)
-        return 0
-    if not args.heuristic or args.exact:
-        try:
-            result = dconc_exact(X, Y, **_budget(args, "assignment_budget"))
-            payload["method"] = "exact"
-            payload.update(_num(result.value, mode))
-            _print_json(payload)
-            return 0
-        except BudgetExceeded as exc:
-            if not args.heuristic:
-                raise
-            payload["note"] = f"exact search declined: {exc}"
-    value, _ = dconc_heuristic(X, Y, seed=args.seed, **_budget(args, "budget"))
-    payload["method"] = "heuristic"
-    payload["seed"] = args.seed
-    payload.update(_num(value, mode))
-    _print_json(payload)
-    return 0
+        return {"command": "dconc", "method": "bounds", "lower": _num(lower, mode),
+                "upper": _num(upper, mode)}
+    return _exact_or_heuristic(
+        args,
+        {"command": "dconc"},
+        lambda: _num(dconc_exact(X, Y, **_budget(args, "assignment_budget")).value, mode),
+        lambda: dconc_heuristic(X, Y, seed=args.seed, **_budget(args, "budget"))[0],
+    )
 
 
-def _cmd_box(args) -> int:
-    mode = _resolve_mode(args)
-    X, Y = _pair(args, mode)
+def _cmd_box(args) -> dict:
+    mode = args.mode
+    X, Y = _pair(args)
     cells = _cell_budget(args)
-    payload = {"command": "box"}
     if args.mm:
-        payload["method"] = "mm-exact"
         value = box_mm_exact(X, Y, cell_budget=cells)
-        payload.update(_num(value, mode))
-        _print_json(payload)
-        return 0
-    if not args.heuristic or args.exact:
-        try:
-            result = box_exact(
-                X, Y, cell_budget=cells, **_budget(args, "assignment_budget")
-            )
-            payload["method"] = "exact"
-            payload["cells"] = [list(c) for c in result.cells.sorted_cells]
-            payload.update(_num(result.value, mode))
-            _print_json(payload)
-            return 0
-        except BudgetExceeded as exc:
-            if not args.heuristic:
-                raise
-            payload["note"] = f"exact search declined: {exc}"
-    value = box_heuristic(X, Y, seed=args.seed, **_budget(args, "budget"))
-    payload["method"] = "heuristic"
-    payload["seed"] = args.seed
-    payload.update(_num(value, mode))
-    _print_json(payload)
-    return 0
+        return {"command": "box", "method": "mm-exact", **_num(value, mode)}
+
+    def exact():
+        result = box_exact(X, Y, cell_budget=cells, **_budget(args, "assignment_budget"))
+        cells_used = [list(c) for c in result.cells.sorted_cells]
+        return {"cells": cells_used, **_num(result.value, mode)}
+
+    return _exact_or_heuristic(
+        args,
+        {"command": "box"},
+        exact,
+        lambda: box_heuristic(X, Y, seed=args.seed, **_budget(args, "budget")),
+    )
 
 
-def _cmd_prohorov(args) -> int:
-    mode = _resolve_mode(args)
-    X, Y = _pair(args, mode)
+def _cmd_prohorov(args) -> dict:
+    X, Y = _pair(args)
     if X.n != Y.n:
         raise SchemaError("prohorov compares two measures on one space")
-    tol = tolerance(mode)
+    tol = tolerance(args.mode)
     for x in range(X.n):
         for y in range(X.n):
             if abs(X.dist[x][y] - Y.dist[x][y]) > tol:
-                raise SchemaError(
-                    "prohorov inputs must induce the same metric"
-                )
+                raise SchemaError("prohorov inputs must induce the same metric")
     value = prohorov(X.measure, Y.measure, X.dist, args.method)
-    payload = {"command": "prohorov", "method": args.method}
-    payload.update(_num(value, mode))
-    _print_json(payload)
-    return 0
+    return {"command": "prohorov", "method": args.method, **_num(value, args.mode)}
 
 
-def _cmd_kyfan(args) -> int:
-    mode = _resolve_mode(args)
-    X = _load(args.dataset, mode)
+def _cmd_kyfan(args) -> dict:
+    X = _load(args.dataset, args.mode)
     try:
         f = X.features.by_label(args.first)
         g = X.features.by_label(args.second)
     except GdsError as exc:
         raise SchemaError(str(exc)) from exc
-    payload = {"command": "kyfan", "first": args.first, "second": args.second}
-    payload.update(_num(ky_fan(X.measure, f, g), mode))
-    _print_json(payload)
-    return 0
+    value = ky_fan(X.measure, f, g)
+    return {"command": "kyfan", "first": args.first, "second": args.second,
+            **_num(value, args.mode)}
 
 
-def _cmd_quotient(args) -> int:
-    mode = _resolve_mode(args)
-    X = _load(args.dataset, mode)
+def _cmd_quotient(args) -> None:
+    X = _load(args.dataset, args.mode)
     labels = [v.strip() for v in args.by.split(",") if v.strip()]
     if not labels:
         raise SchemaError("--by needs a comma-separated list of feature labels")
@@ -399,18 +364,14 @@ def _cmd_quotient(args) -> int:
     Y, mapping = quotient_gds(X, labels)
     _write(emit_gds(Y), args.output)
     print(json.dumps({"mapping": list(mapping)}), file=sys.stderr)
-    return 0
 
 
-def _cmd_product(args) -> int:
-    mode = _resolve_mode(args)
-    X, Y = _pair(args, mode)
-    _write(emit_gds(product_gds(X, Y)), args.output)
-    return 0
+def _cmd_product(args) -> None:
+    _write(emit_gds(product_gds(*_pair(args))), args.output)
 
 
-def _cmd_gen(args) -> int:
-    mode = _resolve_mode(args)
+def _cmd_gen(args) -> None:
+    mode = args.mode
     if args.kind == "singleton":
         X = singleton_gds(_constants(args.values, "--values", mode), mode)
     elif args.kind == "discrete":
@@ -424,37 +385,26 @@ def _cmd_gen(args) -> int:
             kappas = _kappa_grid(args.step, mode, 1)
             kappas, rows = levy_table(args.family, args.n, base, kappas, mode)
             header = ["member"] + [format_scalar(k, mode) for k in kappas]
-            body = [
-                [label] + [format_scalar(v, mode) for v in values]
-                for label, values in rows
-            ]
+            body = [[label] + [format_scalar(v, mode) for v in values] for label, values in rows]
             _write(csv_text(header, body), args.output)
-            return 0
+            return
         if args.family == "discrete":
             # Discrete members do not build on each other: make member n alone.
             X = n_point_discrete(args.n, mode)
         else:
             *_, X = levy_sequence(args.family, args.n, base)
     _write(emit_gds(X), args.output)
-    return 0
 
 
-def _cmd_check(args) -> int:
-    mode = _resolve_mode(args)
-    X, Y = _pair(args, mode)
+def _cmd_check(args) -> dict:
+    X, Y = _pair(args)
     kwargs = _budget(args, "map_budget")
     if args.relation == "domination":
         verdict, witness = check_domination(X, Y, **kwargs)
     else:
         verdict, witness = check_isomorphism(X, Y, **kwargs)
-    payload = {
-        "command": "check",
-        "relation": args.relation,
-        "verdict": verdict,
-        "witness": list(witness) if witness is not None else None,
-    }
-    _print_json(payload)
-    return 0
+    witness = list(witness) if witness is not None else None
+    return {"command": "check", "relation": args.relation, "verdict": verdict, "witness": witness}
 
 
 def _cmd_verify(args) -> int:
@@ -472,27 +422,25 @@ def _cmd_verify(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     mode_parent = argparse.ArgumentParser(add_help=False)
     mode_parent.add_argument(
-        "--mode",
-        choices=[EXACT, FLOAT],
-        default=None,
-        help="arithmetic mode (default: GDS_MODE or exact)",
+        "--mode", choices=[EXACT, FLOAT], help="arithmetic mode (default: GDS_MODE or exact)"
     )
     out_parent = argparse.ArgumentParser(add_help=False)
-    out_parent.add_argument(
-        "-o", "--output", default=None, help="write to this file instead of stdout"
-    )
-    pair_parent = argparse.ArgumentParser(add_help=False)
-    pair_parent.add_argument(
-        "inputs",
-        nargs="*",
-        help="dataset paths ('-' for stdin); missing ones are read from stdin",
-    )
-    pair_parent.add_argument(
-        "--other",
-        default=None,
-        metavar="KIND:ARGS",
-        help="generate the second input inline: singleton:v[,v…], discrete:N, random:n,k[,seed[,scale]]",
-    )
+    out_parent.add_argument("-o", "--output", help="write to this file instead of stdout")
+
+    def pair_inputs(p):
+        p.add_argument(
+            "inputs", nargs="*",
+            help="dataset paths ('-' for stdin); missing ones are read from stdin",
+        )
+        p.add_argument(
+            "--other", metavar="KIND:ARGS", help="generate the second input inline: "
+            "singleton:v[,v…], discrete:N, random:n,k[,seed[,scale]]",
+        )
+
+    def command(group, name, func, *parents, help):
+        p = group.add_parser(name, parents=list(parents), help=help)
+        p.set_defaults(func=func)
+        return p
 
     parser = argparse.ArgumentParser(
         prog="gds",
@@ -500,174 +448,127 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "od",
-        parents=[mode_parent, out_parent],
+    p = command(
+        sub, "od", _cmd_od, mode_parent, out_parent,
         help="observable diameter, one kappa or a CSV over a grid",
     )
     p.add_argument("dataset", help="dataset path or '-'")
-    p.add_argument("--kappa", default=None, help="single kappa instead of a grid")
-    p.add_argument(
-        "--step", default=None, help="uniform grid step (default: value breakpoints)"
-    )
-    p.set_defaults(func=_cmd_od)
+    p.add_argument("--kappa", help="single kappa instead of a grid")
+    p.add_argument("--step", help="uniform grid step (default: value breakpoints)")
 
-    p = sub.add_parser(
-        "pd",
-        parents=[mode_parent, out_parent],
+    p = command(
+        sub, "pd", _cmd_pd, mode_parent, out_parent,
         help="partial diameter of one feature, or CSV over all features",
     )
     p.add_argument("dataset", help="dataset path or '-'")
     p.add_argument("--alpha", required=True, help="mass the interval must catch")
-    p.add_argument("--feature", default=None, help="feature label (default: all)")
-    p.set_defaults(func=_cmd_pd)
+    p.add_argument("--feature", help="feature label (default: all)")
 
-    p = sub.add_parser(
-        "dconc",
-        parents=[mode_parent, pair_parent],
+    p = command(
+        sub, "dconc", _cmd_dconc, mode_parent,
         help="observable distance between two datasets",
     )
+    pair_inputs(p)
     p.add_argument("--exact", action="store_true", help="exact search (default)")
     p.add_argument(
-        "--heuristic",
-        action="store_true",
+        "--heuristic", action="store_true",
         help="alternating search; with --exact it is the over-budget fallback",
     )
-    p.add_argument(
-        "--bounds", action="store_true", help="certified lower and upper bounds"
-    )
-    p.add_argument("--budget", type=int, default=None, help="search budget")
+    p.add_argument("--bounds", action="store_true", help="certified lower and upper bounds")
+    p.add_argument("--budget", type=int, help="search budget")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_dconc)
 
-    p = sub.add_parser(
-        "box",
-        parents=[mode_parent, pair_parent],
-        help="box distance between two datasets",
+    p = command(
+        sub, "box", _cmd_box, mode_parent, help="box distance between two datasets"
     )
+    pair_inputs(p)
     p.add_argument("--exact", action="store_true", help="exact search (default)")
     p.add_argument(
-        "--heuristic",
-        action="store_true",
+        "--heuristic", action="store_true",
         help="local search; with --exact it is the over-budget fallback",
     )
     p.add_argument(
-        "--mm",
-        action="store_true",
+        "--mm", action="store_true",
         help="compare the induced metric-measure structures instead of the families",
     )
-    p.add_argument("--budget", type=int, default=None, help="search budget")
+    p.add_argument("--budget", type=int, help="search budget")
     p.add_argument(
-        "--cells",
-        type=int,
-        default=None,
-        help=f"cell cap (default: GDS_BUDGET_CELLS or {CELL_BUDGET})",
+        "--cells", type=int, help=f"cell cap (default: GDS_BUDGET_CELLS or {CELL_BUDGET})"
     )
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_box)
 
-    p = sub.add_parser(
-        "prohorov",
-        parents=[mode_parent, pair_parent],
+    p = command(
+        sub, "prohorov", _cmd_prohorov, mode_parent,
         help="Prohorov distance of two measures on one induced metric",
     )
+    pair_inputs(p)
     p.add_argument(
-        "--method",
-        choices=["auto", "brute", "flow"],
-        default="auto",
+        "--method", choices=["auto", "brute", "flow"], default="auto",
         help="auto and flow solve by max-flow duality; brute scans every subset",
     )
-    p.set_defaults(func=_cmd_prohorov)
 
-    p = sub.add_parser(
-        "kyfan",
-        parents=[mode_parent],
+    p = command(
+        sub, "kyfan", _cmd_kyfan, mode_parent,
         help="Ky Fan distance between two features of one dataset",
     )
     p.add_argument("dataset", help="dataset path or '-'")
     p.add_argument("-f", "--first", required=True, help="feature label")
     p.add_argument("-g", "--second", required=True, help="feature label")
-    p.set_defaults(func=_cmd_kyfan)
 
-    p = sub.add_parser(
-        "quotient",
-        parents=[mode_parent, out_parent],
+    p = command(
+        sub, "quotient", _cmd_quotient, mode_parent, out_parent,
         help="collapse a 1-Lipschitz subfamily; mapping goes to stderr",
     )
     p.add_argument("dataset", help="dataset path or '-'")
     p.add_argument("--by", required=True, help="comma-separated feature labels")
-    p.set_defaults(func=_cmd_quotient)
 
-    p = sub.add_parser(
-        "product",
-        parents=[mode_parent, out_parent, pair_parent],
+    pair_inputs(command(
+        sub, "product", _cmd_product, mode_parent, out_parent,
         help="product dataset with the max combination of metrics",
-    )
-    p.set_defaults(func=_cmd_product)
+    ))
 
     p = sub.add_parser("gen", help="emit a generated dataset as JSON")
     gen_sub = p.add_subparsers(dest="kind", required=True)
-    g = gen_sub.add_parser(
-        "singleton", parents=[mode_parent, out_parent], help="one point, constant features"
+    g = command(
+        gen_sub, "singleton", _cmd_gen, mode_parent, out_parent,
+        help="one point, constant features",
     )
     g.add_argument("--values", required=True, help="comma-separated constants")
-    g.set_defaults(func=_cmd_gen)
-    g = gen_sub.add_parser(
-        "discrete", parents=[mode_parent, out_parent], help="N points, indicator features"
+    g = command(
+        gen_sub, "discrete", _cmd_gen, mode_parent, out_parent,
+        help="N points, indicator features",
     )
     g.add_argument("--n", type=int, required=True)
-    g.set_defaults(func=_cmd_gen)
-    g = gen_sub.add_parser(
-        "random", parents=[mode_parent, out_parent], help="seeded random dataset"
+    g = command(
+        gen_sub, "random", _cmd_gen, mode_parent, out_parent, help="seeded random dataset"
     )
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--scale", type=int, default=8)
-    g.set_defaults(func=_cmd_gen)
-    g = gen_sub.add_parser(
-        "levy",
-        parents=[mode_parent, out_parent],
+    g = command(
+        gen_sub, "levy", _cmd_gen, mode_parent, out_parent,
         help="member N of a vanishing-diameter family, or its od table",
     )
-    g.add_argument(
-        "--family", choices=["discrete", "product_power"], default="discrete"
-    )
+    g.add_argument("--family", choices=["discrete", "product_power"], default="discrete")
     g.add_argument("--n", type=int, required=True, help="member index (1-based)")
-    g.add_argument("--base", default=None, help="base dataset for product_power")
-    g.add_argument(
-        "--table", action="store_true", help="CSV of od values for members 1..n"
-    )
+    g.add_argument("--base", help="base dataset for product_power")
+    g.add_argument("--table", action="store_true", help="CSV of od values for members 1..n")
     g.add_argument("--step", default="1/20", help="kappa grid step for --table")
-    g.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser(
-        "check",
-        parents=[mode_parent],
+    p = command(
+        sub, "check", _cmd_check, mode_parent,
         help="decide domination or isomorphism between two datasets",
     )
     p.add_argument("relation", choices=["domination", "isomorphism"])
-    p.add_argument(
-        "inputs",
-        nargs="*",
-        help="dataset paths ('-' for stdin); missing ones are read from stdin",
-    )
-    p.add_argument(
-        "--other",
-        default=None,
-        metavar="KIND:ARGS",
-        help="generate the second input inline: singleton:v[,v…], discrete:N, random:n,k[,seed[,scale]]",
-    )
-    p.add_argument("--budget", type=int, default=None, help="map enumeration cap")
-    p.set_defaults(func=_cmd_check)
+    pair_inputs(p)
+    p.add_argument("--budget", type=int, help="map enumeration cap")
 
-    p = sub.add_parser(
-        "verify",
-        help="run the randomized theorem suite (exit 1 on failure)",
+    p = command(
+        sub, "verify", _cmd_verify, help="run the randomized theorem suite (exit 1 on failure)"
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -675,7 +576,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        if hasattr(args, "mode"):  # verify has no mode, so ignores GDS_MODE
+            args.mode = _resolve_mode(args.mode)
+        result = args.func(args)
+        if isinstance(result, int):  # verify's exit code
+            return result
+        if result is not None:
+            _write(json.dumps(result, indent=2) + "\n", getattr(args, "output", None))
+        return 0
     except BudgetExceeded as exc:
         print(f"gds: budget: {exc}", file=sys.stderr)
         return 3

@@ -186,6 +186,30 @@ class TestDiameters:
         payload = run_json(capsys, ["pd", "--alpha", "1", "--feature", "d0", a])
         assert payload["exact"] == "1"
 
+    @pytest.mark.parametrize(
+        "argv", [["od", "--kappa", "1/8"], ["pd", "--alpha", "1", "--feature", "d0"]]
+    )
+    def test_single_value_goes_to_the_output_file(self, capsys, tmp_path, argv):
+        # -o once left a single-value payload on stdout and wrote no file.
+        a = write_dataset(tmp_path, "a.json", n_point_discrete(4))
+        target = tmp_path / "out.json"
+        assert main(argv + [a, "-o", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        payload = json.loads(target.read_text())
+        assert payload["command"] == argv[0]
+        assert payload["exact"] == "1"
+
+    @pytest.mark.parametrize(
+        "argv", [["od", "--kappa", "1/8"], ["pd", "--alpha", "1", "--feature", "d0"]]
+    )
+    def test_single_value_to_an_unwritable_path(self, capsys, tmp_path, argv):
+        a = write_dataset(tmp_path, "a.json", n_point_discrete(4))
+        target = str(tmp_path / "missing" / "out.json")
+        assert main(argv + [a, "-o", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"gds: cannot write {target}: ")
+
 
 class TestMeasureCommands:
     def test_prohorov_identical(self, capsys, tmp_path):
