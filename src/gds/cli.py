@@ -6,13 +6,13 @@ input inline, so generators pipe into computations:
 
     gds gen discrete --n 3 | gds dconc --other singleton:1 --exact
 
-Output has one path.  main resolves the arithmetic mode once, runs the
-subcommand, and the subcommand returns its result: a JSON payload, None
-once it has written its own CSV table or dataset, or verify's exit code.
-main writes a payload to the command's -o file if it has one, else to
-stdout; so -o covers everything od, pd, quotient, product and gen print,
-single values included.  Only quotient's point map (stderr) and the
-diagnostics below bypass it.
+Output has one path.  main resolves the arithmetic mode once and runs
+the subcommand, which returns a JSON payload, or None once it has
+written its own CSV table or dataset, or (verify) the exit code.  main
+writes a payload to the -o file of the commands that take one, else to
+stdout, so -o covers everything od, pd, quotient, product and gen print,
+single values included.  Diagnostics and quotient's point map go to
+stderr.
 
 Scalar results are JSON with a decimal value, plus the exact rational
 string in exact mode.  Tables are CSV with a header row.  Exit codes: 2
@@ -95,7 +95,9 @@ def _cell_budget(args) -> int:
         try:
             value = int(raw)
         except ValueError:
-            raise SchemaError(f"GDS_BUDGET_CELLS must be an integer, not {raw!r}") from None
+            raise SchemaError(
+                f"GDS_BUDGET_CELLS must be an integer, not {raw!r}"
+            ) from None
     if value < 1:
         raise SchemaError("cell budget must be at least 1")
     return value
@@ -177,7 +179,9 @@ def _generated(spec: str, mode: str) -> GeometricDataSet:
             return random_gds(n, k, seed=seed, scale=scale, mode=mode)
     except ValueError as exc:
         raise SchemaError(f"bad generator spec {spec!r}: {exc}") from exc
-    raise SchemaError(f"unknown generator {kind!r}; use singleton:…, discrete:N or random:n,k")
+    raise SchemaError(
+        f"unknown generator {kind!r}; use singleton:…, discrete:N or random:n,k"
+    )
 
 
 def _pair(args) -> tuple:
@@ -218,28 +222,6 @@ def _scalar_columns(values, mode: str):
     if mode == EXACT:
         row += [exact_string(v, mode) for v in values]
     return row
-
-
-def _budget(args, keyword: str) -> dict:
-    """--budget as the named keyword; absent, the callee's default holds."""
-    return {} if args.budget is None else {keyword: args.budget}
-
-
-def _exact_or_heuristic(args, payload: dict, exact, heuristic) -> dict:
-    """`payload` with the exact answer, or under --heuristic the heuristic one.
-
-    exact() returns the payload's result fields, heuristic() the value.
-    Under --exact --heuristic the heuristic answers only when the exact
-    search declines its budget, and the payload notes why.
-    """
-    if not args.heuristic or args.exact:
-        try:
-            return {**payload, "method": "exact", **exact()}
-        except BudgetExceeded as exc:
-            if not args.heuristic:
-                raise
-            payload["note"] = f"exact search declined: {exc}"
-    return {**payload, "method": "heuristic", "seed": args.seed, **_num(heuristic(), args.mode)}
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +268,28 @@ def _cmd_pd(args) -> Optional[dict]:
         value = partial_diameter(row, X.measure, alpha)
         rows.append([label] + _scalar_columns([value], mode))
     _write(csv_text(header, rows), args.output)
+
+
+def _budget(args, keyword: str) -> dict:
+    """--budget as the named keyword; absent, the callee's default holds."""
+    return {} if args.budget is None else {keyword: args.budget}
+
+
+def _exact_or_heuristic(args, payload: dict, exact, heuristic) -> dict:
+    """`payload` with the exact answer, or under --heuristic the heuristic one.
+
+    exact() returns the payload's result fields, heuristic() the value.
+    Under --exact --heuristic the heuristic answers only when the exact
+    search declines its budget, and the payload notes why.
+    """
+    if not args.heuristic or args.exact:
+        try:
+            return {**payload, "method": "exact", **exact()}
+        except BudgetExceeded as exc:
+            if not args.heuristic:
+                raise
+            payload["note"] = f"exact search declined: {exc}"
+    return {**payload, "method": "heuristic", "seed": args.seed, **_num(heuristic(), args.mode)}
 
 
 def _cmd_dconc(args) -> dict:
@@ -336,7 +340,9 @@ def _cmd_prohorov(args) -> dict:
     for x in range(X.n):
         for y in range(X.n):
             if abs(X.dist[x][y] - Y.dist[x][y]) > tol:
-                raise SchemaError("prohorov inputs must induce the same metric")
+                raise SchemaError(
+                    "prohorov inputs must induce the same metric"
+                )
     value = prohorov(X.measure, Y.measure, X.dist, args.method)
     return {"command": "prohorov", "method": args.method, **_num(value, args.mode)}
 
@@ -522,10 +528,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset path or '-'")
     p.add_argument("--by", required=True, help="comma-separated feature labels")
 
-    pair_inputs(command(
+    p = command(
         sub, "product", _cmd_product, mode_parent, out_parent,
         help="product dataset with the max combination of metrics",
-    ))
+    )
+    pair_inputs(p)
 
     p = sub.add_parser("gen", help="emit a generated dataset as JSON")
     gen_sub = p.add_subparsers(dest="kind", required=True)
