@@ -47,7 +47,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .core import FeatureFamily, GeometricDataSet, MmSpace, lip_violation
+from .core import CELL_BUDGET, FeatureFamily, GeometricDataSet, MmSpace, lip_violation
 from .coupling import Coupling
 from .errors import EmptyCellSet, SizeLimit, WitnessNotLipschitz
 from .flows import Transport
@@ -69,8 +69,6 @@ from .numerics import (
     unscaled,
     unscaled_rows,
 )
-
-CELL_BUDGET = 16
 
 
 @dataclass(frozen=True)

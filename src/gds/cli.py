@@ -12,7 +12,11 @@ written its own CSV table or dataset, or (verify) the exit code.  main
 writes a payload to the -o file of the commands that take one, else to
 stdout, so -o covers everything od, pd, quotient, product and gen print,
 single values included.  Diagnostics and quotient's point map go to
-stderr.
+stderr.  A reader that closes the pipe early ends the command quietly.
+
+Only the modules every command needs load with this one; each handler
+imports its solver layer (metrics, observable, box, order, suite) when
+it runs, so a process compiles only what its subcommand calls.
 
 Scalar results are JSON with a decimal value, plus the exact rational
 string in exact mode.  Tables are CSV with a header row.  Exit codes: 2
@@ -21,11 +25,14 @@ cannot be read or is not UTF-8 included, for an -o path that cannot be
 written and for verify --trials below 0; 3 when an exact search refuses
 its budget and no --heuristic fallback was offered, when a --step grid
 would exceed GRID_BUDGET values or a gen levy family LEVY_POINTS points;
-1 when the verification suite fails.
+1 when the verification suite fails; 0 when the reader of stdout
+closed it before the output was written, since whether a write meets
+the closed pipe depends on timing and the pipe's buffer, and the
+reader's own status tells how the pipe went.
 
 Environment: GDS_MODE picks exact or float arithmetic (flag --mode wins;
 verify, which has no mode, ignores it); GDS_BUDGET_CELLS caps the exact
-box search grid (default box.CELL_BUDGET).
+box search grid (default core.CELL_BUDGET).
 """
 
 from __future__ import annotations
@@ -36,20 +43,10 @@ import os
 import sys
 from typing import Optional
 
-from .box import CELL_BUDGET, box_exact, box_heuristic, box_mm_exact
-from .core import GeometricDataSet
+from .core import CELL_BUDGET, GeometricDataSet
 from .dataio import csv_text, emit_gds, parse_gds
 from .errors import BudgetExceeded, GdsError, SchemaError, SizeLimit
-from .metrics import (
-    ky_fan,
-    observable_diameter,
-    od_breakpoints,
-    partial_diameter,
-    prohorov,
-)
 from .numerics import EXACT, FLOAT, exact_string, format_scalar, to_scalar, tolerance
-from .observable import dconc_exact, dconc_heuristic, dconc_lower_witness
-from .order import check_domination, check_isomorphism
 from .spaces import (
     levy_sequence,
     levy_table,
@@ -59,7 +56,6 @@ from .spaces import (
     random_gds,
     singleton_gds,
 )
-from .suite import verify_theorem_suite
 
 __all__ = ["main"]
 
@@ -231,6 +227,8 @@ def _scalar_columns(values, mode: str):
 
 
 def _cmd_od(args) -> Optional[dict]:
+    from .metrics import observable_diameter, od_breakpoints
+
     mode = args.mode
     X = _load(args.dataset, mode)
     if args.kappa is not None:
@@ -249,6 +247,8 @@ def _cmd_od(args) -> Optional[dict]:
 
 
 def _cmd_pd(args) -> Optional[dict]:
+    from .metrics import partial_diameter
+
     mode = args.mode
     X = _load(args.dataset, mode)
     alpha = _option(args.alpha, "--alpha", mode)
@@ -293,6 +293,8 @@ def _exact_or_heuristic(args, payload: dict, exact, heuristic) -> dict:
 
 
 def _cmd_dconc(args) -> dict:
+    from .observable import dconc_exact, dconc_heuristic, dconc_lower_witness
+
     mode = args.mode
     X, Y = _pair(args)
     if args.bounds:
@@ -312,6 +314,8 @@ def _cmd_dconc(args) -> dict:
 
 
 def _cmd_box(args) -> dict:
+    from .box import box_exact, box_heuristic, box_mm_exact
+
     mode = args.mode
     X, Y = _pair(args)
     cells = _cell_budget(args)
@@ -333,6 +337,8 @@ def _cmd_box(args) -> dict:
 
 
 def _cmd_prohorov(args) -> dict:
+    from .metrics import prohorov
+
     X, Y = _pair(args)
     if X.n != Y.n:
         raise SchemaError("prohorov compares two measures on one space")
@@ -348,6 +354,8 @@ def _cmd_prohorov(args) -> dict:
 
 
 def _cmd_kyfan(args) -> dict:
+    from .metrics import ky_fan
+
     X = _load(args.dataset, args.mode)
     try:
         f = X.features.by_label(args.first)
@@ -403,6 +411,8 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_check(args) -> dict:
+    from .order import check_domination, check_isomorphism
+
     X, Y = _pair(args)
     kwargs = _budget(args, "map_budget")
     if args.relation == "domination":
@@ -414,6 +424,8 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from .suite import verify_theorem_suite
+
     report = verify_theorem_suite(seed=args.seed, trials=args.trials)
     for line in report.lines():
         print(line)
@@ -586,10 +598,18 @@ def main(argv=None) -> int:
         if hasattr(args, "mode"):  # verify has no mode, so ignores GDS_MODE
             args.mode = _resolve_mode(args.mode)
         result = args.func(args)
-        if isinstance(result, int):  # verify's exit code
-            return result
-        if result is not None:
+        if isinstance(result, dict):
             _write(json.dumps(result, indent=2) + "\n", getattr(args, "output", None))
+        # Flushed here, a pipe the reader has closed raises below, not at exit.
+        sys.stdout.flush()
+        return result if isinstance(result, int) else 0  # verify's exit code
+    except BrokenPipeError:
+        # The reader stopped reading; the rest of the output is not wanted.
+        # Point stdout at the null device, so the interpreter's final flush
+        # of what is still buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except BudgetExceeded as exc:
         print(f"gds: budget: {exc}", file=sys.stderr)

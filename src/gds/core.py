@@ -35,6 +35,10 @@ from .numerics import (
     tolerance,
 )
 
+# The largest grid (cells = point pairs) an exact box search takes on
+# by default.  box reads it from here, and so does the CLI for --cells.
+CELL_BUDGET = 16
+
 
 def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(count))

@@ -8,7 +8,6 @@ from typing import Iterable, Optional, Sequence
 
 from .core import GeometricDataSet, close_pairs
 from .errors import GdsError, NotLipschitzFamily
-from .metrics import observable_diameter
 from .numerics import (
     EXACT,
     Q,
@@ -224,6 +223,8 @@ def levy_table(
 
     Returns (kappas, rows) with one (label, values) row per member.
     """
+    from .metrics import observable_diameter  # only the table needs the solver layer
+
     if kappas is None:
         kappas = scalar_list((Q(j, 20) for j in range(1, 20)), mode)
     rows = []

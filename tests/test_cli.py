@@ -666,6 +666,80 @@ class TestArbitraryInputs:
             assert err.startswith("gds: "), err
 
 
+# The defects a hand probe of the CLI fed it, each applied to a sound
+# document, and the option values it tried.
+PROBE_DEFECTS = (
+    "sound", "duplicate point", "duplicate label", "1/0", "nan", "1e99999999",
+    "bare number", "short row", "zero weight", "extra key",
+)
+PROBE_OPTIONS = ("1/4", "0", "-1", "1/0", "nan", "1e99999999")
+# Every subcommand that reads a document, with each branch of its handler;
+# "A" is the probed document, "B" a sound one and "V" the probed option
+# value.  verify reads no document (the golden corpus runs it).
+PROBE_ARGVS = [
+    "od A", "od - --kappa V", "od A --step V",
+    "pd A --alpha V", "pd A --alpha V --feature f0",
+    "dconc A B", "dconc A --other singleton:V --heuristic", "dconc A B --bounds",
+    "dconc - B --exact --heuristic --budget 1",
+    "box A B", "box A B --heuristic", "box A B --mm", "box - --other random:2,2,5",
+    "prohorov A A", "prohorov A B --method brute",
+    "kyfan A -f f0 -g f1",
+    "quotient A --by f0",
+    "product A B",
+    "check domination A B", "check isomorphism A A",
+    "gen levy --family product_power --base A --n 2",
+    "gen singleton --values V",
+]
+
+
+@st.composite
+def probed_documents(draw):
+    """A random_gds document, sound or with one of the probe's defects."""
+    n = draw(st.integers(2, 4))
+    k, seed = draw(st.integers(1, 3)), draw(st.integers(0, 99))
+    doc = json.loads(emit_gds(random_gds(n, k, seed=seed)))
+    defect = draw(st.sampled_from(PROBE_DEFECTS))
+    row = draw(st.sampled_from(["weights", *doc["features"]]))
+    values = doc["weights"] if row == "weights" else doc["features"][row]
+    i = draw(st.integers(0, n - 1))
+    if defect == "duplicate point":
+        for column in doc["features"].values():
+            column[i] = column[i - 1]
+    elif defect == "duplicate label":
+        doc["points"][i] = doc["points"][i - 1]
+    elif defect in ("1/0", "nan", "1e99999999"):
+        values[i] = defect
+    elif defect == "bare number":
+        values[i] = 0.5
+    elif defect == "short row":
+        values.pop()
+    elif defect == "zero weight":
+        doc["weights"][i] = "0"
+    elif defect == "extra key":
+        doc["extra"] = []
+    return doc
+
+
+class TestProbe:
+    @settings(max_examples=20)
+    @given(probed_documents(), st.sampled_from(PROBE_OPTIONS))
+    def test_every_command_and_mode_exits_cleanly(self, tmp_path_factory, doc, value):
+        # Each handler imports its solver layer when it runs, so these runs
+        # also catch a deferred import that fails.
+        folder = tmp_path_factory.mktemp("probe")
+        a, b = folder / "a.json", folder / "b.json"
+        a.write_text(json.dumps(doc))
+        b.write_text(emit_gds(random_gds(3, 2, seed=1)))
+        for line in PROBE_ARGVS:
+            words = [{"A": str(a), "B": str(b)}.get(w, w.replace("V", value))
+                     for w in line.split()]
+            for mode in ("exact", "float"):
+                argv = words + ["--mode", mode]
+                code, _, err = run_captured(argv, json.dumps(doc))
+                assert code in (0, 2, 3), (argv, err)
+                assert "Traceback" not in err, (argv, err)
+
+
 class TestShellPipeline:
     # Run the module from this checkout; no installed `gds` script needed.
     gds_cmd = f"{shlex.quote(sys.executable)} -m gds"
@@ -698,3 +772,35 @@ class TestShellPipeline:
         for line in lines:
             proc = self.run(line, cwd=tmp_path)
             assert proc.returncode == 0, (line, proc.stderr)
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "n, read, unbuffered",
+        [
+            # A small document waits in stdout's buffer: main's flush meets the pipe.
+            ("3", 0, False),
+            # A large one meets it in the write, after the reader took a byte.
+            ("2000", 1, False),
+            # Unbuffered, even a small one meets it in the write.
+            ("3", 0, True),
+        ],
+    )
+    def test_writer_ends_quietly(self, n, read, unbuffered):
+        # The reader closes its end early; the writer exits 0, no traceback.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gds.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gds", "gen", "random", "--n", n, "--k", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0, err
+        assert err == ""
