@@ -67,7 +67,6 @@ from .numerics import (
     scaled_ints,
     to_scalar,
     unscaled,
-    unscaled_rows,
 )
 
 
@@ -431,7 +430,7 @@ def box_exact(
     d = transport.scale or 1
     return BoxResult(
         _certified(table, mask, value, d, mass, unit or 1, mode),
-        Coupling.certified(unscaled_rows(rows, unit), mode),
+        Coupling.certified(rows, unit, mode),
         CellSet.from_mask(X.n, Y.n, mask),
     )
 
@@ -563,6 +562,6 @@ def box_heuristic(
         if best is None or cur_val < best[0]:
             best = (cur_val, current)
     _, mask = best
-    _, matrix = transport.coupling(mask)
+    _, rows, unit = transport.completion(mask)
     cells = CellSet.from_mask(n, m, mask)
-    return box_objective(Coupling.certified(matrix, mode), cells, X.features, Y.features)
+    return box_objective(Coupling.certified(rows, unit, mode), cells, X.features, Y.features)

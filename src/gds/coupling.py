@@ -20,9 +20,11 @@ other so they can cross-validate:
     enumeration of the transportation polytope on tiny grids, peeled on
     scaled ints, and a deterministic mixture lattice.
 
-A certified witness becomes a Coupling through Coupling.certified, which
-skips the per-entry check that certify_coupling has just made; every
-other matrix goes through the checked constructor.
+A solver's certified witness becomes a Coupling in one way:
+Coupling.certified takes its ints over their unit (floats and no unit in
+float mode), unscales each entry once and skips the per-entry check that
+certify_coupling has just made.  Every other matrix goes through the
+checked constructor.
 """
 
 from __future__ import annotations
@@ -79,26 +81,18 @@ class Coupling:
                     raise GdsError(f"negative coupling entry {v!r}")
 
     @classmethod
-    def build(cls, rows: Sequence[Sequence], mode: str = EXACT) -> "Coupling":
-        if mode == FLOAT:
-            frozen = tuple(
-                tuple(max(0.0, float(v)) for v in row) for row in rows
-            )
-        else:
-            frozen = tuple(tuple(row) for row in rows)
-        return cls(frozen, mode)
+    def certified(cls, rows, unit, mode: str) -> "Coupling":
+        """The Coupling of a witness certified on its ints, unchecked again.
 
-    @classmethod
-    def certified(cls, matrix: tuple, mode: str) -> "Coupling":
-        """A Coupling of a matrix its solver has certified, unchecked again.
-
-        matrix is a tuple of equal-length tuples whose entries
-        flows.certify_coupling has just passed (none below the mode's
-        tolerance), or the product of two measures' positive weights, so
-        __post_init__'s per-entry re-check is skipped.
+        rows are equal-length rows of ints over unit (floats and unit None
+        in float mode), as a solver certified them with
+        flows.certify_coupling (none below the mode's tolerance), or the
+        scaled entries of a coupling already built: the product of two
+        measures' positive weights, or a lattice coupling.  Each entry is
+        unscaled once, and __post_init__'s per-entry re-check is skipped.
         """
         pi = object.__new__(cls)
-        vars(pi).update(matrix=matrix, mode=mode)
+        vars(pi).update(matrix=unscaled_rows(rows, unit), mode=mode)
         return pi
 
     @property
@@ -165,7 +159,7 @@ def max_mass_on_set(
 ) -> tuple[Scalar, Coupling]:
     """Largest coupling mass placeable on a cell set, with a witness.
 
-    Solved by bipartite max-flow; Transport.coupling completes the flow
+    Solved by bipartite max-flow; Transport.completion completes the flow
     plan to a genuine coupling by product-filling the residual marginals,
     on the scaled ints.  The filled mass cannot land on the target set
     (that would beat the maximum), so the witness attains exactly the
@@ -175,8 +169,9 @@ def max_mass_on_set(
     mode = same_mode(mu.mode, nu.mode)
     if cells.n != mu.n or cells.m != nu.n:
         raise GdsError("cell set shape disagrees with the marginals")
-    value, matrix = Transport(mu.weights, nu.weights).coupling(cells.to_mask())
-    return value, Coupling.certified(matrix, mode)
+    transport = Transport(mu.weights, nu.weights)
+    flow, rows, unit = transport.completion(cells.to_mask())
+    return unscaled(flow, transport.scale), Coupling.certified(rows, unit, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +300,8 @@ def _common_cap_lp(mu_w, nu_w, D, cell_lists) -> tuple:
     are all read off the scaled weights, since a positive scale changes
     none of them.
     Exact mode returns the witness rows and t as ints over unit = d * D,
-    d the tableau's; float mode returns the entries clamped at 0.0, as
-    Coupling.build clamps them, t as a float and unit None.
+    d the tableau's; float mode returns the entries clamped at 0.0, t as
+    a float and unit None.
 
     The witness is certified on those numbers: its marginals by
     flows.certify_coupling (every entry >= 0, rows summing to d * mu_w,
@@ -376,9 +371,9 @@ def feasibility_lp(
     slack basic.
 
     The weights are scaled to ints once, here, with numerics.scaled_ints,
-    and _common_cap_lp solves and certifies the program on them; each
-    witness entry and t are unscaled once, and the certified entries
-    become a Coupling without a second check.
+    and _common_cap_lp solves and certifies the program on them; t is
+    unscaled once, and Coupling.certified unscales each witness entry
+    once, without a second check.
     """
     mode = same_mode(mu.mode, nu.mode)
     for cells in sets:
@@ -388,7 +383,7 @@ def feasibility_lp(
     if abs(sum(mu_w) - sum(nu_w)) > tolerance(mode):
         raise InfeasibleMarginals("marginals carry different total mass")
     rows, unit, t = _common_cap_lp(mu_w, nu_w, D, [cells.sorted_cells for cells in sets])
-    return Coupling.certified(unscaled_rows(rows, unit), mode), unscaled(t, unit)
+    return Coupling.certified(rows, unit, mode), unscaled(t, unit)
 
 
 def _mass(matrix, cells) -> Scalar:

@@ -20,10 +20,11 @@ arithmetic.  For the same reason, scaling every capacity by one
 positive D leaves each search, bottleneck and augmenting path as it
 was.  Every solver reaches the kernel through Transport, which scales
 the weights once with numerics.scaled_ints and memoises each cell
-mask's flow as that int, so the sweeps compare flows as ints.  It
-completes a witness plan into a coupling on the same ints, certifies
-the int matrix (certify_coupling) and converts back only what it
-returns; float weights pass through unscaled.  Transport's is the only
+mask's flow as that int, so the sweeps compare flows as ints.
+Transport.completion fills a witness plan out to a coupling on the same
+ints and certifies the int matrix (certify_coupling); the caller
+converts back only what it returns, the matrix through
+Coupling.certified.  Float weights pass through unscaled.  Transport's is the only
 memo of flow values in the package.
 
 Each solve starts from a greedy flow: row by row, each allowed cell by
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .numerics import FLOAT_TOL, scaled_ints, unscaled, unscaled_rows
+from .numerics import FLOAT_TOL, scaled_ints
 
 
 def max_flow_on_cells(mu: Sequence, nu: Sequence, allowed: int) -> tuple:
@@ -212,12 +213,12 @@ class Transport:
     mode).  This is the one memo of flow values: scaled_value(mask), the
     max-flow on the mask as an int over D, is memoised, since the
     threshold sweeps revisit masks across levels and compare flows as
-    these ints.  completion(mask) solves the mask again for its plan and
-    completes it into a full coupling on the same ints, certified there,
-    which only witnesses need; coupling(mask) unscales it.  Each solver
-    builds one Transport for its instance and reads both its sweep and
-    its witness from it.  Float mode computes and returns floats
-    throughout.
+    these ints.  completion(mask), the one witness method, solves the mask
+    again for its plan and completes it into a full coupling on the same
+    ints, certified there, which only witnesses need; the caller unscales
+    what it returns.  Each solver builds one Transport for its instance
+    and reads both its sweep and its witness from it.  Float mode
+    computes and returns floats throughout.
     """
 
     def __init__(self, mu: Sequence, nu: Sequence):
@@ -273,8 +274,3 @@ class Transport:
         if abs(sum(mu) - sum(nu)) <= tol:  # one total: rows is a coupling
             certify_coupling(rows, mu, nu, factor, tol)
         return flow, rows, unit
-
-    def coupling(self, mask: int) -> tuple:
-        """(value, matrix): completion(mask) unscaled, each entry once."""
-        flow, rows, unit = self.completion(mask)
-        return unscaled(flow, self.scale), unscaled_rows(rows, unit)

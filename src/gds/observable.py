@@ -22,12 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import GeometricDataSet, lip_violation
-from .coupling import (
-    Coupling,
-    _common_cap_lp,
-    enumerate_couplings,
-    product_coupling,
-)
+from .coupling import Coupling, _common_cap_lp, enumerate_couplings
 from .errors import BudgetExceeded, GdsError, ModeMismatch, WitnessNotLipschitz
 from .flows import Transport
 from .metrics import (
@@ -40,7 +35,7 @@ from .metrics import (
     ky_fan_coupling,
 )
 from .numerics import Scalar, same_mode, scaled_ceil, scaled_ints, to_scalar, tolerance
-from .numerics import unscaled, unscaled_rows
+from .numerics import unscaled
 
 
 @dataclass(frozen=True)
@@ -105,10 +100,13 @@ class _DconcSearch:
     one Transport, `transport`: it memoises the flows behind the
     single-set floors, and its scaled weights feed every witness.  The
     caps of set families are memoised here with their witnesses as
-    certified ints (joint_min_cap); coupling() converts only the one a
-    solver returns.  ky_fan_table evaluates a coupling on the table's
-    scaled gaps, as ints in exact mode; product_bound, the search's upper
-    bound, is its value at the Transport's scaled product coupling.
+    certified ints (joint_min_cap), and the search reads every coupling
+    in that form, (rows, unit).  ky_fan_table evaluates one on the
+    table's scaled gaps, as ints in exact mode; read takes the value and
+    both transfers off that table, and product_bound, the search's upper
+    bound, is the value at the Transport's scaled product coupling.  Only
+    the witness a solver returns becomes a Coupling, through
+    Coupling.certified.
     """
 
     def __init__(self, X: GeometricDataSet, Y: GeometricDataSet):
@@ -167,24 +165,26 @@ class _DconcSearch:
         rows, unit = self.product()
         return self.table_value(self.ky_fan_table(rows, unit), unit)
 
-    def read(self, pi) -> tuple:
-        """dconc_at_coupling and feature_transfer both ways at pi.
+    def read(self, rows, unit) -> tuple:
+        """dconc_at_coupling and feature_transfer both ways at a coupling.
 
-        Exact mode reads all three off one ky_fan_table: its Hausdorff
-        value, and each row's and each column's first minimum.  Float
-        Ky Fan sums depend on the pair order, so float mode keeps the
-        three calls.
+        The coupling is (rows, unit), ints over unit as joint_min_cap
+        keeps its witnesses (floats and unit None in float mode).  One
+        ky_fan_table gives the Hausdorff value and each row's first
+        minimum; its float entries pair the cells in ky_fan_coupling's
+        row-major order, so they are that function's bits.  Exact mode
+        reads each column's first minimum off the same table.  Float Ky
+        Fan sums depend on the pair order, so float mode reads the
+        transfer back by feature_transfer on the transposed rows.
         """
-        X, Y = self.X, self.Y
-        if self.table.scale is None:
-            pi_t = Coupling(tuple(zip(*pi.matrix)), pi.mode)
-            u, v = feature_transfer(X, Y, pi), feature_transfer(Y, X, pi_t)
-            return dconc_at_coupling(X, Y, pi), u, v
-        rows, unit = scaled_ints(*pi.matrix)
         table = self.ky_fan_table(rows, unit)
         first_min = lambda values: values.index(min(values))
-        u, v = map(first_min, table), map(first_min, zip(*table))
-        return self.table_value(table, unit), tuple(u), tuple(v)
+        u = tuple(map(first_min, table))
+        if unit is None:
+            v = feature_transfer(self.Y, self.X, tuple(zip(*rows)))
+        else:
+            v = tuple(map(first_min, zip(*table)))
+        return self.table_value(table, unit), u, v
 
     def joint_min_cap(self, sets: frozenset) -> tuple:
         """min over couplings of max mass over several cell sets: (cap, witness).
@@ -194,8 +194,8 @@ class _DconcSearch:
         in float mode.  No live set: the product.  One: the Transport's
         completion on the set's complement.  More: the
         common-cap LP on the Transport's scaled weights, each set's cells
-        read off its bits.  Only a witness a solver returns goes through
-        coupling().
+        read off its bits.  The search reads a witness as it is, and only
+        the one a solver returns goes through Coupling.certified.
         """
         hit = self._lp_cache.get(sets)
         if hit is None:
@@ -214,11 +214,6 @@ class _DconcSearch:
                 hit = (unscaled(t, unit), (rows, unit))
             self._lp_cache[sets] = hit
         return hit
-
-    def coupling(self, witness: tuple) -> Coupling:
-        """The Coupling of a joint_min_cap witness, each entry unscaled once."""
-        rows, unit = witness
-        return Coupling.certified(unscaled_rows(rows, unit), self.X.mode)
 
     def pair_sets(self, u: Sequence[int], v: Sequence[int], level_idx: int):
         ex = self.exceed(level_idx)
@@ -287,9 +282,10 @@ class _DconcSearch:
 
 
 def _forced_coupling_result(X, Y) -> DconcResult:
-    pi = product_coupling(X.measure, Y.measure)
-    value, u, v = _DconcSearch(X, Y).read(pi)
-    return DconcResult(value, pi, u, v)
+    search = _DconcSearch(X, Y)
+    rows, unit = search.product()
+    value, u, v = search.read(rows, unit)
+    return DconcResult(value, Coupling.certified(rows, unit, X.mode), u, v)
 
 
 def dconc_exact(
@@ -336,7 +332,7 @@ def dconc_exact(
     cap, witness, u, v = best
     level = search.level(lo)
     value = cap if cap > level else level
-    return DconcResult(value, search.coupling(witness), u, v)
+    return DconcResult(value, Coupling.certified(*witness, mode), u, v)
 
 
 def dconc_heuristic(
@@ -352,19 +348,23 @@ def dconc_heuristic(
     single-pair exact search, and repeat while the bound improves.  The
     reported value is dconc_at_coupling at the best coupling seen, so it is
     monotone across iterations and never below the exact distance.  Each
-    coupling's value and assignments come from _DconcSearch.read, off one
-    int Ky Fan table in exact mode.
+    coupling is walked as (rows, unit), the form _DconcSearch.read takes:
+    the product as the search's own, each lattice anchor scaled once, and
+    each accepted witness as joint_min_cap returns it.  Only the best one
+    becomes a Coupling, at return.
     """
-    same_mode(X.mode, Y.mode)
+    mode = same_mode(X.mode, Y.mode)
     if X.n == 1 or Y.n == 1:
         res = _forced_coupling_result(X, Y)
         return res.value, res.coupling
     search = _DconcSearch(X, Y)
     rng = random.Random(seed)
 
-    anchors = list(enumerate_couplings(X.measure, Y.measure, 2))
-    rng.shuffle(anchors)
-    anchors = [product_coupling(X.measure, Y.measure)] + anchors[: max(1, budget // 2)]
+    lattice = list(enumerate_couplings(X.measure, Y.measure, 2))
+    rng.shuffle(lattice)
+    anchors = [search.product()] + [
+        scaled_ints(*pi.matrix) for pi in lattice[: max(1, budget // 2)]
+    ]
 
     def pair_value(u, v):
         """Exact optimum over couplings for one fixed assignment pair."""
@@ -375,22 +375,21 @@ def dconc_heuristic(
             1,
         )
 
-    best_val, best_pi = None, None
-    for pi in anchors:
-        current = pi
+    best_val, best = None, None
+    for current in anchors:
         seen = set()
         for _ in range(max(1, budget)):
-            val, u, v = search.read(current)
+            val, u, v = search.read(*current)
             if best_val is None or val < best_val:
-                best_val, best_pi = val, current
+                best_val, best = val, current
             if (u, v) in seen:
                 break
             seen.add((u, v))
             cand_val, witness = pair_value(u, v)
             if cand_val >= val:
                 break
-            current = search.coupling(witness)
-    return best_val, best_pi
+            current = witness
+    return best_val, Coupling.certified(*best, mode)
 
 
 def dconc_lower_witness(

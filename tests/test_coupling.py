@@ -156,7 +156,7 @@ class TestCoupling:
         unit = Q(1, 12) if mode == "exact" else 1 / 12
         rows[0][0] -= unit
         rows[to[0]][to[1]] += unit
-        pi = Coupling.build(rows, mode)
+        pi = Coupling(tuple(map(tuple, rows)), mode)
         # Float mode renders the sums as floats.
         match = message if mode == "exact" else message[:len("row 0 sums to")]
         with pytest.raises(MarginalMismatch, match=match):

@@ -48,7 +48,7 @@ from gds import (
 from gds import flows
 from gds.coupling import product_coupling
 from gds.flows import Transport, certify_coupling, max_flow_on_cells
-from gds.numerics import Q, close, scaled_ints, unscaled
+from gds.numerics import Q, close, scaled_ints, unscaled, unscaled_rows
 from gds.spaces import random_gds
 
 # Zero weights allowed, totals free: the kernel never assumes a
@@ -70,7 +70,7 @@ def completed_on_rationals(mu, nu, mask):
 
     Residual row masses a_i and column masses b_j add a_i * b_j / L to
     each cell, L being the total of the a_i; rational arithmetic
-    throughout, as an oracle for Transport.coupling.
+    throughout, as an oracle for Transport.completion.
     """
     value, plan = max_flow_on_cells(mu, nu, mask)
     a = [mu[i] - sum(plan[i]) for i in range(len(mu))]
@@ -83,6 +83,12 @@ def completed_on_rationals(mu, nu, mask):
                 if a[i] and b[j]:
                     rows[i][j] += a[i] * b[j] / leftover
     return value, tuple(tuple(row) for row in rows)
+
+
+def unscaled_completion(transport, mask):
+    """(value, matrix): Transport.completion with each number unscaled once."""
+    flow, rows, unit = transport.completion(mask)
+    return unscaled(flow, transport.scale), unscaled_rows(rows, unit)
 
 
 class TestKernel:
@@ -104,7 +110,7 @@ class TestKernel:
         mu, nu, mask = instance
         want_value, want_matrix = completed_on_rationals(mu, nu, mask)
         transport = Transport(mu, nu)
-        value, matrix = transport.coupling(mask)
+        value, matrix = unscaled_completion(transport, mask)
         assert (value, matrix) == (want_value, want_matrix)
         assert type(value) is Q
         assert all(type(x) is Q for row in matrix for x in row)
@@ -121,7 +127,7 @@ class TestKernel:
             unscaled(float_transport.scaled_value(mask), float_transport.scale)
             - float(want_value)
         ) <= 1e-9
-        value, matrix = float_transport.coupling(mask)
+        value, matrix = unscaled_completion(float_transport, mask)
         assert abs(value - float(want_value)) <= 1e-9
         assert all(
             abs(x - float(y)) <= 1e-9
@@ -142,7 +148,7 @@ class TestKernel:
             unscaled(transport.scaled_value(0b1001), transport.scale) for _ in range(2)
         )
         assert first == again == Q(5, 6)
-        value, matrix = transport.coupling(0b1001)
+        value, matrix = unscaled_completion(transport, 0b1001)
         assert value == Q(5, 6)
         assert matrix == ((Q(1, 3), 0), (Q(1, 6), Q(1, 2)))
         # The value once, memoised; the witness plan once more.

@@ -299,6 +299,12 @@ class TestKyFanTable:
                             assert type(got) is scalar and repr(got) == repr(want)
                     value = search.table_value(table, unit)
                     assert repr(value) == repr(dconc_at_coupling(A, B, pi))
+                    want = (
+                        dconc_at_coupling(A, B, pi),
+                        feature_transfer(A, B, pi),
+                        feature_transfer(B, A, pi_transposed(pi)),
+                    )
+                    assert repr(search.read(rows, unit)) == repr(want)
         assert zeros > 100
 
 
@@ -334,7 +340,7 @@ def heuristic_reference(X, Y, budget=12, seed=0):
             cand_val, witness = pair_value(u, v)
             if cand_val >= val:
                 break
-            current = search.coupling(witness)
+            current = Coupling.certified(*witness, X.mode)
     return best_val, best_pi
 
 
@@ -355,7 +361,7 @@ class TestSingleSetCap:
                         if not cells:
                             continue
                         cap, witness = search.joint_min_cap(frozenset([cells]))
-                        pi = search.coupling(witness)
+                        pi = Coupling.certified(*witness, mode)
                         keep = CellSet.from_mask(X.n, Y.n, full ^ cells)
                         value, want = max_mass_on_set(X.measure, Y.measure, keep)
                         assert type(cap) is scalar
@@ -384,7 +390,7 @@ class TestSearchWitnesses:
                 cells = [CellSet.from_mask(X.n, Y.n, s) for s in live]
                 pi, t = feasibility_lp(X.measure, Y.measure, cells)
                 assert type(cap) is scalar
-                assert repr((cap, search.coupling(witness))) == repr((t, pi))
+                assert repr((cap, Coupling.certified(*witness, mode))) == repr((t, pi))
                 families += 1
         assert families > 100
 
@@ -397,7 +403,7 @@ class TestSearchWitnesses:
             want = product_coupling(X.measure, Y.measure)
             for sets in (frozenset(), frozenset([0])):
                 cap, witness = search.joint_min_cap(sets)
-                assert repr((cap, search.coupling(witness))) == repr((0, want))
+                assert repr((cap, Coupling.certified(*witness, mode))) == repr((0, want))
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_a_witness_off_by_one_unit_is_refused(self, mode, monkeypatch):
