@@ -593,8 +593,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit:
+            # --help writes its text, then argparse exits; flushed here, a
+            # pipe the reader has closed raises below, not at exit.
+            sys.stdout.flush()
+            raise
         if hasattr(args, "mode"):  # verify has no mode, so ignores GDS_MODE
             args.mode = _resolve_mode(args.mode)
         result = args.func(args)

@@ -776,17 +776,21 @@ class TestShellPipeline:
 
 class TestClosedPipe:
     @pytest.mark.parametrize(
-        "n, read, unbuffered",
+        "argv, read, unbuffered",
         [
             # A small document waits in stdout's buffer: main's flush meets the pipe.
-            ("3", 0, False),
+            (["gen", "random", "--n", "3", "--k", "2"], 0, False),
             # A large one meets it in the write, after the reader took a byte.
-            ("2000", 1, False),
+            (["gen", "random", "--n", "2000", "--k", "2"], 1, False),
             # Unbuffered, even a small one meets it in the write.
-            ("3", 0, True),
+            (["gen", "random", "--n", "3", "--k", "2"], 0, True),
+            # argparse writes a help text into the buffer and exits.
+            (["--help"], 0, False),
+            (["box", "--help"], 0, False),
         ],
+        ids=["3-0-False", "2000-1-False", "3-0-True", "help", "box-help"],
     )
-    def test_writer_ends_quietly(self, n, read, unbuffered):
+    def test_writer_ends_quietly(self, argv, read, unbuffered):
         # The reader closes its end early; the writer exits 0, no traceback.
         src = os.path.dirname(os.path.dirname(os.path.abspath(gds.__file__)))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -795,7 +799,7 @@ class TestClosedPipe:
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "gds", "gen", "random", "--n", n, "--k", "2"],
+            [sys.executable, "-m", "gds", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
         proc.stdout.read(read)
