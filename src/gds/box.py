@@ -45,9 +45,15 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 
-from .core import CELL_BUDGET, FeatureFamily, GeometricDataSet, MmSpace, lip_violation
+from .core import (
+    CELL_BUDGET,
+    FeatureFamily,
+    GeometricDataSet,
+    MmSpace,
+    Record,
+    lip_violation,
+)
 from .coupling import Coupling
 from .errors import EmptyCellSet, SizeLimit, WitnessNotLipschitz
 from .flows import Transport
@@ -70,13 +76,13 @@ from .numerics import (
 )
 
 
-@dataclass(frozen=True)
-class BoxResult:
+class BoxResult(Record):
     """Box distance value with the witnessing coupling and cell set."""
 
-    value: Scalar
-    coupling: Coupling
-    cells: CellSet
+    _fields = ("value", "coupling", "cells")
+
+    def __init__(self, value: Scalar, coupling: Coupling, cells: CellSet):
+        self.__dict__.update(value=value, coupling=coupling, cells=cells)
 
 
 def check_cell_budget(n: int, m: int, cell_budget: int) -> None:

@@ -30,10 +30,9 @@ checked constructor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DiscreteMeasure
+from .core import DiscreteMeasure, Record
 from .errors import (
     GdsError,
     InfeasibleMarginals,
@@ -60,12 +59,14 @@ from .numerics import (
 VERTEX_CELL_LIMIT = 9
 
 
-@dataclass(frozen=True)
-class Coupling:
+class Coupling(Record):
     """Nonnegative matrix on the n x m grid; marginals live with the caller."""
 
-    matrix: tuple
-    mode: str = EXACT
+    _fields = ("matrix", "mode")
+
+    def __init__(self, matrix: tuple, mode: str = EXACT):
+        self.__dict__.update(matrix=matrix, mode=mode)
+        self.__post_init__()
 
     def __post_init__(self):
         check_mode(self.mode)
@@ -561,35 +562,23 @@ def _northwest_corner(mu, nu, row_order, col_order):
     return tuple(tuple(r) for r in matrix), visited
 
 
-def enumerate_couplings(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, resolution: int = 4
-) -> tuple:
-    """A finite, deterministic mixture lattice in the coupling polytope.
+def _mixture_lattice(mu_w, nu_w, D, resolution: int) -> tuple:
+    """enumerate_couplings' lattice as (sorted matrices, unit), not unscaled.
 
-    The anchors are the product coupling and the corner couplings of the
-    four monotone orders.  Each unordered pair of anchors is blended with
-    weights k/resolution for 0 < k < resolution, so the lattice holds the
-    anchors and these blends.  Every emitted matrix satisfies the
-    marginals exactly, in both modes, since the polytope is convex.
-
-    Exact mode builds the lattice on ints: with the weights scaled by D
-    (numerics.scaled_ints), the product anchor is over D * D, a corner
-    anchor over D is brought to D * D, and the blend
+    mu_w and nu_w are the weights as numerics.scaled_ints scales them
+    over D (the floats and None in float mode).  The product anchor is
+    over D * D, a corner anchor over D is brought to D * D, and the blend
     k * a + (resolution - k) * b of two anchors is over
-    D * D * resolution, as are the anchors times resolution.  Scaling by
-    a positive constant keeps equality and order, so the matrices are
-    deduplicated and sorted as int tuples and each entry is unscaled
-    once.
+    D * D * resolution, as are the anchors times resolution, which is the
+    unit returned.  Scaling by a positive constant keeps equality and
+    order, so the matrices are deduplicated and sorted as int tuples.
+    Float mode blends with weights k / resolution and returns unit None.
     """
-    mode = same_mode(mu.mode, nu.mode)
-    if resolution < 1:
-        raise GdsError("grid resolution must be at least 1")
-    n, m = mu.n, nu.n
+    n, m = len(mu_w), len(nu_w)
 
     def times(matrix, c):
         return tuple(tuple(x * c for x in row) for row in matrix)
 
-    (mu_w, nu_w), D = scaled_ints(mu.weights, nu.weights)
     anchors = [tuple(tuple(a * b for b in nu_w) for a in mu_w)]
     orders = [
         (range(n), range(m)),
@@ -614,5 +603,25 @@ def enumerate_couplings(
                 for row_a, row_b in zip(a, b)
             )
             out.setdefault(matrix)
-    scale = None if D is None else D * D * resolution
-    return tuple(Coupling(unscaled_rows(matrix, scale), mode) for matrix in sorted(out))
+    return sorted(out), None if D is None else D * D * resolution
+
+
+def enumerate_couplings(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, resolution: int = 4
+) -> tuple:
+    """A finite, deterministic mixture lattice in the coupling polytope.
+
+    The anchors are the product coupling and the corner couplings of the
+    four monotone orders.  Each unordered pair of anchors is blended with
+    weights k/resolution for 0 < k < resolution, so the lattice holds the
+    anchors and these blends.  Every emitted matrix satisfies the
+    marginals exactly, in both modes, since the polytope is convex.
+    Exact mode builds the lattice on the weights scaled to ints
+    (_mixture_lattice) and unscales each entry once.
+    """
+    mode = same_mode(mu.mode, nu.mode)
+    if resolution < 1:
+        raise GdsError("grid resolution must be at least 1")
+    (mu_w, nu_w), D = scaled_ints(mu.weights, nu.weights)
+    lattice, unit = _mixture_lattice(mu_w, nu_w, D, resolution)
+    return tuple(Coupling(unscaled_rows(matrix, unit), mode) for matrix in lattice)

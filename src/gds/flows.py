@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .errors import InfeasibleMarginals
 from .numerics import FLOAT_TOL, scaled_ints
 
 
@@ -245,17 +246,26 @@ class Transport:
         its columns to nu * L.  flow is the plan's value over D.  Float
         mode adds a_i * b_j / L to p in place, certifies within
         FLOAT_TOL, and returns unit None; a leftover at or below
-        FLOAT_TOL is rounding, not mass, and is left where it is.  Weights
-        of two totals have no coupling, and their completion is returned
-        uncertified.
+        FLOAT_TOL is rounding, not mass, and is left where it is, unless
+        a column's residual is above FLOAT_TOL (the totals may differ by
+        up to FLOAT_TOL): spreading it then fills that column and moves
+        each row sum by at most the difference of the totals.  Weights
+        whose totals differ (by more than FLOAT_TOL in float mode) have
+        no coupling and raise InfeasibleMarginals, as feasibility_lp
+        does.  Two float measures may each be FLOAT_TOL off 1, so a pair
+        of valid measures can be declined here, where its completion
+        could break a marginal by more than FLOAT_TOL.  Every matrix
+        returned is certified.
         """
         mu, nu = self.weights
+        if abs(sum(mu) - sum(nu)) > (FLOAT_TOL if self.scale is None else 0):
+            raise InfeasibleMarginals("marginals carry different total mass")
         flow, plan = max_flow_on_cells(mu, nu, mask)
         a = [w - sum(row) for w, row in zip(mu, plan)]
         b = [w - sum(col) for w, col in zip(nu, zip(*plan))]
         leftover = sum(a)
         if self.scale is None:
-            spread = leftover > FLOAT_TOL
+            spread = leftover > 0 and max(leftover, *b) > FLOAT_TOL
             rows = [
                 [
                     p + a_i * b_j / leftover if spread and a_i and b_j else p
@@ -271,6 +281,5 @@ class Transport:
                 for a_i, row in zip(a, plan)
             ]
             unit, tol = self.scale * factor, 0
-        if abs(sum(mu) - sum(nu)) <= tol:  # one total: rows is a coupling
-            certify_coupling(rows, mu, nu, factor, tol)
+        certify_coupling(rows, mu, nu, factor, tol)
         return flow, rows, unit

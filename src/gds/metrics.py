@@ -14,12 +14,11 @@ diameter sit on top of the same machinery.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Sequence
 
-from .core import DiscreteMeasure, GeometricDataSet
+from .core import DiscreteMeasure, GeometricDataSet, Record
 from .errors import GdsError, ModeMismatch, SizeLimit
 from .flows import Transport
 from .numerics import Scalar, leq, same_mode, scaled_ints, to_scalar, unscaled
@@ -82,13 +81,14 @@ def crossing(count: int, rise: Callable, fall: Callable, top) -> tuple:
     return min(map(candidate, range(max(lo - 1, 0), lo + 1)), key=itemgetter(0))
 
 
-@dataclass(frozen=True)
-class CellSet:
+class CellSet(Record):
     """A subset of the n x m product grid, stored as frozen (i, j) pairs."""
 
-    n: int
-    m: int
-    cells: frozenset
+    _fields = ("n", "m", "cells")
+
+    def __init__(self, n: int, m: int, cells: frozenset):
+        self.__dict__.update(n=n, m=m, cells=cells)
+        self.__post_init__()
 
     def __post_init__(self):
         for (i, j) in self.cells:

@@ -18,11 +18,10 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import GeometricDataSet, lip_violation
-from .coupling import Coupling, _common_cap_lp, enumerate_couplings
+from .core import GeometricDataSet, Record, lip_violation
+from .coupling import Coupling, _common_cap_lp, _mixture_lattice
 from .errors import BudgetExceeded, GdsError, ModeMismatch, WitnessNotLipschitz
 from .flows import Transport
 from .metrics import (
@@ -34,18 +33,25 @@ from .metrics import (
     hausdorff,
     ky_fan_coupling,
 )
-from .numerics import Scalar, same_mode, scaled_ceil, scaled_ints, to_scalar, tolerance
+from .numerics import Scalar, same_mode, scaled_ceil, to_scalar, tolerance
 from .numerics import unscaled
 
 
-@dataclass(frozen=True)
-class DconcResult:
-    """Observable distance value with the witnesses that certify it."""
+class DconcResult(Record):
+    """Observable distance value with the witnesses that certify it.
 
-    value: Scalar
-    coupling: Coupling
-    to_right: tuple  # assignment F_X index -> F_Y index
-    to_left: tuple  # assignment F_Y index -> F_X index
+    to_right assigns each F_X index an F_Y index, and to_left each F_Y
+    index an F_X index.
+    """
+
+    _fields = ("value", "coupling", "to_right", "to_left")
+
+    def __init__(
+        self, value: Scalar, coupling: Coupling, to_right: tuple, to_left: tuple
+    ):
+        self.__dict__.update(
+            value=value, coupling=coupling, to_right=to_right, to_left=to_left
+        )
 
 
 def dconc_at_coupling(X: GeometricDataSet, Y: GeometricDataSet, pi) -> Scalar:
@@ -349,9 +355,11 @@ def dconc_heuristic(
     reported value is dconc_at_coupling at the best coupling seen, so it is
     monotone across iterations and never below the exact distance.  Each
     coupling is walked as (rows, unit), the form _DconcSearch.read takes:
-    the product as the search's own, each lattice anchor scaled once, and
-    each accepted witness as joint_min_cap returns it.  Only the best one
-    becomes a Coupling, at return.
+    the product as the search's own, the anchors of enumerate_couplings'
+    lattice (resolution 2) as _mixture_lattice builds them on the
+    Transport's scaled weights, and each accepted witness as
+    joint_min_cap returns it.  Only the best one becomes a Coupling, at
+    return.
     """
     mode = same_mode(X.mode, Y.mode)
     if X.n == 1 or Y.n == 1:
@@ -360,11 +368,9 @@ def dconc_heuristic(
     search = _DconcSearch(X, Y)
     rng = random.Random(seed)
 
-    lattice = list(enumerate_couplings(X.measure, Y.measure, 2))
+    lattice, unit = _mixture_lattice(*search.transport.weights, search.transport.scale, 2)
     rng.shuffle(lattice)
-    anchors = [search.product()] + [
-        scaled_ints(*pi.matrix) for pi in lattice[: max(1, budget // 2)]
-    ]
+    anchors = [search.product()] + [(rows, unit) for rows in lattice[: max(1, budget // 2)]]
 
     def pair_value(u, v):
         """Exact optimum over couplings for one fixed assignment pair."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .box import (
@@ -33,6 +32,7 @@ from .core import (
     DiscreteMeasure,
     GeometricDataSet,
     MmSpace,
+    Record,
     gds_to_mm,
     induced_metric,
     mm_lip1_generators,
@@ -85,15 +85,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PropertyOutcome:
-    """Result of running one property for a number of trials."""
+class PropertyOutcome(Record):
+    """Result of running one property for a number of trials.
 
-    name: str
-    asserted: bool  # False marks a measured observation
-    trials: int
-    failures: int
-    example: Optional[str] = None
+    asserted is False for a measured observation.
+    """
+
+    _fields = ("name", "asserted", "trials", "failures", "example")
+
+    def __init__(
+        self,
+        name: str,
+        asserted: bool,
+        trials: int,
+        failures: int,
+        example: Optional[str] = None,
+    ):
+        self.__dict__.update(
+            name=name, asserted=asserted, trials=trials, failures=failures, example=example
+        )
 
     @property
     def ok(self) -> bool:
@@ -110,11 +120,11 @@ class PropertyOutcome:
         )
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    seed: int
-    trials: int
-    outcomes: tuple
+class SuiteReport(Record):
+    _fields = ("seed", "trials", "outcomes")
+
+    def __init__(self, seed: int, trials: int, outcomes: tuple):
+        self.__dict__.update(seed=seed, trials=trials, outcomes=outcomes)
 
     @property
     def ok(self) -> bool:
@@ -625,9 +635,8 @@ def prop_dis_coupling_matches_mask_enumeration(rng, t):
     Y = _space(rng, 3, 2)
     pi = _rand_coupling(rng, X.measure, Y.measure)
     val, cells = dis_coupling(pi, X.dist, Y.dist)
-    assert val == max(
-        1 - pi.mass(cells), distortion(cells, X.dist, Y.dist)
-    )
+    score = max(1 - pi.mass(cells), distortion(cells, X.dist, Y.dist))
+    assert val == score, f"dis_coupling gives {val}, its cell set scores {score}"
     support = [
         (x, y)
         for x in range(X.n)
@@ -638,7 +647,8 @@ def prop_dis_coupling_matches_mask_enumeration(rng, t):
     kept = _by_mask(len(support), lambda k, low, rest: k + weights[low])
     dis = _distortions(support, X.dist, Y.dist)
     # the empty set always scores 1
-    assert val == min([Q(1)] + [max(1 - kept[mask], dis[mask]) for mask in range(1, len(dis))])
+    best = min([Q(1)] + [max(1 - kept[mask], dis[mask]) for mask in range(1, len(dis))])
+    assert val == best, f"dis_coupling gives {val}, the enumeration {best}"
 
 
 @_prop
@@ -725,7 +735,9 @@ def prop_box_mm_matches_mask_enumeration(rng, t):
     MY = gds_to_mm(_space(rng, 2, 2))
     cells = [(x, y) for x in range(MX.n) for y in range(MY.n)]
     dis = _distortions(cells, MX.dist, MY.dist)
-    assert box_mm_exact(MX, MY) == _least_score(MX.measure, MY.measure, len(cells), dis.__getitem__)
+    got = box_mm_exact(MX, MY)
+    best = _least_score(MX.measure, MY.measure, len(cells), dis.__getitem__)
+    assert got == best, f"box_mm_exact gives {got}, the enumeration {best}"
 
 
 @_prop
@@ -739,7 +751,9 @@ def prop_box_matches_mask_enumeration(rng, t):
         sup = lambda per_g, g: max(d for c, d in enumerate(per_g[g]) if mask >> c & 1)
         return 2 * hausdorff(gaps, range(Y.k), sup)
 
-    assert box_exact(X, Y).value == _least_score(X.measure, Y.measure, X.n * Y.n, spread)
+    got = box_exact(X, Y).value
+    best = _least_score(X.measure, Y.measure, X.n * Y.n, spread)
+    assert got == best, f"box_exact gives {got}, the enumeration {best}"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import gds
 from gds import (
+    GeometricDataSet,
     box_heuristic,
     dconc_heuristic,
     emit_gds,
@@ -331,6 +332,18 @@ class TestErrorsAndModes:
         a = write_dataset(tmp_path, "a.json", n_point_discrete(2))
         monkeypatch.setenv("GDS_MODE", "quantum")
         assert main(["od", "--kappa", "0", a]) == 2
+
+    @pytest.mark.parametrize("command", ["box", "dconc"])
+    def test_float_weights_one_tolerance_apart_exit_2(self, capsys, tmp_path, command):
+        # Both totals are within FLOAT_TOL of 1 but 1.8e-9 apart, so no
+        # witness coupling keeps its marginals within FLOAT_TOL.
+        X = GeometricDataSet.build([[0.0, 1.0]], [0.5, 0.5 + 0.9e-9], mode="float")
+        Y = GeometricDataSet.build([[0.0, 0.5]], [0.5, 0.5 - 0.9e-9], mode="float")
+        a = write_dataset(tmp_path, "a.json", X)
+        b = write_dataset(tmp_path, "b.json", Y)
+        assert main([command, "--mode", "float", a, b]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "gds: invalid input: marginals carry different total mass\n")
 
     def test_float_mode_flag(self, capsys, tmp_path):
         a = write_dataset(tmp_path, "a.json", n_point_discrete(3))

@@ -30,7 +30,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from gds import (
     CellSet,
@@ -46,7 +46,9 @@ from gds import (
     prohorov,
 )
 from gds import flows
-from gds.coupling import product_coupling
+from gds.core import DiscreteMeasure
+from gds.coupling import max_mass_on_set, product_coupling
+from gds.errors import InfeasibleMarginals
 from gds.flows import Transport, certify_coupling, max_flow_on_cells
 from gds.numerics import Q, close, scaled_ints, unscaled, unscaled_rows
 from gds.spaces import random_gds
@@ -62,6 +64,17 @@ weight_vectors = st.lists(
 def instances(draw):
     mu, nu = draw(weight_vectors), draw(weight_vectors)
     mask = draw(st.integers(0, (1 << (len(mu) * len(nu))) - 1))
+    return mu, nu, mask
+
+
+@st.composite
+def balanced_instances(draw):
+    """instances with nu rescaled to mu's total, so a coupling exists."""
+    mu, nu, mask = draw(instances())
+    if sum(nu):
+        nu = [w * sum(mu) / sum(nu) for w in nu]
+    else:
+        nu = [sum(mu) / len(nu)] * len(nu)
     return mu, nu, mask
 
 
@@ -102,10 +115,10 @@ class TestKernel:
         assert unscaled(value, scale) == want_value
         assert [[unscaled(x, scale) for x in row] for row in plan] == want_plan
 
-    @given(instances())
-    # In float, row 1 keeps a rounding leftover of 4.4e-16, which must not
-    # be spread as a full unit of mass onto cell (1, 3).
-    @example(instance=([Q(0), Q(7, 3)], [Q(0), Q(1), Q(4, 3), Q(1)], 96))
+    @given(balanced_instances())
+    # In float, the full plan leaves a rounding leftover of 5.6e-17, which
+    # is not mass and stays where it is.
+    @example(instance=([Q(5, 12)], [Q(5, 23), Q(55, 276)], 3))
     def test_transport_gives_the_rational_flow_and_plan(self, instance):
         mu, nu, mask = instance
         want_value, want_matrix = completed_on_rationals(mu, nu, mask)
@@ -115,13 +128,12 @@ class TestKernel:
         assert type(value) is Q
         assert all(type(x) is Q for row in matrix for x in row)
         assert unscaled(transport.scaled_value(mask), transport.scale) == want_value
-        if sum(mu) == sum(nu):
-            assert [sum(row) for row in matrix] == mu
-            assert [sum(col) for col in zip(*matrix)] == nu
-            assert sum(
-                x for c, x in enumerate(y for row in matrix for y in row)
-                if mask >> c & 1
-            ) == value
+        assert [sum(row) for row in matrix] == mu
+        assert [sum(col) for col in zip(*matrix)] == nu
+        assert sum(
+            x for c, x in enumerate(y for row in matrix for y in row)
+            if mask >> c & 1
+        ) == value
         float_transport = Transport([float(w) for w in mu], [float(w) for w in nu])
         assert abs(
             unscaled(float_transport.scaled_value(mask), float_transport.scale)
@@ -134,6 +146,49 @@ class TestKernel:
             for row, want_row in zip(matrix, want_matrix)
             for x, y in zip(row, want_row)
         )
+
+    @given(instances())
+    # In float, row 1 keeps a rounding leftover of 4.4e-16 beside a column
+    # leftover of 1, which was once spread as a full unit onto cell (1, 3).
+    @example(instance=([Q(0), Q(7, 3)], [Q(0), Q(1), Q(4, 3), Q(1)], 96))
+    def test_completion_declines_two_totals(self, instance):
+        mu, nu, mask = instance
+        assume(sum(mu) != sum(nu))
+        want_value, _ = max_flow_on_cells(mu, nu, mask)
+        for weights in ((mu, nu), ([float(w) for w in mu], [float(w) for w in nu])):
+            transport = Transport(*weights)
+            with pytest.raises(InfeasibleMarginals):
+                transport.completion(mask)
+            # A flow value needs no coupling, and is still given.
+            value = unscaled(transport.scaled_value(mask), transport.scale)
+            assert abs(value - want_value) <= 1e-9
+
+    def test_float_measures_one_tolerance_apart_are_declined(self):
+        # Each total is within FLOAT_TOL of 1, so both measures are valid,
+        # but their totals differ by 1.8e-9.  The completion used to come
+        # back unchecked, with row 1 summing to 0.4999999991 against a
+        # weight of 0.5000000009.
+        mu = DiscreteMeasure((0.5, 0.5 + 0.9e-9), "float")
+        nu = DiscreteMeasure((0.5, 0.5 - 0.9e-9), "float")
+        with pytest.raises(InfeasibleMarginals):
+            max_mass_on_set(mu, nu, CellSet.from_pairs(2, 2, [(0, 0)]))
+        # Within FLOAT_TOL of each other, the pair has a certified witness.
+        nu = DiscreteMeasure((0.5, 0.5 + 0.4e-9), "float")
+        value, pi = max_mass_on_set(mu, nu, CellSet.from_pairs(2, 2, [(0, 0)]))
+        assert value == 0.5
+        pi.check_marginals(mu, nu)
+
+    def test_rounding_leftover_beside_a_column_residual_is_spread(self):
+        # The totals are 0.9e-9 apart, within FLOAT_TOL, and the plan
+        # leaves 0.5e-9 of row 1: rounding-sized, but the column's residual
+        # is 1.4e-9, so the plan alone broke its marginal and its
+        # certificate raised AssertionError.
+        mu = DiscreteMeasure((1 - 0.95e-9, 0.5e-9), "float")
+        nu = DiscreteMeasure((1 + 0.45e-9,), "float")
+        value, pi = max_mass_on_set(mu, nu, CellSet.from_pairs(2, 1, [(0, 0)]))
+        assert value == mu.weights[0]
+        assert pi.matrix[0][0] == value
+        pi.check_marginals(mu, nu)
 
     def test_transport_solves_each_value_mask_once(self, monkeypatch):
         masks = []

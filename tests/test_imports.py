@@ -62,10 +62,11 @@ def env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def python(args):
+def python(args, stdin=None):
     """Run a new interpreter with `args` on this checkout."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env(), timeout=120
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env(),
+        timeout=120,
     )
 
 
@@ -75,6 +76,15 @@ def loaded_after(statements):
     proc = python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def imported_by(args, stdin=None):
+    """Every module a fresh interpreter imports running `args`, as
+    -X importtime lists them; the run must exit 0."""
+    proc = python(["-X", "importtime", *args], stdin)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
 
 
 class TestNamespace:
@@ -141,10 +151,31 @@ class TestWhatLoads:
 
     def test_python_m_gen_loads_seven_modules(self):
         # -X importtime lists every module the real `python -m gds` imports.
-        proc = python(["-X", "importtime", "-m", "gds", "gen", "random", "--n", "3", "--k", "2"])
-        assert proc.returncode == 0, proc.stderr
-        names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                 if line.startswith("import time:") and "|" in line}
+        names = imported_by(["-m", "gds", "gen", "random", "--n", "3", "--k", "2"])
         loaded = {n for n in names if n == "gds" or n.startswith("gds.")}
         assert loaded == {"gds", "gds.cli", "gds.core", "gds.dataio", "gds.errors",
                           "gds.numerics", "gds.spaces"}
+
+
+class TestNoDataclasses:
+    """The records are plain classes, so no run imports dataclasses, nor
+    the inspect and ast it would pull in."""
+
+    DOC = gds.emit_gds(gds.random_gds(3, 2, seed=3))
+
+    @pytest.mark.parametrize(
+        "args, stdin",
+        [
+            (["-c", "import gds.cli"], None),
+            (["-m", "gds", "gen", "random", "--n", "3", "--k", "2"], None),
+            (["-m", "gds", "dconc", "--other", "random:3,2,9", "--exact"], DOC),
+            (["-m", "gds", "box", "--mm", "--other", "random:3,2,9"], DOC),
+            (["-m", "gds", "od", "-", "--kappa", "1/4"], DOC),
+            (["-m", "gds", "verify", "--trials", "1"], None),
+        ],
+        ids=["import-cli", "gen", "dconc-exact", "box-mm", "od", "verify"],
+    )
+    def test_run_imports_neither_dataclasses_nor_inspect(self, args, stdin):
+        names = imported_by(args, stdin)
+        assert "gds.cli" in names
+        assert not {"dataclasses", "inspect"} & names

@@ -1,8 +1,7 @@
-import dataclasses
-
 import pytest
 
 from gds import property_names, run_property, suite, verify_theorem_suite
+from gds.box import BoxResult
 from gds.errors import GdsError
 from gds.metrics import CellSet
 from gds.numerics import Q
@@ -60,7 +59,8 @@ OFF = Q(1, 97)
 
 class TestOraclesCatchAWrongSolver:
     """Each brute-force oracle fails every trial when the solver it checks
-    is off by 1/97."""
+    is off by 1/97, and reports the values that disagree, not an
+    exception raised on the way."""
 
     @pytest.mark.parametrize(
         "prop, solver, shifted",
@@ -68,7 +68,7 @@ class TestOraclesCatchAWrongSolver:
             (
                 "box_matches_mask_enumeration",
                 "box_exact",
-                lambda res: dataclasses.replace(res, value=res.value + OFF),
+                lambda res: BoxResult(res.value + OFF, res.coupling, res.cells),
             ),
             ("box_mm_matches_mask_enumeration", "box_mm_exact", lambda v: v + OFF),
             (
@@ -84,6 +84,7 @@ class TestOraclesCatchAWrongSolver:
         monkeypatch.setattr(suite, solver, lambda *a: shifted(exact(*a)))
         outcome = run_property(prop, seed=4, trials=6)
         assert outcome.failures == outcome.trials == 6
+        assert outcome.example.startswith(f"trial 0: {solver} gives "), outcome.example
 
     def test_consistent_but_worse_distortion_answer(self, monkeypatch):
         # The empty set scores 1, and its value and cell set agree, so only
@@ -95,3 +96,4 @@ class TestOraclesCatchAWrongSolver:
         monkeypatch.setattr(suite, "dis_coupling", empty)
         outcome = run_property("dis_coupling_matches_mask_enumeration", seed=4, trials=6)
         assert outcome.failures == outcome.trials == 6
+        assert outcome.example == "trial 0: dis_coupling gives 1, the enumeration 53/195"
