@@ -428,6 +428,62 @@ class TestSearchWitnesses:
             search.joint_min_cap(family)
 
 
+# Common-cap LP solves per (run, mode), counted as calls of
+# coupling._simplex, the one LP entry that feasibility_lp and the dconc
+# search both reach: dconc_exact summed over eight seeded pairs of each
+# (n, k) class of the dconc-lp benchmark, one dconc_heuristic, and one
+# feasibility_lp.
+LP_CALLS = {
+    ("dconc_exact n=3 k=2", "exact"): 13,
+    ("dconc_exact n=3 k=2", "float"): 14,
+    ("dconc_exact n=4 k=2", "exact"): 17,
+    ("dconc_exact n=4 k=2", "float"): 17,
+    ("dconc_exact n=2 k=3", "exact"): 7,
+    ("dconc_exact n=2 k=3", "float"): 7,
+    ("dconc_heuristic n=4 k=3", "exact"): 12,
+    ("dconc_heuristic n=4 k=3", "float"): 9,
+    ("feasibility_lp 3x4", "exact"): 1,
+    ("feasibility_lp 3x4", "float"): 1,
+}
+
+
+def lp_call_run(name, mode):
+    if name.startswith("dconc_exact"):
+        n, k = (int(part[2:]) for part in name.split()[1:])
+        pairs = [
+            (random_gds(n, k, seed=73 + 2 * s, mode=mode),
+             random_gds(n, k, seed=74 + 2 * s, mode=mode))
+            for s in range(8)
+        ]
+        return lambda: [dconc_exact(X, Y) for X, Y in pairs]
+    if name.startswith("dconc_heuristic"):
+        X, Y = random_gds(4, 3, seed=73, mode=mode), random_gds(4, 3, seed=74, mode=mode)
+        return lambda: dconc_heuristic(X, Y)
+    mu = random_gds(3, 2, seed=73, mode=mode).measure
+    nu = random_gds(4, 2, seed=74, mode=mode).measure
+    sets = [
+        CellSet.from_pairs(3, 4, [(0, 0), (1, 1), (2, 2)]),
+        CellSet.from_pairs(3, 4, [(0, 3), (1, 2), (2, 1), (2, 3)]),
+    ]
+    return lambda: feasibility_lp(mu, nu, sets)
+
+
+class TestLpCalls:
+    @pytest.mark.parametrize("name, mode", sorted(LP_CALLS))
+    def test_solvers_make_the_pinned_number_of_lp_solves(self, name, mode, monkeypatch):
+        run = lp_call_run(name, mode)
+        solve = coupling._simplex
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(coupling, "_simplex", counted)
+        run()
+        assert len(calls) == LP_CALLS[name, mode]
+
+
 class TestHeuristic:
     def test_never_below_exact(self):
         for seed in range(8):
