@@ -56,7 +56,7 @@ from .core import (
 )
 from .coupling import Coupling
 from .errors import EmptyCellSet, SizeLimit, WitnessNotLipschitz
-from .flows import Transport
+from .flows import Transport, bits
 from .metrics import (
     ASSIGNMENT_BUDGET,
     CellSet,
@@ -120,7 +120,7 @@ def lip1_witness(S, f, dX, dY) -> tuple:
     if not cells:
         raise EmptyCellSet("cannot transport a function across no cells")
     tol = FLOAT_TOL if any(isinstance(v, float) for v in f) else 0
-    bad = lip_violation(f, dX, tol, ordered=True)
+    bad = lip_violation(f, dX, tol)
     if bad:
         raise WitnessNotLipschitz(
             f"function violates 1-Lipschitz between points {bad[0]} and {bad[1]}"
@@ -235,7 +235,7 @@ def _distortion_sweep(cells, dX, dY, kept, D, mode) -> tuple:
         return (d - kept(mask)) * s, mask
 
     value, mask = crossing(len(levels), lambda i: levels[i] * d, best_at, d * s)
-    witness = [cell for p, cell in enumerate(cells) if mask >> p & 1]
+    witness = [cells[p] for p in bits(mask)]
     a, b = (d - kept(mask)) * s, distortion(witness, sx, sy) * d
     if not close(a if a > b else b, value, mode):
         raise AssertionError("clique sweep witness disagrees with its value")
@@ -263,10 +263,7 @@ def dis_coupling(pi: Coupling, dX, dY) -> tuple:
     value, mask = _distortion_sweep(
         support, dX, dY, functools.partial(_mask_sum, weights), D, pi.mode
     )
-    cells = CellSet.from_pairs(
-        pi.n, pi.m, [cell for p, cell in enumerate(support) if mask >> p & 1]
-    )
-    return value, cells
+    return value, CellSet.from_pairs(pi.n, pi.m, [support[p] for p in bits(mask)])
 
 
 def _table(X: GeometricDataSet, Y: GeometricDataSet) -> tuple:
@@ -302,7 +299,7 @@ def _radius(table: GapTable, mask: int):
     Read from the table's scaled gaps, so it is an int over table.scale
     (a float in float mode); 0 on the empty mask.
     """
-    cells = [c for c in range(table.n * table.m) if mask >> c & 1]
+    cells = bits(mask)
     return hausdorff(
         range(table.kx),
         range(table.ky),

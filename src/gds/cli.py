@@ -214,7 +214,7 @@ def _num(x, mode: str) -> dict:
 
 
 def _scalar_columns(values, mode: str):
-    row = [format_scalar(v, mode) for v in values]
+    row = [format_scalar(v) for v in values]
     if mode == EXACT:
         row += [exact_string(v, mode) for v in values]
     return row
@@ -234,7 +234,7 @@ def _cmd_od(args) -> Optional[dict]:
     if args.kappa is not None:
         kappa = _option(args.kappa, "--kappa", mode)
         value = observable_diameter(X, kappa)
-        return {"command": "od", "kappa": format_scalar(kappa, mode), **_num(value, mode)}
+        return {"command": "od", "kappa": format_scalar(kappa), **_num(value, mode)}
     if args.step is not None:
         kappas = _kappa_grid(args.step, mode, 0)
     else:
@@ -258,7 +258,7 @@ def _cmd_pd(args) -> Optional[dict]:
         except GdsError as exc:
             raise SchemaError(f"no feature {args.feature!r}") from exc
         value = partial_diameter(row, X.measure, alpha)
-        return {"command": "pd", "feature": args.feature, "alpha": format_scalar(alpha, mode),
+        return {"command": "pd", "feature": args.feature, "alpha": format_scalar(alpha),
                 **_num(value, mode)}
     header = ["feature", "pd"]
     if mode == EXACT:
@@ -398,8 +398,8 @@ def _cmd_gen(args) -> None:
         if args.table:
             kappas = _kappa_grid(args.step, mode, 1)
             kappas, rows = levy_table(args.family, args.n, base, kappas, mode)
-            header = ["member"] + [format_scalar(k, mode) for k in kappas]
-            body = [[label] + [format_scalar(v, mode) for v in values] for label, values in rows]
+            header = ["member"] + [format_scalar(k) for k in kappas]
+            body = [[label] + [format_scalar(v) for v in values] for label, values in rows]
             _write(csv_text(header, body), args.output)
             return
         if args.family == "discrete":

@@ -231,12 +231,12 @@ def close_pairs(rows: Sequence[Sequence], tol) -> list:
     return pairs
 
 
-def lip_violation(row: Sequence, dist: Sequence[Sequence], tol, ordered: bool):
-    """First pair (x, y), in lexicographic order over all ordered pairs or
-    only x < y, with |row[x] - row[y]| > dist[x][y] + tol; else None."""
+def lip_violation(row: Sequence, dist: Sequence[Sequence], tol):
+    """First pair (x, y), in lexicographic order over all ordered pairs,
+    with |row[x] - row[y]| > dist[x][y] + tol; else None."""
     n = len(dist)
     for x in range(n):
-        for y in range(0 if ordered else x + 1, n):
+        for y in range(n):
             if abs(row[x] - row[y]) > dist[x][y] + tol:
                 return x, y
     return None

@@ -14,8 +14,10 @@ other so they can cross-validate:
     tableau (Bareiss updates) with them as right-hand sides, so it takes
     the same pivots as a rational tableau without the rational
     arithmetic, and certifies the witness's marginals and cap on the
-    tableau's ints.  feasibility_lp unscales what it returns; the dconc
-    search calls the core on its own masks and keeps the ints;
+    tableau's ints.  The core takes each set as its cell mask and
+    minimises one column, the common cap t.  feasibility_lp passes its
+    cell sets' masks and unscales what it returns; the dconc search
+    calls the core on its own masks and keeps the ints;
   * transportation_vertices and enumerate_couplings: explicit vertex
     enumeration of the transportation polytope on tiny grids, peeled on
     scaled ints, and a deterministic mixture lattice.
@@ -39,7 +41,7 @@ from .errors import (
     MarginalMismatch,
     SizeLimit,
 )
-from .flows import Transport, certify_coupling
+from .flows import Transport, bits, certify_coupling
 from .metrics import CellSet, prohorov_weights
 from .numerics import (
     EXACT,
@@ -180,12 +182,11 @@ def max_mass_on_set(
 # ---------------------------------------------------------------------------
 
 
-def _simplex(rows, rhs, costs, start, mode):
-    """Dense simplex with Bland's rule, minimising costs . x.
+def _simplex(rows, rhs, objective, start, mode):
+    """Dense simplex with Bland's rule, minimising x[objective].
 
     rows/rhs describe equality constraints Ax = b with x >= 0; the entries
-    of A and of costs are integers, and in exact mode so is b (the caller
-    scales it).  start lists one column per row and must be a feasible
+    of A are integers, and in exact mode so is b (the caller scales it).  start lists one column per row and must be a feasible
     basis: B nonsingular and B^-1 b >= 0.  The tableau is pivoted into
     that basis and Bland's rule runs from there.  Returns (solution, d):
     an optimal solution is solution / d, with 0 in every non-basic entry.
@@ -200,8 +201,9 @@ def _simplex(rows, rhs, costs, start, mode):
     where B holds the pivoted columns and a unit column for every row not
     yet pivoted, and d = |det B|; the division is exact because every
     entry is a minor of [A | b].  The reduced costs are one more row,
-    d * (c - c_B B^-1 A), built once the starting basis is in and pivoted
-    like the others.  Since d > 0, every sign the method reads is the sign
+    d * e_objective minus the objective's row when it is basic (the cost
+    vector is e_objective), built once the starting basis is in and
+    pivoted like the others.  Since d > 0, every sign the method reads is the sign
     of the rational tableau, and the ratio test compares b_r / a_r by
     cross-multiplication, where d cancels.  So Bland picks the same
     entering and leaving columns as on a rational tableau, and on b
@@ -216,12 +218,11 @@ def _simplex(rows, rhs, costs, start, mode):
     exact = mode == EXACT
     eps = 0 if exact else 1e-12
     n_rows = len(rows)
-    n_cols = len(costs)
+    n_cols = len(rows[0])
     if exact:
         tab = [list(row) + [b] for row, b in zip(rows, rhs)]
     else:
         tab = [[float(v) for v in row] + [float(b)] for row, b in zip(rows, rhs)]
-        costs = [float(c) for c in costs]
     basis = [-1] * n_rows
     d = 1
 
@@ -259,12 +260,10 @@ def _simplex(rows, rhs, costs, start, mode):
     for c in start:
         pivot(next(r for r in range(n_rows) if basis[r] < 0 and abs(tab[r][c]) > eps), c)
 
-    red = [c * d for c in costs] + [0]
-    for r, c in enumerate(basis):
-        if costs[c]:
-            for k, v in enumerate(tab[r]):
-                if v:
-                    red[k] -= costs[c] * v
+    red = [0] * (n_cols + 1)
+    red[objective] = d
+    if objective in basis:
+        red = [a - v for a, v in zip(red, tab[basis.index(objective)])]
     tab.append(red)
     while True:
         red = tab[-1]
@@ -291,15 +290,16 @@ def _simplex(rows, rhs, costs, start, mode):
     return solution, d
 
 
-def _common_cap_lp(mu_w, nu_w, D, cell_lists) -> tuple:
+def _common_cap_lp(mu_w, nu_w, D, masks) -> tuple:
     """The common-cap LP on scaled weights: (rows, unit, t), certified.
 
     mu_w and nu_w are the weights scaled by D (numerics.scaled_ints; the
-    floats and D None in float mode), and cell_lists holds each set's
-    cells as a sorted (i, j) list; the totals must agree.  The corner's
-    staircase, the heaviest set and the right-hand sides of the simplex
-    are all read off the scaled weights, since a positive scale changes
-    none of them.
+    floats and D None in float mode), and masks holds each set as a cell
+    mask, cell (i, j) at bit i * m + j, which is also its column; the
+    totals must agree.  A set's mass sums its cells lowest bit first.
+    The corner's staircase, the heaviest set and the right-hand sides of
+    the simplex are all read off the scaled weights, since a positive
+    scale changes none of them.
     Exact mode returns the witness rows and t as ints over unit = d * D,
     d the tableau's; float mode returns the entries clamped at 0.0, t as
     a float and unit None.
@@ -313,7 +313,8 @@ def _common_cap_lp(mu_w, nu_w, D, cell_lists) -> tuple:
     mode = EXACT if D is not None else FLOAT
     n, m = len(mu_w), len(nu_w)
     t_col = n * m
-    n_cols = t_col + 1 + len(cell_lists)
+    n_cols = t_col + 1 + len(masks)
+    cells = [bits(mask) for mask in masks]
 
     rows = []
     for i in range(n):
@@ -327,31 +328,31 @@ def _common_cap_lp(mu_w, nu_w, D, cell_lists) -> tuple:
         for i in range(n):
             row[i * m + j] = 1
         rows.append(row)
-    for k, cells in enumerate(cell_lists):
+    for k, set_cells in enumerate(cells):
         row = [0] * n_cols
-        for (i, j) in cells:
-            row[i * m + j] = 1
+        for c in set_cells:
+            row[c] = 1
         row[t_col] = -1
         row[t_col + 1 + k] = 1
         rows.append(row)
-    rhs = [*mu_w, *nu_w[:-1]] + [0] * len(cell_lists)
+    rhs = [*mu_w, *nu_w[:-1]] + [0] * len(masks)
 
     corner, staircase = _northwest_corner(mu_w, nu_w, range(n), range(m))
     start = [i * m + j for (i, j) in staircase]
-    if cell_lists:
-        masses = [_mass(corner, cells) for cells in cell_lists]
+    if masks:
+        flat = [x for row in corner for x in row]
+        masses = [sum(flat[c] for c in set_cells) for set_cells in cells]
         heaviest = masses.index(max(masses))
         start.append(t_col)
-        start += [t_col + 1 + k for k in range(len(cell_lists)) if k != heaviest]
-    costs = [0] * n_cols
-    costs[t_col] = 1
-    solution, d = _simplex(rows, rhs, costs, start, mode)
-    grid = [solution[i * m : (i + 1) * m] for i in range(n)]
+        start += [t_col + 1 + k for k in range(len(masks)) if k != heaviest]
+    solution, d = _simplex(rows, rhs, t_col, start, mode)
+    flat = solution[:t_col]
     if D is None:
-        grid = [[max(0.0, v) for v in row] for row in grid]
+        flat = [max(0.0, v) for v in flat]
+    grid = [flat[i * m : (i + 1) * m] for i in range(n)]
     t = solution[t_col]
     certify_coupling(grid, mu_w, nu_w, d, tolerance(mode))
-    masses = [_mass(grid, cells) for cells in cell_lists]
+    masses = [sum(flat[c] for c in set_cells) for set_cells in cells]
     if masses and not (
         all(leq(x, t, mode) for x in masses) and any(close(x, t, mode) for x in masses)
     ):
@@ -383,13 +384,8 @@ def feasibility_lp(
     (mu_w, nu_w), D = scaled_ints(mu.weights, nu.weights)
     if abs(sum(mu_w) - sum(nu_w)) > tolerance(mode):
         raise InfeasibleMarginals("marginals carry different total mass")
-    rows, unit, t = _common_cap_lp(mu_w, nu_w, D, [cells.sorted_cells for cells in sets])
+    rows, unit, t = _common_cap_lp(mu_w, nu_w, D, [cells.to_mask() for cells in sets])
     return Coupling.certified(rows, unit, mode), unscaled(t, unit)
-
-
-def _mass(matrix, cells) -> Scalar:
-    """Sum of the matrix entries on a cell list, in the list's order."""
-    return sum(matrix[i][j] for (i, j) in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +434,7 @@ def coupling_prohorov(
     Both are read as measures on the product grid under the sup combination
     max(d_X, d_Y) of the two ground metrics.
     """
-    mode = same_mode(pi.mode, rho.mode)
-    del mode
+    same_mode(pi.mode, rho.mode)
     n, m = pi.n, pi.m
     if rho.n != n or rho.m != m:
         raise GdsError("couplings live on different grids")

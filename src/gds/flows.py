@@ -38,6 +38,11 @@ with the same tie.  Augmenting never raises a remainder, so once no
 direct path is left none comes back.  The greedy start makes the same
 additions in the same order, in int, rational and float arithmetic, and
 skips the searches that would find them one by one.
+
+A cell set is an int bitmask in every solver, cell (i, j) at bit
+i * m + j.  bits lists a mask's cells, lowest first, where a solver
+reads them once per solve (the common-cap LP's rows, witness cells, a
+set's radius); the kernels walk their masks inline.
 """
 
 from __future__ import annotations
@@ -46,6 +51,16 @@ from typing import Sequence
 
 from .errors import InfeasibleMarginals
 from .numerics import FLOAT_TOL, scaled_ints
+
+
+def bits(mask: int) -> list:
+    """The set bits of mask, lowest first: the cells of a cell mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def max_flow_on_cells(mu: Sequence, nu: Sequence, allowed: int) -> tuple:
@@ -191,7 +206,7 @@ def max_flow_on_cells(mu: Sequence, nu: Sequence, allowed: int) -> tuple:
     return flow_value, plan
 
 
-def certify_coupling(rows, mu, nu, factor=1, tol=0) -> None:
+def certify_coupling(rows, mu, nu, factor, tol) -> None:
     """Raise AssertionError unless rows is a coupling of (mu, nu) times factor.
 
     Every entry must be at least -tol, row i must sum to mu[i] * factor

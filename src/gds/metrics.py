@@ -14,33 +14,18 @@ diameter sit on top of the same machinery.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from itertools import accumulate
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Sequence
 
 from .core import DiscreteMeasure, GeometricDataSet, Record
 from .errors import GdsError, ModeMismatch, SizeLimit
-from .flows import Transport
+from .flows import Transport, bits
 from .numerics import Scalar, leq, same_mode, scaled_ints, to_scalar, unscaled
 
 BRUTE_FORCE_POINT_LIMIT = 12
 ASSIGNMENT_BUDGET = 70000
-
-
-def first_feasible(pred: Callable[[int], bool], hi: int, lo: int = 0) -> int:
-    """First index in [lo, hi] where the monotone predicate holds.
-
-    pred(hi) is assumed true and never evaluated; each probe is at
-    (lo + hi) // 2, so a threshold grid of L levels costs about log2(L)
-    evaluations.
-    """
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def crossing(count: int, rise: Callable, fall: Callable, top) -> tuple:
@@ -60,24 +45,25 @@ def crossing(count: int, rise: Callable, fall: Callable, top) -> tuple:
     none at one index twice, and never past the first rise reaching top;
     rise is taken to reach fall at the last index.  Returns the minimum
     and the witness of the first of c - 1 and c to attain it.
+
+    Each bracket end is the first index in [lo, hi) whose rise reaches a
+    value, else hi: bisect_left over range(lo, hi) probes (lo + hi) // 2
+    each step and never reads hi.
     """
     at = functools.cache(fall)
-
-    def reaches(value):
-        return lambda i: rise(i) >= value
 
     def candidate(i: int) -> tuple:
         a, (b, witness) = rise(i), at(i)
         return (a if a > b else b), witness
 
-    lo, hi = 0, first_feasible(reaches(top), count - 1)
+    lo, hi = 0, bisect_left(range(count - 1), top, key=rise)
     while lo < hi:
         mid = (lo + hi) // 2
         F = at(mid)[0]
         if rise(mid) >= F:
-            lo, hi = first_feasible(reaches(F), mid, lo), mid
+            lo, hi = bisect_left(range(lo, mid), F, key=rise) + lo, mid
         else:
-            lo, hi = mid + 1, first_feasible(reaches(F), hi, mid + 1)
+            lo, hi = mid + 1, bisect_left(range(mid + 1, hi), F, key=rise) + mid + 1
     return min(map(candidate, range(max(lo - 1, 0), lo + 1)), key=itemgetter(0))
 
 
@@ -109,10 +95,7 @@ class CellSet(Record):
 
     @classmethod
     def from_mask(cls, n: int, m: int, mask: int) -> "CellSet":
-        cells = frozenset(
-            (i, j) for i in range(n) for j in range(m) if mask >> (i * m + j) & 1
-        )
-        return cls(n, m, cells)
+        return cls(n, m, frozenset(divmod(c, m) for c in bits(mask)))
 
     def to_mask(self) -> int:
         mask = 0

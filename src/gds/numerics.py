@@ -46,7 +46,6 @@ MODES = (EXACT, FLOAT)
 FLOAT_TOL = 1e-9
 
 ZERO = Q(0)
-ONE = Q(1)
 
 # The exponent of a decimal string, as fractions.Fraction parses it.
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
@@ -169,9 +168,8 @@ def scalar_list(values: Iterable, mode: str) -> tuple:
     return tuple(to_scalar(v, mode) for v in values)
 
 
-def format_scalar(x: Scalar, mode: str) -> str:
+def format_scalar(x: Scalar) -> str:
     """Decimal rendering with 12 significant digits."""
-    del mode
     return f"{float(x):.12g}"
 
 
@@ -182,13 +180,13 @@ def exact_string(x: Scalar, mode: str) -> str:
     return repr(float(x))
 
 
-def close(a: Scalar, b: Scalar, mode: str, tol: float = FLOAT_TOL) -> bool:
+def close(a: Scalar, b: Scalar, mode: str) -> bool:
     if mode == EXACT:
         return a == b
-    return abs(a - b) <= tol
+    return abs(a - b) <= FLOAT_TOL
 
 
-def leq(a: Scalar, b: Scalar, mode: str, tol: float = FLOAT_TOL) -> bool:
+def leq(a: Scalar, b: Scalar, mode: str) -> bool:
     if mode == EXACT:
         return a <= b
-    return a <= b + tol
+    return a <= b + FLOAT_TOL

@@ -17,19 +17,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .core import GeometricDataSet, Record, lip_violation
 from .coupling import Coupling, _common_cap_lp, _mixture_lattice
 from .errors import BudgetExceeded, GdsError, ModeMismatch, WitnessNotLipschitz
-from .flows import Transport
+from .flows import Transport, bits
 from .metrics import (
     ASSIGNMENT_BUDGET,
     GapTable,
     _ky_fan_from_pairs,
     crossing,
-    first_feasible,
     hausdorff,
     ky_fan_coupling,
 )
@@ -89,10 +88,6 @@ def _unit_levels(gaps, mode: str, scale) -> list:
     """
     one = to_scalar(1, mode) if scale is None else scale
     return sorted({one - one, one} | {d for d in gaps if 0 < d < one})
-
-
-def _bits(mask: int) -> list:
-    return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
 class _DconcSearch:
@@ -199,24 +194,23 @@ class _DconcSearch:
         was computed: ints over unit in exact mode, floats and unit None
         in float mode.  No live set: the product.  One: the Transport's
         completion on the set's complement.  More: the
-        common-cap LP on the Transport's scaled weights, each set's cells
-        read off its bits.  The search reads a witness as it is, and only
+        common-cap LP on the Transport's scaled weights and the sets'
+        masks.  The search reads a witness as it is, and only
         the one a solver returns goes through Coupling.certified.
         """
         hit = self._lp_cache.get(sets)
         if hit is None:
-            transport, m = self.transport, self.Y.n
+            transport = self.transport
             # The constraint order fixes the simplex pivots, hence the
             # witness: sets go by their ascending cell lists.
-            live = sorted((s for s in sets if s), key=_bits)
+            live = sorted((s for s in sets if s), key=bits)
             if not live:
                 hit = (0, self.product())
             elif len(live) == 1:
                 flow, rows, unit = transport.completion(self.table.full ^ live[0])
                 hit = (1 - unscaled(flow, transport.scale), (rows, unit))
             else:
-                cells = [[divmod(c, m) for c in _bits(s)] for s in live]
-                rows, unit, t = _common_cap_lp(*transport.weights, transport.scale, cells)
+                rows, unit, t = _common_cap_lp(*transport.weights, transport.scale, live)
                 hit = (unscaled(t, unit), (rows, unit))
             self._lp_cache[sets] = hit
         return hit
@@ -329,9 +323,9 @@ def dconc_exact(
     ub = search.product_bound()
     tol = tolerance(mode)
     hi = bisect_right(range(len(search.grid)), ub + tol, key=search.level) - 1
-    lo = first_feasible(
-        lambda i: search.scan_level(i, stop_at_first=True) is not None, hi
-    )
+    # The first feasible level below hi, else hi, which is never probed.
+    feasible = lambda i: search.scan_level(i, stop_at_first=True) is not None
+    lo = bisect_left(range(hi), True, key=feasible)
     best = search.scan_level(lo, stop_at_first=False)
     if best is None:
         raise AssertionError("bisection landed on an infeasible level")
@@ -416,7 +410,7 @@ def dconc_lower_witness(
     mode = same_mode(X.mode, Y.mode)
     if len(witness) != X.n:
         raise GdsError("witness length disagrees with the space")
-    bad = lip_violation(witness, X.dist, tolerance(mode), ordered=True)
+    bad = lip_violation(witness, X.dist, tolerance(mode))
     if bad:
         raise WitnessNotLipschitz(
             f"witness violates 1-Lipschitz between points {bad[0]} and {bad[1]}"

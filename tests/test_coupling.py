@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from gds import CellSet, DiscreteMeasure, coupling, product_coupling
 from gds.coupling import (
     Coupling,
-    _mass,
     _northwest_corner,
     coupling_prohorov,
     enumerate_couplings,
@@ -18,6 +17,7 @@ from gds.coupling import (
     transportation_vertices,
 )
 from gds.errors import GdsError, MarginalMismatch, SizeLimit
+from gds.flows import bits
 from gds.numerics import Q, scaled_ints
 from gds.spaces import random_gds
 
@@ -440,10 +440,10 @@ class TestSetMassProgram:
         # simplex's ints (which are over d * D) in the shift's direction.
         solve = coupling._simplex
 
-        def shifted(rows, rhs, costs, start, mode):
-            solution, d = solve(rows, rhs, costs, start, mode)
+        def shifted(rows, rhs, objective, start, mode):
+            solution, d = solve(rows, rhs, objective, start, mode)
             step = (1 if shift > 0 else -1) if mode == "exact" else float(shift)
-            solution[costs.index(1)] += step
+            solution[objective] += step
             return solution, d
 
         monkeypatch.setattr(coupling, "_simplex", shifted)
@@ -545,7 +545,8 @@ class TestNorthwestCorner:
             tie = heaviest.cells | ({rnd.choice(empty)} if empty else set())
             sets.insert(rnd.randint(0, len(sets)), CellSet(n, m, frozenset(tie)))
             want = [corner.mass(s) for s in sets]
-            got = [_mass(scaled, s.sorted_cells) for s in sets]
+            flat = [x for row in scaled for x in row]
+            got = [sum(flat[c] for c in bits(s.to_mask())) for s in sets]
             assert got == [w * D for w in want]
             assert got.index(max(got)) == want.index(max(want))
 

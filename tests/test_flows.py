@@ -311,9 +311,9 @@ class TestCertifyCoupling:
     ROWS = [[3, 1], [0, 4]]  # mu = (1/2, 1/2), nu = (3/8, 5/8) over 8
 
     def test_accepts_an_int_coupling_and_its_multiples(self):
-        certify_coupling(self.ROWS, [4, 4], [3, 5])
+        certify_coupling(self.ROWS, [4, 4], [3, 5], 1, 0)
         rows = [[5 * x for x in row] for row in self.ROWS]
-        certify_coupling(rows, [4, 4], [3, 5], 5)
+        certify_coupling(rows, [4, 4], [3, 5], 5, 0)
 
     @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (1, 1)])
     @pytest.mark.parametrize("shift", [1, -1])
@@ -321,14 +321,14 @@ class TestCertifyCoupling:
         rows = [list(row) for row in self.ROWS]
         rows[cell[0]][cell[1]] += shift
         with pytest.raises(AssertionError):
-            certify_coupling(rows, [4, 4], [3, 5])
+            certify_coupling(rows, [4, 4], [3, 5], 1, 0)
 
     def test_refuses_a_negative_entry_and_a_wrong_factor(self):
         with pytest.raises(AssertionError):
-            certify_coupling([[4, 0], [-1, 5]], [4, 4], [3, 5])
+            certify_coupling([[4, 0], [-1, 5]], [4, 4], [3, 5], 1, 0)
         rows = [[5 * x for x in row] for row in self.ROWS]
         with pytest.raises(AssertionError):
-            certify_coupling(rows, [4, 4], [3, 5])
+            certify_coupling(rows, [4, 4], [3, 5], 1, 0)
 
     def test_float_sums_within_the_tolerance(self):
         rows = [[0.375, 0.125], [0.0, 0.5 + 1e-12]]

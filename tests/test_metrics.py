@@ -1,4 +1,5 @@
 import functools
+from bisect import bisect_left
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from gds import (
     prohorov,
     sup_pseudometric,
 )
-from gds.metrics import GapTable, crossing, first_feasible, prohorov_weights
+from gds.metrics import GapTable, crossing, prohorov_weights
 from gds.coupling import product_coupling
 from gds.errors import GdsError, ModeMismatch, SupportError
 from gds.numerics import EXACT, FLOAT_TOL, Q, to_scalar, unscaled
@@ -287,46 +288,12 @@ class TestDiameters:
             assert observable_diameter(X, mid) == observable_diameter(X, b)
 
 
-class TestFirstFeasible:
-    @given(st.data(), st.integers(1, 40))
-    def test_matches_linear_scan(self, data, length):
-        # A monotone predicate on [0, length) is a cut: false below, true from.
-        cut = data.draw(st.integers(0, length), label="cut")
-        hi = data.draw(st.integers(0, length - 1), label="hi")
-        lo = data.draw(st.integers(0, hi), label="lo")
-        probes = []
-
-        def pred(i):
-            probes.append(i)
-            return i >= cut
-
-        expected = next((i for i in range(lo, hi) if i >= cut), hi)
-        assert first_feasible(pred, hi, lo) == expected
-        assert all(lo <= i < hi for i in probes)
-        assert len(probes) <= (hi - lo).bit_length()
-
-    def test_one_level_grid_probes_nothing(self):
-        def pred(i):
-            raise AssertionError("a one-level grid needs no probe")
-
-        assert first_feasible(pred, 0) == 0
-
-    def test_upper_bound_below_the_last_level(self):
-        # pred(hi) is assumed, never probed, even where it would be false.
-        assert first_feasible(lambda i: i >= 7, 4) == 4
-        assert first_feasible(lambda i: i >= 2, 4) == 2
-
-    def test_lower_bound_above_zero(self):
-        assert first_feasible(lambda i: True, 9, lo=3) == 3
-        assert first_feasible(lambda i: i >= 6, 9, lo=3) == 6
-
-
 def plain_crossing(count, rise, fall):
     """crossing by plain bisection on whether rise reaches fall: the
     oracle for the bracketing search, which must land on the same index
     and return the same value and witness."""
     at = functools.cache(fall)
-    c = first_feasible(lambda i: rise(i) >= at(i)[0], count - 1)
+    c = bisect_left(range(count - 1), True, key=lambda i: rise(i) >= at(i)[0])
     candidates = [(max(rise(i), at(i)[0]), at(i)[1]) for i in range(max(c - 1, 0), c + 1)]
     return min(candidates, key=lambda vw: vw[0])
 

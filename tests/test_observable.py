@@ -411,8 +411,8 @@ class TestSearchWitnesses:
         # numbers: one unit moved onto the first cell breaks a marginal.
         solve = coupling._simplex
 
-        def shifted(rows, rhs, costs, start, mode):
-            solution, d = solve(rows, rhs, costs, start, mode)
+        def shifted(rows, rhs, objective, start, mode):
+            solution, d = solve(rows, rhs, objective, start, mode)
             solution[0] += 1 if mode == "exact" else 1 / 7
             return solution, d
 

@@ -140,25 +140,31 @@ class TestQuotientMerging:
 
 
 class TestLipViolation:
-    @pytest.mark.parametrize("ordered", [False, True])
-    def test_matches_brute_scan(self, ordered):
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_matches_brute_scan(self, symmetric):
+        # The scan covers all ordered pairs; on a symmetric dist its first
+        # pair is also the first with x < y.
         rng = random.Random(11)
         found = 0
         for _ in range(300):
             n = rng.randint(1, 6)
             row = [Q(rng.randrange(5), 4) for _ in range(n)]
             dist = [[Q(rng.randrange(5), 4) for _ in range(n)] for _ in range(n)]
-            got = lip_violation(row, dist, 0, ordered)
-            assert got == brute_lip_violation(row, dist, 0, ordered)
+            if symmetric:
+                dist = [[min(a, b) for a, b in zip(r, c)] for r, c in zip(dist, zip(*dist))]
+            got = lip_violation(row, dist, 0)
+            assert got == brute_lip_violation(row, dist, 0, True)
+            if symmetric:
+                assert got == brute_lip_violation(row, dist, 0, False)
             found += got is not None
         assert found > 0
 
     def test_ordered_scan_differs_only_on_asymmetric_dist(self):
         # (1, 0) violates but (0, 1) does not
-        assert lip_violation((0, 1), [[0, 1], [0, 0]], 0, ordered=True) == (1, 0)
-        assert lip_violation((0, 1), [[0, 1], [0, 0]], 0, ordered=False) is None
+        assert lip_violation((0, 1), [[0, 1], [0, 0]], 0) == (1, 0)
+        assert brute_lip_violation((0, 1), [[0, 1], [0, 0]], 0, False) is None
         X = random_gds(6, 2, seed=2)
         row = tuple(2 * v for v in X.features.rows[0])
-        first = lip_violation(row, X.dist, 0, ordered=False)
+        first = brute_lip_violation(row, X.dist, 0, False)
         assert first is not None
-        assert lip_violation(row, X.dist, 0, ordered=True) == first
+        assert lip_violation(row, X.dist, 0) == first

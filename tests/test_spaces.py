@@ -149,7 +149,7 @@ class TestQuotient:
         row[rng.randrange(30)] += Q(rng.choice([1, 4, 16]), 64)
         row = [to_scalar(v, mode) for v in row]
         dist = random_gds(30, 2, seed=seed, mode=mode).dist
-        x, y = lip_violation(row, dist, tolerance(mode), ordered=False)
+        x, y = lip_violation(row, dist, tolerance(mode))
         message = f"row is not 1-Lipschitz between points {x} and {y}"
         with pytest.raises(NotLipschitzFamily, match=f"^{message}$"):
             quotient_gds(X, ["f1", row])
