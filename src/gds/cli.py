@@ -272,7 +272,11 @@ def _cmd_pd(args) -> Optional[dict]:
 
 def _budget(args, keyword: str) -> dict:
     """--budget as the named keyword; absent, the callee's default holds."""
-    return {} if args.budget is None else {keyword: args.budget}
+    if args.budget is None:
+        return {}
+    if args.budget < 0:
+        raise SchemaError("budget must be at least 0")
+    return {keyword: args.budget}
 
 
 def _exact_or_heuristic(args, payload: dict, exact, heuristic) -> dict:

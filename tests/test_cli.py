@@ -345,6 +345,25 @@ class TestErrorsAndModes:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "gds: invalid input: marginals carry different total mass\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "domination", "A", "--other", "singleton:1", "--budget", "-1"],
+            ["dconc", "A", "--other", "random:3,2,9", "--heuristic", "--budget", "-3"],
+            ["dconc", "A", "--other", "random:3,2,9", "--exact", "--budget", "-1"],
+            ["dconc", "A", "--other", "random:3,2,9", "--exact", "--heuristic", "--budget", "-1"],
+            ["dconc", "A", "--other", "random:3,2,9", "--bounds", "--budget", "-1"],
+            ["box", "A", "--other", "random:3,2,9", "--heuristic", "--budget", "-1"],
+            ["box", "A", "--other", "random:3,2,9", "--budget", "-1"],
+        ],
+    )
+    def test_negative_budget_is_invalid_input(self, capsys, tmp_path, argv):
+        # A negative --budget is refused like --cells 0, not declined as a
+        # budget (exit 3) nor run as if it were 1.
+        a = write_dataset(tmp_path, "a.json", random_gds(3, 2, seed=3))
+        assert main([a if arg == "A" else arg for arg in argv]) == 2
+        assert capsys.readouterr() == ("", "gds: budget must be at least 0\n")
+
     def test_float_mode_flag(self, capsys, tmp_path):
         a = write_dataset(tmp_path, "a.json", n_point_discrete(3))
         payload = run_json(capsys, ["od", "--mode", "float", "--kappa", "0.1", a])
@@ -616,8 +635,8 @@ class TestArbitraryInputs:
     @pytest.mark.parametrize(
         "argv, code",
         [
-            (["box", "--heuristic", "--budget", "-1"], 0),
-            (["box", "--exact", "--heuristic", "--budget", "-1"], 0),
+            (["box", "--heuristic", "--budget", "0"], 0),
+            (["box", "--exact", "--heuristic", "--budget", "0"], 0),
             (["od", "--step", "1e-300"], 3),
             (["od", "--mode", "float", "--step", "5e-324"], 3),
             (["od", "--step", "1/10001"], 3),
