@@ -186,9 +186,10 @@ def _simplex(rows, rhs, objective, start, mode):
     """Dense simplex with Bland's rule, minimising x[objective].
 
     rows/rhs describe equality constraints Ax = b with x >= 0; the entries
-    of A are integers, and in exact mode so is b (the caller scales it).  start lists one column per row and must be a feasible
-    basis: B nonsingular and B^-1 b >= 0.  The tableau is pivoted into
-    that basis and Bland's rule runs from there.  Returns (solution, d):
+    of A are integers, and in exact mode so is b (the caller scales it).
+    start lists one column per row and must be a feasible basis: B
+    nonsingular and B^-1 b >= 0.  The tableau is pivoted into that basis
+    and Bland's rule runs from there.  Returns (solution, d):
     an optimal solution is solution / d, with 0 in every non-basic entry.
 
     Exact mode runs on a fraction-free integer tableau (Edmonds 1967;
@@ -203,12 +204,12 @@ def _simplex(rows, rhs, objective, start, mode):
     entry is a minor of [A | b].  The reduced costs are one more row,
     d * e_objective minus the objective's row when it is basic (the cost
     vector is e_objective), built once the starting basis is in and
-    pivoted like the others.  Since d > 0, every sign the method reads is the sign
-    of the rational tableau, and the ratio test compares b_r / a_r by
-    cross-multiplication, where d cancels.  So Bland picks the same
-    entering and leaving columns as on a rational tableau, and on b
-    scaled by any positive constant, and the final basis and solution
-    are the same numbers.  Each basic entry of solution is the int
+    pivoted like the others.  Since d > 0, every sign the method reads is
+    the sign of the rational tableau, and the ratio test compares
+    b_r / a_r by cross-multiplication, where d cancels.  So Bland picks
+    the same entering and leaving columns as on a rational tableau, and
+    on b scaled by any positive constant, and the final basis and
+    solution are the same numbers.  Each basic entry of solution is the int
     T[r][-1].
 
     Float mode runs the same start, pricing and ratio test.  Its pivot
