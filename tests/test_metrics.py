@@ -65,7 +65,7 @@ class TestCellSet:
         assert CellSet.from_mask(2, 2, S.to_mask()) == S
 
     def test_mask_bit_off_the_grid_is_refused(self):
-        # Bit 6 is cell (3, 0) of a 3x2 grid, as from_pairs would refuse it.
+        # Bit 6 of a 3x2 grid is cell (3, 0), off the grid, refused as from_pairs refuses it.
         assert CellSet.from_mask(3, 2, 0b100001) == CellSet.from_pairs(3, 2, [(0, 0), (2, 1)])
         with pytest.raises(GdsError, match=r"cell \(3,0\) outside 3x2 grid"):
             CellSet.from_mask(3, 2, 1 << 6)
