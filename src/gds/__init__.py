@@ -83,21 +83,9 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# The submodules that are public names themselves.
-_SUBMODULES = (
-    "box",
-    "core",
-    "coupling",
-    "dataio",
-    "errors",
-    "flows",
-    "metrics",
-    "numerics",
-    "observable",
-    "order",
-    "spaces",
-    "suite",
-)
+# The submodules that are public names themselves: each home module, and
+# three that define no exported name.
+_SUBMODULES = (*_EXPORTS, "errors", "flows", "numerics")
 
 __all__ = sorted([*_HOME, *_SUBMODULES])
 

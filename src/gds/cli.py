@@ -324,6 +324,8 @@ def _cmd_box(args) -> dict:
     X, Y = _pair(args)
     cells = _cell_budget(args)
     if args.mm:
+        if args.heuristic or args.budget is not None:
+            raise SchemaError("box --mm takes no --heuristic or --budget")
         value = box_mm_exact(X, Y, cell_budget=cells)
         return {"command": "box", "method": "mm-exact", **_num(value, mode)}
 
@@ -448,6 +450,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     out_parent = argparse.ArgumentParser(add_help=False)
     out_parent.add_argument("-o", "--output", help="write to this file instead of stdout")
+    search_parent = argparse.ArgumentParser(add_help=False)
+    search_parent.add_argument("--exact", action="store_true", help="exact search (default)")
+    search_parent.add_argument(
+        "--heuristic", action="store_true",
+        help="heuristic search; with --exact it is the over-budget fallback",
+    )
+    search_parent.add_argument("--budget", type=int, help="search budget")
+    search_parent.add_argument("--seed", type=int, default=0)
 
     def pair_inputs(p):
         p.add_argument(
@@ -487,37 +497,25 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--feature", help="feature label (default: all)")
 
     p = command(
-        sub, "dconc", _cmd_dconc, mode_parent,
+        sub, "dconc", _cmd_dconc, mode_parent, search_parent,
         help="observable distance between two datasets",
     )
     pair_inputs(p)
-    p.add_argument("--exact", action="store_true", help="exact search (default)")
-    p.add_argument(
-        "--heuristic", action="store_true",
-        help="alternating search; with --exact it is the over-budget fallback",
-    )
     p.add_argument("--bounds", action="store_true", help="certified lower and upper bounds")
-    p.add_argument("--budget", type=int, help="search budget")
-    p.add_argument("--seed", type=int, default=0)
 
     p = command(
-        sub, "box", _cmd_box, mode_parent, help="box distance between two datasets"
+        sub, "box", _cmd_box, mode_parent, search_parent,
+        help="box distance between two datasets",
     )
     pair_inputs(p)
-    p.add_argument("--exact", action="store_true", help="exact search (default)")
-    p.add_argument(
-        "--heuristic", action="store_true",
-        help="local search; with --exact it is the over-budget fallback",
-    )
     p.add_argument(
         "--mm", action="store_true",
-        help="compare the induced metric-measure structures instead of the families",
+        help="compare the induced metric-measure structures instead of the families; "
+        "takes no --heuristic or --budget",
     )
-    p.add_argument("--budget", type=int, help="search budget")
     p.add_argument(
         "--cells", type=int, help=f"cell cap (default: GDS_BUDGET_CELLS or {CELL_BUDGET})"
     )
-    p.add_argument("--seed", type=int, default=0)
 
     p = command(
         sub, "prohorov", _cmd_prohorov, mode_parent,

@@ -48,8 +48,10 @@ class Record:
     """A frozen value record, written out where dataclasses would generate it.
 
     A subclass names its fields in `_fields` and writes its own __init__,
-    which stores them with one self.__dict__.update(...) and then calls
-    __post_init__, the validation hook, where the class has one.  The base
+    which validates its arguments and then stores them with one
+    self.__dict__.update(...), with no separate validation hook.  A
+    constructor that skips the check, such as gds_to_mm, bypasses __init__
+    with object.__new__ and stores the fields the same way.  The base
     gives what @dataclass(frozen=True) did: the same repr, == between
     instances of one class only and a hash, both of the field tuple, and no
     assignment or deletion of attributes.  An attribute outside `_fields`,
@@ -89,22 +91,19 @@ class DiscreteMeasure(Record):
     _fields = ("weights", "mode")
 
     def __init__(self, weights: tuple, mode: str = EXACT):
-        self.__dict__.update(weights=weights, mode=mode)
-        self.__post_init__()
-
-    def __post_init__(self):
-        check_mode(self.mode)
-        if not self.weights:
+        check_mode(mode)
+        if not weights:
             raise SupportError("a measure needs at least one point")
-        for i, w in enumerate(self.weights):
+        for i, w in enumerate(weights):
             if w <= 0:
                 raise SupportError(f"weight of point {i} is {w}; support must be full")
-        total = sum(self.weights)
-        if self.mode == EXACT:
+        total = sum(weights)
+        if mode == EXACT:
             if total != 1:
                 raise SupportError(f"weights sum to {total}, expected 1")
         elif abs(total - 1.0) > FLOAT_TOL:
             raise SupportError(f"weights sum to {total!r}, expected 1 within {FLOAT_TOL}")
+        self.__dict__.update(weights=weights, mode=mode)
 
     @classmethod
     def from_weights(
@@ -133,9 +132,6 @@ class DiscreteMeasure(Record):
     def n(self) -> int:
         return len(self.weights)
 
-    def __getitem__(self, i: int) -> Scalar:
-        return self.weights[i]
-
     def mass(self, indices: Iterable[int]) -> Scalar:
         seen = set()
         total = to_scalar(0, self.mode)
@@ -157,21 +153,18 @@ class FeatureFamily(Record):
     _fields = ("rows", "labels", "mode")
 
     def __init__(self, rows: tuple, labels: tuple, mode: str = EXACT):
-        self.__dict__.update(rows=rows, labels=labels, mode=mode)
-        self.__post_init__()
-
-    def __post_init__(self):
-        check_mode(self.mode)
-        if not self.rows:
+        check_mode(mode)
+        if not rows:
             raise SeparationFailure("a feature family needs at least one feature")
-        width = len(self.rows[0])
-        for r in self.rows:
+        width = len(rows[0])
+        for r in rows:
             if len(r) != width:
                 raise SeparationFailure("feature rows have inconsistent lengths")
-        if len(self.labels) != len(self.rows):
+        if len(labels) != len(rows):
             raise SeparationFailure("need exactly one label per feature row")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise SeparationFailure("feature labels must be distinct")
+        self.__dict__.update(rows=rows, labels=labels, mode=mode)
 
     @classmethod
     def build(
@@ -192,9 +185,6 @@ class FeatureFamily(Record):
     @property
     def n_points(self) -> int:
         return len(self.rows[0])
-
-    def row(self, f: int) -> tuple:
-        return self.rows[f]
 
     def by_label(self, label: str) -> tuple:
         try:
@@ -275,24 +265,18 @@ class GeometricDataSet(Record):
     def __init__(
         self, features: FeatureFamily, measure: DiscreteMeasure, point_labels: tuple = ()
     ):
-        self.__dict__.update(features=features, measure=measure, point_labels=point_labels)
-        self.__post_init__()
-
-    def __post_init__(self):
-        same_mode(self.features.mode, self.measure.mode)
-        if self.features.n_points != self.measure.n:
-            raise SupportError(
-                f"features cover {self.features.n_points} points, "
-                f"measure has {self.measure.n}"
-            )
-        if not self.point_labels:
-            self.__dict__["point_labels"] = _default_labels("p", self.measure.n)
-        if len(self.point_labels) != self.measure.n:
+        mode = same_mode(features.mode, measure.mode)
+        n = measure.n
+        if features.n_points != n:
+            raise SupportError(f"features cover {features.n_points} points, measure has {n}")
+        point_labels = point_labels or _default_labels("p", n)
+        if len(point_labels) != n:
             raise SupportError("need exactly one label per point")
-        pairs = close_pairs(self.features.rows, tolerance(self.mode))
+        pairs = close_pairs(features.rows, tolerance(mode))
         if pairs:
             x, y = pairs[0]
             raise SeparationFailure(f"features do not separate points {x} and {y}")
+        self.__dict__.update(features=features, measure=measure, point_labels=point_labels)
 
     @classmethod
     def build(
@@ -332,17 +316,11 @@ class MmSpace(Record):
     _fields = ("dist", "measure", "point_labels")
 
     def __init__(self, dist: tuple, measure: DiscreteMeasure, point_labels: tuple = ()):
-        self.__dict__.update(dist=dist, measure=measure, point_labels=point_labels)
-        self.__post_init__()
-
-    def __post_init__(self):
-        n = self.measure.n
-        if len(self.dist) != n or any(len(r) != n for r in self.dist):
+        n = measure.n
+        d = dist
+        if len(d) != n or any(len(r) != n for r in d):
             raise MetricViolation("distance matrix shape disagrees with measure")
-        if not self.point_labels:
-            self.__dict__["point_labels"] = _default_labels("p", n)
-        tol = tolerance(self.mode)
-        d = self.dist
+        tol = tolerance(measure.mode)
         for x in range(n):
             if abs(d[x][x]) > tol:
                 raise MetricViolation(f"nonzero diagonal at point {x}")
@@ -358,6 +336,8 @@ class MmSpace(Record):
                         raise MetricViolation(
                             f"triangle inequality fails on ({x},{y},{z})"
                         )
+        point_labels = point_labels or _default_labels("p", n)
+        self.__dict__.update(dist=dist, measure=measure, point_labels=point_labels)
 
     @classmethod
     def build(
@@ -430,24 +410,14 @@ def sample_lip1(M: MmSpace, count: int, seed: int = 0) -> FeatureFamily:
     return FeatureFamily(tuple(rows), labels, M.mode)
 
 
-def mm_to_gds(M: MmSpace, extra: int = 0, seed: int = 0) -> GeometricDataSet:
-    """Feature-family presentation of an mm-space.
+def mm_to_gds(M: MmSpace) -> GeometricDataSet:
+    """Feature-family presentation of an mm-space by its distance generators.
 
-    Uses the distance generators, optionally padded with sampled 1-Lipschitz
-    rows.  The induced metric equals d exactly: generators attain it and no
-    1-Lipschitz row can exceed it.  Distances through this presentation are
-    therefore bounds relative to the full 1-Lipschitz family, not certified
-    values; only the generators are guaranteed present.
+    The induced metric equals d exactly: the generators attain it.
+    Distances through this presentation are bounds relative to the full
+    1-Lipschitz family, not certified values.
     """
-    gen = mm_lip1_generators(M)
-    rows = list(gen.rows)
-    labels = list(gen.labels)
-    if extra > 0:
-        extra_fam = sample_lip1(M, extra, seed)
-        rows.extend(extra_fam.rows)
-        labels.extend(extra_fam.labels)
-    fam = FeatureFamily(tuple(rows), tuple(labels), M.mode)
-    return GeometricDataSet(fam, M.measure, M.point_labels)
+    return GeometricDataSet(mm_lip1_generators(M), M.measure, M.point_labels)
 
 
 def pushforward_vector(mu: DiscreteMeasure, assignment: Sequence[int], m: int) -> tuple:

@@ -67,21 +67,18 @@ class Coupling(Record):
     _fields = ("matrix", "mode")
 
     def __init__(self, matrix: tuple, mode: str = EXACT):
-        self.__dict__.update(matrix=matrix, mode=mode)
-        self.__post_init__()
-
-    def __post_init__(self):
-        check_mode(self.mode)
-        if not self.matrix or not self.matrix[0]:
+        check_mode(mode)
+        if not matrix or not matrix[0]:
             raise GdsError("a coupling needs a nonempty matrix")
-        width = len(self.matrix[0])
-        tol = tolerance(self.mode)
-        for row in self.matrix:
+        width = len(matrix[0])
+        tol = tolerance(mode)
+        for row in matrix:
             if len(row) != width:
                 raise GdsError("coupling rows have inconsistent lengths")
             for v in row:
                 if v < -tol:
                     raise GdsError(f"negative coupling entry {v!r}")
+        self.__dict__.update(matrix=matrix, mode=mode)
 
     @classmethod
     def certified(cls, rows, unit, mode: str) -> "Coupling":
@@ -92,7 +89,7 @@ class Coupling(Record):
         flows.certify_coupling (none below the mode's tolerance), or the
         scaled entries of a coupling already built: the product of two
         measures' positive weights, or a lattice coupling.  Each entry is
-        unscaled once, and __post_init__'s per-entry re-check is skipped.
+        unscaled once, and __init__'s per-entry check is skipped.
         """
         pi = object.__new__(cls)
         vars(pi).update(matrix=unscaled_rows(rows, unit), mode=mode)
@@ -397,8 +394,9 @@ def feasibility_lp(
 def glue(pi_xy: Coupling, pi_yz: Coupling) -> tuple[tuple, Coupling]:
     """Glue two couplings along their shared middle marginal.
 
-    rho(x,y,z) = pi_xy(x,y) * pi_yz(y,z) / nu(y), with 0/0 read as 0.
-    Returns the triple tensor and its (x,z) marginal as a Coupling.
+    rho(x,y,z) = pi_xy(x,y) * pi_yz(y,z) / nu(y), with 0/0 read as the
+    mode's zero.  Returns the triple tensor and its (x,z) marginal as a
+    Coupling.
     """
     mode = same_mode(pi_xy.mode, pi_yz.mode)
     tol = tolerance(mode)
@@ -409,13 +407,14 @@ def glue(pi_xy: Coupling, pi_yz: Coupling) -> tuple[tuple, Coupling]:
     ):
         raise MarginalMismatch("middle marginals disagree; cannot glue")
     n, mid, p = pi_xy.n, pi_xy.m, pi_yz.m
+    zeros = (ZERO if mode == EXACT else 0.0,) * p
     tensor = []
     for x in range(n):
         plane = []
         for y in range(mid):
             ny = mid_a[y]
             if ny == 0:
-                plane.append((0,) * p)
+                plane.append(zeros)
                 continue
             a = pi_xy.matrix[x][y]
             plane.append(tuple(a * pi_yz.matrix[y][z] / ny for z in range(p)))

@@ -73,13 +73,10 @@ class CellSet(Record):
     _fields = ("n", "m", "cells")
 
     def __init__(self, n: int, m: int, cells: frozenset):
+        for (i, j) in cells:
+            if not (0 <= i < n and 0 <= j < m):
+                raise GdsError(f"cell ({i},{j}) outside {n}x{m} grid")
         self.__dict__.update(n=n, m=m, cells=cells)
-        self.__post_init__()
-
-    def __post_init__(self):
-        for (i, j) in self.cells:
-            if not (0 <= i < self.n and 0 <= j < self.m):
-                raise GdsError(f"cell ({i},{j}) outside {self.n}x{self.m} grid")
 
     @classmethod
     def from_pairs(cls, n: int, m: int, pairs: Iterable) -> "CellSet":

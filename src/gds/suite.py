@@ -146,20 +146,23 @@ class SuiteReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# Registries and shared generators
+# Registry and shared generators
 # ---------------------------------------------------------------------------
 
-_CHECKS: list = []  # (name, per-trial callable)
-_OBSERVATIONS: list = []  # (name, whole-run callable)
+# Property name -> run(seed, trials), in order of definition: the asserted
+# checks, then the observation, which is defined last.
+_PROPERTIES: dict = {}
 
 
 def _prop(func: Callable) -> Callable:
-    _CHECKS.append((func.__name__.removeprefix("prop_"), func))
+    name = func.__name__.removeprefix("prop_")
+    _PROPERTIES[name] = lambda seed, trials: _run_check(name, func, seed, trials)
     return func
 
 
 def _observation(func: Callable) -> Callable:
-    _OBSERVATIONS.append((func.__name__.removeprefix("obs_"), func))
+    name = func.__name__.removeprefix("obs_")
+    _PROPERTIES[name] = lambda seed, trials: _run_observation(name, func, seed, trials)
     return func
 
 
@@ -941,9 +944,7 @@ def obs_lip1_transport_orientation(rng, trials):
 
 def property_names() -> tuple:
     """All property names, asserted checks first."""
-    return tuple(name for name, _ in _CHECKS) + tuple(
-        name for name, _ in _OBSERVATIONS
-    )
+    return tuple(_PROPERTIES)
 
 
 def _run_check(name, check, seed: int, trials: int) -> PropertyOutcome:
@@ -975,13 +976,9 @@ def _check_trials(trials: int) -> None:
 def run_property(name: str, seed: int = 0, trials: int = 25) -> PropertyOutcome:
     """Run a single named property; useful for bisecting a failure."""
     _check_trials(trials)
-    for known, check in _CHECKS:
-        if known == name:
-            return _run_check(name, check, seed, trials)
-    for known, run in _OBSERVATIONS:
-        if known == name:
-            return _run_observation(name, run, seed, trials)
-    raise KeyError(f"unknown property {name!r}")
+    if name not in _PROPERTIES:
+        raise KeyError(f"unknown property {name!r}")
+    return _PROPERTIES[name](seed, trials)
 
 
 def verify_theorem_suite(seed: int = 0, trials: int = 25) -> SuiteReport:
@@ -992,11 +989,5 @@ def verify_theorem_suite(seed: int = 0, trials: int = 25) -> SuiteReport:
     an empty passing report; a negative count is refused.
     """
     _check_trials(trials)
-    outcomes = [
-        _run_check(name, check, seed, trials) for name, check in _CHECKS
-    ]
-    outcomes.extend(
-        _run_observation(name, run, seed, trials)
-        for name, run in _OBSERVATIONS
-    )
-    return SuiteReport(seed, trials, tuple(outcomes))
+    outcomes = tuple(run(seed, trials) for run in _PROPERTIES.values())
+    return SuiteReport(seed, trials, outcomes)

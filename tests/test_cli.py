@@ -145,10 +145,10 @@ class TestBox:
         # once spent seconds there before the cell budget declined them.
         # box --mm hands the data sets to box_mm_exact as they are, so no
         # MmSpace is built, over the budget or within it.
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("box --mm built an MmSpace")
 
-        monkeypatch.setattr(gds.core.MmSpace, "__post_init__", refuse)
+        monkeypatch.setattr(gds.core.MmSpace, "__init__", refuse)
         a = write_dataset(tmp_path, "a.json", random_gds(40, 2, seed=13))
         b = write_dataset(tmp_path, "b.json", random_gds(40, 2, seed=14))
         assert main(["box", "--mm", a, b]) == 3
@@ -160,6 +160,19 @@ class TestBox:
         assert payload == {
             "command": "box", "method": "mm-exact", "value": 0.25, "exact": "1/4"
         }
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--heuristic"], ["--budget", "1"], ["--budget", "-1"], ["--budget", "0"],
+         ["--exact", "--heuristic", "--budget", "5"]],
+    )
+    def test_mm_refuses_search_flags(self, capsys, tmp_path, flags):
+        # box --mm runs one exact search with no budget and no heuristic,
+        # so the flags it would ignore are invalid input, as a negative
+        # --budget is for every other reader of it.
+        a = write_dataset(tmp_path, "a.json", random_gds(3, 2, seed=3))
+        assert main(["box", "--mm", a, "--other", "random:3,2,9", *flags]) == 2
+        assert capsys.readouterr() == ("", "gds: box --mm takes no --heuristic or --budget\n")
 
 
 class TestDiameters:

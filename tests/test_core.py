@@ -138,10 +138,10 @@ class TestMmSpace:
         spaces = [random_gds(n, k, seed=s, mode=mode) for n, k, s in [(1, 1, 1), (5, 2, 2), (9, 3, 3)]]
         checked = [MmSpace(X.dist, X.measure, X.point_labels) for X in spaces]
 
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("metric check ran")
 
-        monkeypatch.setattr(MmSpace, "__post_init__", refuse)
+        monkeypatch.setattr(MmSpace, "__init__", refuse)
         for X, want in zip(spaces, checked):
             M = gds_to_mm(X)
             assert type(M) is MmSpace and M == want and repr(M) == repr(want)

@@ -18,7 +18,7 @@ from gds.coupling import (
 )
 from gds.errors import GdsError, MarginalMismatch, SizeLimit
 from gds.flows import bits
-from gds.numerics import Q, scaled_ints
+from gds.numerics import EXACT, FLOAT, Q, scaled_ints
 from gds.spaces import random_gds
 
 
@@ -345,6 +345,21 @@ class TestGlue:
         )
         with pytest.raises(MarginalMismatch):
             glue(a, b)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_massless_middle_point_gives_the_modes_zeros(self, mode):
+        # The plane of a middle point with no mass reads 0/0 as the mode's
+        # zero, a Fraction or a float like every other entry, not an int.
+        half, zero = (Q(1, 2), Q(0)) if mode == EXACT else (0.5, 0.0)
+        pi_xy = Coupling(((half, zero), (half, zero)), mode)
+        pi_yz = Coupling(((half, half), (zero, zero)), mode)
+        tensor, xz = glue(pi_xy, pi_yz)
+        quarter = half * half
+        assert tensor == (((quarter, quarter), (zero, zero)),) * 2
+        entries = [v for row in tensor for plane in row for v in plane]
+        entries += [v for row in xz.matrix for v in row]
+        assert {type(v) for v in entries} == {type(zero)}
+        assert xz == Coupling(((quarter, quarter),) * 2, mode)
 
     @given(measure_pairs, st.randoms(use_true_random=False))
     def test_glued_coupling_has_outer_marginals(self, pair, rnd):

@@ -175,8 +175,8 @@ def test_cached_dist_is_neither_compared_nor_shown():
 
 
 def test_unchecked_constructions_equal_the_checked_ones():
-    # gds_to_mm and Coupling.certified skip __post_init__, and must still
-    # build the record __init__ builds.
+    # gds_to_mm and Coupling.certified skip __init__'s check, and must
+    # still build the record __init__ builds.
     X = GeometricDataSet(family(1), measure(1))
     M = gds_to_mm(X)
     checked = MmSpace(X.dist, X.measure, X.point_labels)
