@@ -27,7 +27,6 @@ from .errors import (
 from .numerics import (
     EXACT,
     FLOAT_TOL,
-    Scalar,
     check_mode,
     same_mode,
     scalar_list,
@@ -131,15 +130,6 @@ class DiscreteMeasure(Record):
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    def mass(self, indices: Iterable[int]) -> Scalar:
-        seen = set()
-        total = to_scalar(0, self.mode)
-        for i in indices:
-            if i not in seen:
-                seen.add(i)
-                total += self.weights[i]
-        return total
 
 
 class FeatureFamily(Record):
@@ -337,6 +327,8 @@ class MmSpace(Record):
                             f"triangle inequality fails on ({x},{y},{z})"
                         )
         point_labels = point_labels or _default_labels("p", n)
+        if len(point_labels) != n:
+            raise SupportError("need exactly one label per point")
         self.__dict__.update(dist=dist, measure=measure, point_labels=point_labels)
 
     @classmethod

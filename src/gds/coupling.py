@@ -130,6 +130,10 @@ class Coupling(Record):
         message only.  Float mode allows FLOAT_TOL per sum.
         """
         same_mode(self.mode, mu.mode, nu.mode)
+        if (self.n, self.m) != (mu.n, nu.n):
+            raise MarginalMismatch(
+                f"coupling is {self.n}x{self.m}, its marginals need {mu.n}x{nu.n}"
+            )
         tol = tolerance(self.mode)
         rows, mu_w, nu_w = self.matrix, mu.weights, nu.weights
         if self.mode == EXACT:

@@ -26,14 +26,6 @@ from .core import GeometricDataSet
 from .errors import GdsError, SchemaError
 from .numerics import EXACT, check_mode, exact_string, to_scalar
 
-__all__ = [
-    "csv_text",
-    "doc_to_gds",
-    "emit_gds",
-    "gds_to_doc",
-    "parse_gds",
-]
-
 _KEYS = ("points", "weights", "features")
 
 

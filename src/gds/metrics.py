@@ -100,10 +100,6 @@ class CellSet(Record):
             mask |= 1 << (i * self.m + j)
         return mask
 
-    def complement(self) -> "CellSet":
-        allc = frozenset((i, j) for i in range(self.n) for j in range(self.m))
-        return CellSet(self.n, self.m, allc - self.cells)
-
     @property
     def sorted_cells(self) -> tuple:
         return tuple(sorted(self.cells))
@@ -289,26 +285,38 @@ def prohorov_weights(
 
     # By transportation duality the requirement at thresholds[i] is the
     # mass no coupling can keep on within[i], the cells with d(x, y) at
-    # most that threshold.  It falls as the threshold rises, from at most
-    # the total mass, so the crossing search reads it at about log2 of
-    # the thresholds up to the total, or fewer where the requirements it
-    # reads bracket the crossing.  The distances are scaled to ints
-    # once, by S, and the weights by the Transport's D, so a threshold
-    # t * D and a requirement (total - flow) * S are ints over S * D
-    # (floats in float mode), and the search's minimum is unscaled once.
+    # most that threshold: the least Ky Fan value of d over couplings.
     rows, S = scaled_ints(*dist)
     cells_at = _cells_at(rows)
     thresholds = sorted(cells_at)
     within = list(accumulate((cells_at[t] for t in thresholds), or_))
     transport = Transport(mu_weights, nu_weights)
-    if (S is None) != (transport.scale is None):
-        raise ModeMismatch("prohorov mixes float and exact numbers")
-    s, d = S or 1, transport.scale or 1
     total = sum(transport.weights[1])
+    return _least_ky_fan(transport, thresholds, within.__getitem__, S, total)
+
+
+def _least_ky_fan(transport, levels: Sequence, within: Callable, S, total) -> Scalar:
+    """min over i of max(levels[i], total - the most a coupling keeps on
+    the cell mask within(i)), unscaled once.
+
+    By Strassen's theorem this is the least Ky Fan value over couplings
+    of a ground distance whose ascending levels, scaled by S (None in
+    float mode), bound the masks within(i), which grow with i.  The
+    requirement falls as the level rises, from at most total, the mass
+    that transport's flows carry in its scale D, so crossing reads it at
+    about log2 of the levels up to total, or fewer where the
+    requirements it reads bracket the crossing.  A level over S and a
+    requirement over D meet as ints over S * D (floats in float mode).
+    Levels whose scale disagrees with the weights' mode cannot share
+    their ints, and raise ModeMismatch.
+    """
+    if (S is None) != (transport.scale is None):
+        raise ModeMismatch("the distances and the weights mix float and exact numbers")
+    s, d = S or 1, transport.scale or 1
     value, _ = crossing(
-        len(thresholds),
-        lambda i: thresholds[i] * d,
-        lambda i: ((total - transport.scaled_value(within[i])) * s, None),
+        len(levels),
+        lambda i: levels[i] * d,
+        lambda i: ((total - transport.scaled_value(within(i))) * s, None),
         total * s,
     )
     return unscaled(value, None if S is None else S * d)
@@ -415,7 +423,7 @@ def partial_diameter(values: Sequence, mu: DiscreteMeasure, alpha) -> Scalar:
     """
     if len(values) != mu.n:
         raise GdsError("value row disagrees with the measure's point count")
-    if alpha > 1:
+    if not alpha <= 1:
         raise GdsError("partial diameter is undefined for alpha > 1")
     if alpha <= 0:
         return to_scalar(0, mu.mode)
@@ -448,7 +456,7 @@ def observable_diameter(X: GeometricDataSet, kappa) -> Scalar:
 
     kappa < 0 is out of range; kappa >= 1 returns the mode's 0.
     """
-    if kappa < 0:
+    if not kappa >= 0:
         raise GdsError(f"observable diameter needs kappa >= 0, got {kappa}")
     alpha = 1 - kappa
     if alpha <= 0:

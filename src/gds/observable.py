@@ -22,12 +22,13 @@ from typing import Sequence
 
 from .core import GeometricDataSet, Record, lip_violation
 from .coupling import Coupling, _common_cap_lp, _mixture_lattice
-from .errors import BudgetExceeded, GdsError, ModeMismatch, WitnessNotLipschitz
+from .errors import BudgetExceeded, GdsError, WitnessNotLipschitz
 from .flows import Transport, bits
 from .metrics import (
     ASSIGNMENT_BUDGET,
     GapTable,
     _ky_fan_from_pairs,
+    _least_ky_fan,
     crossing,
     hausdorff,
     ky_fan_coupling,
@@ -401,11 +402,11 @@ def dconc_lower_witness(
     min over g of (min over couplings of ky_fan(witness o pr1, g o pr2))
     bounds the observable distance from below whenever the witness belongs
     to the closed family of X; 1-Lipschitz for the induced metric is how
-    that membership is checked here.  Each g's crossing search compares
-    ints over S * D, S the gap table's scale and D the Transport's, and
-    the least minimum is unscaled once.  A witness that holds a float
-    while the weights are exact cannot share their ints, and raises
-    ModeMismatch.
+    that membership is checked here.  By Strassen's theorem each g's
+    minimum is the Prohorov distance of the two value distributions on
+    the line, found by metrics._least_ky_fan on the gaps |witness - g|
+    of one GapTable; a witness that holds a float while the weights are
+    exact raises ModeMismatch there.
     """
     mode = same_mode(X.mode, Y.mode)
     if len(witness) != X.n:
@@ -417,20 +418,10 @@ def dconc_lower_witness(
         )
     table = GapTable([witness], Y.features.rows)
     transport = Transport(X.measure.weights, Y.measure.weights)
-    S, D = table.scale, transport.scale
-    if (S is None) != (D is None):
-        raise ModeMismatch("the witness mixes float and exact numbers")
-    s, d = S or 1, D or 1
-    best = None
-    for g in range(Y.k):
-        grid = _unit_levels(table.diff[0][g], mode, S)
-        flow = lambda i: transport.scaled_value(table.allowed(0, g, grid[i]))
-        val, _ = crossing(
-            len(grid),
-            lambda i: grid[i] * d,
-            lambda i: ((d - flow(i)) * s, None),
-            d * s,
-        )
-        if best is None or val < best:
-            best = val
-    return unscaled(best, None if S is None else S * d)
+
+    def least(g: int) -> Scalar:
+        grid = _unit_levels(table.diff[0][g], mode, table.scale)
+        within = lambda i: table.allowed(0, g, grid[i])
+        return _least_ky_fan(transport, grid, within, table.scale, transport.scale or 1)
+
+    return min(map(least, range(Y.k)))

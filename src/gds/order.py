@@ -29,12 +29,12 @@ def _measure_matches(X, Y, assignment, tol) -> bool:
     return all(abs(p - w) <= tol for p, w in zip(pushed, Y.measure.weights))
 
 
-def _search(X, Y, tol, map_budget: int, both_ways: bool) -> tuple:
+def _search(X, Y, map_budget: int, both_ways: bool) -> tuple:
     """First measure-preserving map X -> Y, in lexicographic order, that
-    pulls every feature of Y back to within tol of one of X, and, when
-    `both_ways`, has every feature of X within tol of a pulled-back one."""
-    mode = same_mode(X.mode, Y.mode)
-    eps = tolerance(mode) if tol is None else tol
+    pulls every feature of Y back to within the mode's tolerance of one
+    of X, and, when `both_ways`, has every feature of X within it of a
+    pulled-back one."""
+    eps = tolerance(same_mode(X.mode, Y.mode))
     count = Y.n ** X.n
     if count > map_budget:
         raise BudgetExceeded(f"{count} candidate maps exceed the budget {map_budget}")
@@ -54,30 +54,29 @@ def _search(X, Y, tol, map_budget: int, both_ways: bool) -> tuple:
 def check_domination(
     X: GeometricDataSet,
     Y: GeometricDataSet,
-    tol=None,
     map_budget: int = MAP_BUDGET,
 ) -> tuple:
     """Does X dominate Y?  (verdict, witness map X -> Y or None).
 
     A witness pushes the measure of X onto that of Y and pulls every
-    feature of Y back to (within tol of) some feature of X.  Any such map
-    is automatically 1-Lipschitz for the induced metrics, so no separate
-    continuity check is needed.
+    feature of Y back to (within the mode's tolerance of) some feature of
+    X.  Any such map is automatically 1-Lipschitz for the induced
+    metrics, so no separate continuity check is needed.
     """
-    return _search(X, Y, tol, map_budget, both_ways=False)
+    return _search(X, Y, map_budget, both_ways=False)
 
 
 def check_isomorphism(
     X: GeometricDataSet,
     Y: GeometricDataSet,
-    tol=None,
     map_budget: int = MAP_BUDGET,
 ) -> tuple:
     """Are the two spaces the same up to relabeling?
 
     A witness is measure preserving and pulls the feature family of Y back
-    to exactly the family of X as a set of rows (mutually within tol).
-    With full-support measures and separating families this forces the map
-    to be a bijection, so no inverse needs to be searched separately.
+    to exactly the family of X as a set of rows (mutually within the
+    mode's tolerance).  With full-support measures and separating
+    families this forces the map to be a bijection, so no inverse needs
+    to be searched separately.
     """
-    return _search(X, Y, tol, map_budget, both_ways=True)
+    return _search(X, Y, map_budget, both_ways=True)

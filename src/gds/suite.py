@@ -76,14 +76,6 @@ from .spaces import (
     singleton_gds,
 )
 
-__all__ = [
-    "PropertyOutcome",
-    "SuiteReport",
-    "property_names",
-    "run_property",
-    "verify_theorem_suite",
-]
-
 
 class PropertyOutcome(Record):
     """Result of running one property for a number of trials.
@@ -140,9 +132,6 @@ class SuiteReport(Record):
             f"result: {verdict} ({checked} properties, {noted} observations)"
         )
         return out
-
-    def summary(self) -> str:
-        return "\n".join(self.lines())
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +216,19 @@ def _least_score(mu, nu, count: int, spread) -> Q:
     transport = Transport(mu.weights, nu.weights)
     kept = lambda mask: unscaled(transport.scaled_value(mask), transport.scale)
     return min([Q(1)] + [max(1 - kept(mask), spread(mask)) for mask in range(1, 1 << count)])
+
+
+def _two_point_transport(rng) -> tuple:
+    """(D, e, how far lip1_witness's transport lands from its source) for
+    two points at distance D in X and e in Y, drawn in that order from
+    sixteenths, on the two diagonal cells."""
+    D = Q(rng.randint(1, 16), 16)
+    e = Q(rng.randint(1, 16), 16)
+    X = GeometricDataSet.build([(Q(0), D)], [Q(1, 2), Q(1, 2)])
+    Y = GeometricDataSet.build([(Q(0), e)], [Q(1, 2), Q(1, 2)])
+    f = X.features.rows[0]
+    g = lip1_witness(((0, 0), (1, 1)), f, X.dist, Y.dist)
+    return D, e, max(abs(f[0] - g[0]), abs(f[1] - g[1]))
 
 
 def _permuted(rng, X: GeometricDataSet):
@@ -352,13 +354,9 @@ def prop_ky_fan_dominates_value_prohorov(rng, t):
     g = X.features.rows[rng.randrange(X.k)]
     values = sorted(set(f) | set(g))
     pos = {v: i for i, v in enumerate(values)}
-    wf = [Q(0)] * len(values)
-    wg = [Q(0)] * len(values)
-    for x, w in enumerate(X.measure.weights):
-        wf[pos[f[x]]] += w
-        wg[pos[g[x]]] += w
+    push = lambda row: pushforward_vector(X.measure, [pos[v] for v in row], len(values))
     line = [[abs(a - b) for b in values] for a in values]
-    assert prohorov_weights(wf, wg, line, "auto") <= ky_fan(X.measure, f, g)
+    assert prohorov_weights(push(f), push(g), line, "auto") <= ky_fan(X.measure, f, g)
 
 
 @_prop
@@ -675,14 +673,7 @@ def prop_lip1_two_point_tight(rng, t):
     # two cells, one distance on each side: the transported function sits
     # exactly dis/2 away, and when the source distance is the larger one
     # no 1-Lipschitz partner can do better
-    D = Q(rng.randint(1, 16), 16)
-    e = Q(rng.randint(1, 16), 16)
-    X = GeometricDataSet.build([(Q(0), D)], [Q(1, 2), Q(1, 2)])
-    Y = GeometricDataSet.build([(Q(0), e)], [Q(1, 2), Q(1, 2)])
-    S = ((0, 0), (1, 1))
-    f = X.features.rows[0]
-    g = lip1_witness(S, f, X.dist, Y.dist)
-    achieved = max(abs(f[0] - g[0]), abs(f[1] - g[1]))
+    D, e, achieved = _two_point_transport(rng)
     assert 2 * achieved == abs(D - e)
     if D >= e:
         assert achieved == (D - e) / 2
@@ -918,13 +909,7 @@ def obs_lip1_transport_orientation(rng, trials):
     tight = 0
     worst = Q(0)
     for _ in range(trials):
-        D = Q(rng.randint(1, 16), 16)
-        e = Q(rng.randint(1, 16), 16)
-        X = GeometricDataSet.build([(Q(0), D)], [Q(1, 2), Q(1, 2)])
-        Y = GeometricDataSet.build([(Q(0), e)], [Q(1, 2), Q(1, 2)])
-        f = X.features.rows[0]
-        g = lip1_witness(((0, 0), (1, 1)), f, X.dist, Y.dist)
-        achieved = max(abs(f[0] - g[0]), abs(f[1] - g[1]))
+        D, e, achieved = _two_point_transport(rng)
         optimal = (D - e) / 2 if D > e else Q(0)
         excess = achieved - optimal
         if excess == 0:

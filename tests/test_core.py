@@ -35,8 +35,6 @@ class TestDiscreteMeasure:
     def test_uniform(self):
         mu = DiscreteMeasure.uniform(4)
         assert mu.weights == (Q(1, 4),) * 4
-        assert mu.mass([0, 2]) == Q(1, 2)
-        assert mu.mass([1, 1, 1]) == Q(1, 4)  # duplicates count once
 
     def test_rescale(self):
         mu = DiscreteMeasure.from_weights([3, 1, 2], rescale=True)
@@ -130,6 +128,11 @@ class TestMmSpace:
         with pytest.raises(MetricViolation) as info:
             MmSpace.build(matrix, weights)
         assert str(info.value) == message
+
+    def test_one_label_per_point(self):
+        # As GeometricDataSet refuses it, so mm_to_gds never meets it.
+        with pytest.raises(SupportError, match="need exactly one label per point"):
+            MmSpace.build([[0, 1], [1, 0]], [Q(1, 2), Q(1, 2)], point_labels=["a"])
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_gds_to_mm_equals_the_checked_space(self, mode, monkeypatch):

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gds import CellSet, DiscreteMeasure, coupling, product_coupling
+from gds import (
+    CellSet,
+    DiscreteMeasure,
+    GeometricDataSet,
+    box_fixed_coupling,
+    coupling,
+    product_coupling,
+)
 from gds.coupling import (
     Coupling,
     _northwest_corner,
@@ -137,6 +144,23 @@ class TestCoupling:
         pi = product_coupling(mu, mu)
         with pytest.raises(MarginalMismatch):
             pi.check_marginals(mu, nu)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [((Q(1, 2), 0), (0, Q(1, 4))), ((Q(1, 12),) * 3,) * 4],
+        ids=["2x2", "4x3"],
+    )
+    def test_wrong_shape_is_a_marginal_mismatch(self, matrix):
+        # Neither shape is 3x3: the 2x2 one's sums match the first two
+        # weights, and the 4x3 one has a row with no weight.
+        mu = DiscreteMeasure.from_weights([Q(1, 2), Q(1, 4), Q(1, 4)])
+        pi = Coupling(matrix)
+        message = f"coupling is {pi.n}x{pi.m}, its marginals need 3x3"
+        with pytest.raises(MarginalMismatch, match=message):
+            pi.check_marginals(mu, mu)
+        X = GeometricDataSet.build([[0, 1, 2]], mu.weights)
+        with pytest.raises(MarginalMismatch, match=message):
+            box_fixed_coupling(X, X, pi)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize(
@@ -593,8 +617,9 @@ def test_common_cap_lp_against_float_mode_and_flow_oracle(rnd, n, m, k):
     pi.check_marginals(mu, nu)
     masses = [pi.mass(cells) for cells in sets]
     assert max(masses, default=0) == t
+    full = CellSet.full(n, m).to_mask()
     for cells in sets:
-        floor, _ = max_mass_on_set(mu, nu, cells.complement())
+        floor, _ = max_mass_on_set(mu, nu, CellSet.from_mask(n, m, full ^ cells.to_mask()))
         assert t >= 1 - floor
 
     fmu = DiscreteMeasure.from_weights([float(w) for w in ws_mu], mode="float")

@@ -74,11 +74,6 @@ class TestCellSet:
         full = CellSet.full(2, 3)
         assert len(full.sorted_cells) == 6
         assert CellSet.empty(2, 3).sorted_cells == ()
-        assert full.complement().sorted_cells == ()
-
-    def test_complement(self):
-        S = CellSet.from_pairs(2, 2, [(0, 0)])
-        assert set(S.complement().sorted_cells) == {(0, 1), (1, 0), (1, 1)}
 
 
 class TestKyFan:
@@ -277,6 +272,18 @@ class TestDiameters:
         X = n_point_discrete(3, mode=mode)
         with pytest.raises(GdsError, match="kappa"):
             observable_diameter(X, to_scalar("-1/8", mode))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_nan_levels_are_refused(self, mode):
+        # NaN fails every comparison, so it must fail the range checks
+        # rather than pass them and reach the window scan's assert.
+        X = n_point_discrete(3, mode=mode)
+        with pytest.raises(GdsError, match="kappa >= 0, got nan"):
+            observable_diameter(X, float("nan"))
+        with pytest.raises(GdsError, match="alpha > 1"):
+            partial_diameter(X.features.rows[0], X.measure, float("nan"))
+        with pytest.raises(GdsError, match="alpha > 1"):
+            partial_diameter(X.features.rows[0], X.measure, to_scalar("9/8", mode))
 
     def test_breakpoints_contain_zero_and_are_sorted(self):
         X = n_point_discrete(3)

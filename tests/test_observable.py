@@ -24,7 +24,8 @@ from gds import (
 from gds import coupling
 from gds.coupling import Coupling, enumerate_couplings, feasibility_lp, max_mass_on_set
 from gds.errors import BudgetExceeded, ModeMismatch, WitnessNotLipschitz
-from gds.metrics import CellSet, crossing, ky_fan_coupling
+from gds.core import pushforward_vector
+from gds.metrics import CellSet, crossing, ky_fan_coupling, prohorov_weights
 from gds.numerics import Q, scaled_ints, unscaled
 from gds.observable import _DconcSearch
 from gds.spaces import random_gds
@@ -549,3 +550,22 @@ class TestLowerWitness:
             Y = random_gds(2, 2, seed=300 + seed, mode=mode)
             for row in X.features.rows:
                 assert type(dconc_lower_witness(X, Y, row)) is scalar
+
+    @pytest.mark.parametrize("n, m, k", [(3, 3, 2), (4, 2, 2), (2, 4, 3), (5, 5, 2), (3, 1, 2)])
+    def test_strassen_identity(self, n, m, k):
+        # The least Ky Fan value of |w(x) - g(y)| over couplings is the
+        # Prohorov distance of the two value distributions on the line,
+        # here by the subset scan, which shares no code with the sweep.
+        for seed in range(40):
+            X = random_gds(n, k, seed=seed)
+            Y = random_gds(m, k, seed=500 + seed)
+            for w in X.features.rows:
+                values = []
+                for g in Y.features.rows:
+                    line = sorted(set(w) | set(g))
+                    pos = {v: i for i, v in enumerate(line)}
+                    wf = pushforward_vector(X.measure, [pos[v] for v in w], len(line))
+                    wg = pushforward_vector(Y.measure, [pos[v] for v in g], len(line))
+                    dist = [[abs(a - b) for b in line] for a in line]
+                    values.append(prohorov_weights(wf, wg, dist, "brute"))
+                assert dconc_lower_witness(X, Y, w) == min(values)

@@ -107,4 +107,3 @@ class TestIsomorphism:
 
         B = GeometricDataSet.build(rows, A.measure.weights, mode=FLOAT)
         assert check_isomorphism(A, B)[0] is True
-        assert check_isomorphism(A, B, tol=0)[0] is False
